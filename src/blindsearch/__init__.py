@@ -10,14 +10,13 @@ __version__ = "0.1.0"
 
 from .tree import (NodeId, TreeConfig, ancestor_index, descendant_count,
                    descendant_range, nodes_in_layer)
-from .isotonic import MonotoneFn, evaluate, pava
+from .isotonic import MonotoneFn, pava
 from .stats import (FreqDrift, PhotonSeries, SignalSpec, block_edges, blocked_power,
                     chi2_2_isf, chi2_2_quantile, chi2_2_sf, phase, rayleigh_power,
                     read_photons, simulate_photons, write_photons)
-from .fit import (FORMAT_VERSION, FitConfig, PathSample, Strategy, decide,
-                  fit_strategy, load_strategy, path_payoff, sample_path, sample_paths,
-                  save_strategy, strategy_from_dict, strategy_to_dict,
-                  threshold_rule_of_thumb)
+from .fit import (FORMAT_VERSION, FitConfig, Strategy, fit_strategy, load_strategy,
+                  path_payoff, sample_paths, save_strategy, strategy_from_dict,
+                  strategy_to_dict, threshold_rule_of_thumb)
 from .engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, PulsarGrid,
                      SearchOutcome, SparsePeakEvaluator, default_q_reject,
                      naive_search, pulsar_evaluator, run_search,
@@ -34,12 +33,12 @@ __all__ = [
     "__version__",
     "NodeId", "TreeConfig", "ancestor_index", "descendant_count",
     "descendant_range", "nodes_in_layer",
-    "MonotoneFn", "evaluate", "pava",
+    "MonotoneFn", "pava",
     "FreqDrift", "PhotonSeries", "SignalSpec", "block_edges", "blocked_power",
     "chi2_2_isf", "chi2_2_quantile", "chi2_2_sf", "phase", "rayleigh_power",
     "read_photons", "simulate_photons", "write_photons",
-    "FORMAT_VERSION", "FitConfig", "PathSample", "Strategy", "decide",
-    "fit_strategy", "load_strategy", "path_payoff", "sample_path", "sample_paths",
+    "FORMAT_VERSION", "FitConfig", "Strategy",
+    "fit_strategy", "load_strategy", "path_payoff", "sample_paths",
     "save_strategy", "strategy_from_dict", "strategy_to_dict",
     "threshold_rule_of_thumb",
     "ArrayEvaluator", "GridSpec", "PulsarEvaluator", "PulsarGrid", "SearchOutcome",

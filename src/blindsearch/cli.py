@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -198,8 +199,21 @@ def _add_grid_flags(p, span_default_none=False):
     p.add_argument("--span", type=float, help=help_span)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes exponent-form negatives such as -1e-11 as values.
+
+    argparse's own negative-number pattern misses the exponent form, so
+    ``--omegadot -1e-11`` would read the value as an unknown option.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blindsearch",
         description="Hierarchical blind search under computational cost constraints.")
     parser.add_argument("--version", action="version",
@@ -372,7 +386,7 @@ def cmd_search(args) -> int:
     frac = outcome.total_cost / (leaves * strategy.tree.cost(strategy.tree.num_layers))
     print(f"{len(outcome.detections)} detections at q={q_reject:.4f}; "
           f"cost {outcome.total_cost!r} ({frac:.2e} of exhaustive); "
-          f"peak {outcome.peak_tracked} tracked nodes; wrote {out_dir}/")
+          f"peak {outcome.peak_tracked} tracked records; wrote {out_dir}/")
     return 0
 
 

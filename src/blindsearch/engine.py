@@ -1,9 +1,10 @@
 """Search execution over layered hypothesis trees.
 
 An evaluator computes the layer statistic for batches of node indices;
-``run_search`` drives a fitted strategy over it without ever holding more
-than a frontier of the tree in memory, and ``naive_search`` sweeps the
-leaf layer exhaustively. The concrete evaluator for pulsar-style data
+``run_search`` drives a fitted strategy over it from layer 1, and
+``naive_search`` sweeps the leaf layer exhaustively. Both run the same
+batched walker, which holds pending work as index ranges, never as the
+tree itself. The concrete evaluator for pulsar-style data
 maps node indices to (frequency, drift) hypotheses on a dyadic grid and
 scores them with the blocked statistic matched to the layer.
 
@@ -240,168 +241,134 @@ class SparsePeakEvaluator:
         return vals
 
 
+_LOG_DTYPE = np.dtype([("layer", np.int64), ("index", np.int64),
+                       ("statistic", np.float64), ("action", np.int64)])
+
+
 @dataclass
 class SearchOutcome:
     """Result of one search run.
 
-    ``peak_tracked`` is the instrumented high-water mark of node records
-    held at once: scheduled-but-unevaluated nodes, statistics in flight,
-    root actions, and stored results. It stays on the order of the
-    largest per-subtree frontier, never the leaf count.
+    ``peak_tracked`` is the instrumented high-water mark of records held
+    at once: the evaluate batch in flight, the pending ``[lo, hi)``
+    ranges (one record each, however many nodes a range spans), the
+    detections and the observed-log rows. Pending work never exists as
+    one record per node, so the mark stays far below the leaf count on
+    a pruned tree.
+
+    ``observed_log``, when requested, is a numpy structured array with
+    one row per observed node and the fields ``layer``, ``index``,
+    ``statistic`` and ``action``, sorted by (layer, index).
     """
 
     detections: list
     per_layer_observed: np.ndarray
     total_cost: float
     peak_tracked: int
-    observed_log: list | None = None
+    observed_log: np.ndarray | None = None
 
 
-def _coalesce(ranges):
-    """Merge overlapping or adjacent [lo, hi) ranges; input list of tuples."""
-    if len(ranges) <= 1:
-        return ranges
-    ranges.sort()
-    out = [ranges[0]]
-    for lo, hi in ranges[1:]:
-        plo, phi = out[-1]
-        if lo <= phi:
-            if hi > phi:
-                out[-1] = (plo, hi)
-        else:
-            out.append((lo, hi))
-    return out
+def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
+          emit_observed: bool = False) -> SearchOutcome:
+    """Observe every ``start``-layer node and follow ``decide`` down the tree.
+
+    Start-layer nodes are taken in consecutive groups of ``chunk_size``.
+    Inside a group the layers run in order: a layer's pending ``[lo, hi)``
+    ranges are sorted and cut into ``evaluate`` calls of at most
+    ``chunk_size`` nodes, and ``decide(layer, values)`` maps each
+    statistic to 0 (stop) or the deeper layer whose descendants become
+    pending in turn. Leaves reaching ``q_reject`` are detections; the
+    ordered groups and sorted ranges emit them in leaf-index order.
+    """
+    if math.isnan(q_reject):
+        raise ValueError("q_reject must not be NaN")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    tree = evaluator.tree
+    G = tree.num_layers
+    n = nodes_in_layer(tree, start)
+    if n >= _MAX_ENGINE_NODES:
+        raise ValueError(f"layer {start} too large for engine indexing")
+    observed = np.zeros(G, dtype=np.int64)
+    detections = []
+    log = [] if emit_observed else None
+    logged = peak = 0
+    for first in range(0, n, chunk_size):
+        # layer -> (lo, hi) array pairs; the ranges are disjoint, since every
+        # observed node has exactly one observed ancestor that jumped to it
+        pending = {start: [(np.array([first]), np.array([min(first + chunk_size, n)]))]}
+        queued = 1
+        for layer in range(start, G + 1):
+            if layer not in pending:
+                continue
+            los, his = zip(*pending.pop(layer))
+            lo, hi = np.concatenate(los), np.concatenate(his)
+            order = np.argsort(lo)
+            lo, hi = lo[order], hi[order]
+            ends = np.cumsum(hi - lo)
+            shift = hi - ends  # node index minus queue position, per range
+            for pos_lo in range(0, int(ends[-1]), chunk_size):
+                pos = np.arange(pos_lo, min(pos_lo + chunk_size, int(ends[-1])))
+                idx = pos + shift[np.searchsorted(ends, pos, side="right")]
+                vals = np.asarray(evaluator.evaluate(layer, idx), dtype=float)
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError("evaluator produced non-finite statistics")
+                observed[layer - 1] += idx.size
+                if layer == G:
+                    acts = np.zeros(idx.size, dtype=np.int64)
+                    hit = vals >= q_reject
+                    detections += [(NodeId(G, i), v)
+                                   for i, v in zip(idx[hit].tolist(), vals[hit].tolist())]
+                else:
+                    acts = decide(layer, vals)
+                    # maximal runs of one action over consecutive indices
+                    cut = np.flatnonzero((np.diff(acts) != 0) | (np.diff(idx) != 1)) + 1
+                    run_lo = np.concatenate(([0], cut))
+                    run_hi = np.concatenate((cut, [idx.size]))
+                    run_act = acts[run_lo]
+                    for s in np.unique(run_act[run_act > 0]).tolist():
+                        b = descendant_count(tree, layer, s)
+                        sel = run_act == s
+                        pending.setdefault(s, []).append(
+                            (idx[run_lo[sel]] * b, (idx[run_hi[sel] - 1] + 1) * b))
+                        queued += int(sel.sum())
+                if log is not None:
+                    log.append((np.full(idx.size, layer), idx, vals, acts))
+                    logged += idx.size
+                peak = max(peak, queued + idx.size + len(detections) + logged)
+            queued -= lo.size
+    if log is not None:
+        cols = [np.concatenate(col) for col in zip(*log)]
+        order = np.lexsort((cols[1], cols[0]))
+        log = np.empty(order.size, dtype=_LOG_DTYPE)
+        for name, col in zip(_LOG_DTYPE.names, cols):
+            log[name] = col[order]
+    total_cost = sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
+    return SearchOutcome(detections=detections, per_layer_observed=observed,
+                         total_cost=total_cost, peak_tracked=peak, observed_log=log)
 
 
 def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False,
                chunk_size: int = 4096) -> SearchOutcome:
     """Execute a fitted strategy over an evaluator's tree.
 
-    Layer 1 is swept completely; every node given a nonzero action has
-    its jump-target descendants observed in turn, depth-first by layer-1
-    subtree with per-layer range coalescing inside a subtree. Observed
-    leaves whose statistic reaches ``q_reject`` become detections.
+    Layer 1 is observed completely; every node given a nonzero action has
+    its jump-target descendants observed in turn. Observed leaves whose
+    statistic reaches ``q_reject`` become detections, in leaf-index
+    order. ``chunk_size`` bounds both the layer-1 nodes walked together
+    and the nodes per ``evaluate`` call.
 
-    Returns a SearchOutcome; with ``emit_observed`` the run also logs
-    every observed node as (NodeId, value, action).
+    Returns a SearchOutcome; with ``emit_observed`` it also carries the
+    log of every observed node.
     """
-    tree = evaluator.tree
-    if tree != strategy.tree:
+    if evaluator.tree != strategy.tree:
         raise ValueError("strategy and evaluator disagree on the tree shape")
-    if math.isnan(q_reject):
-        raise ValueError("q_reject must not be NaN")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    G = tree.num_layers
-    n1 = nodes_in_layer(tree, 1)
-    if n1 >= _MAX_ENGINE_NODES:
-        raise ValueError("root layer too large for engine indexing")
-
-    observed = np.zeros(G, dtype=np.int64)
-    total_cost = 0.0
-    detections = []
-    log = [] if emit_observed else None
-    peak = 0
-
-    def note(extra):
-        nonlocal peak
-        held = extra + len(detections) + (len(log) if log is not None else 0)
-        if held > peak:
-            peak = held
-
-    # layer-1 sweep: evaluate everything, keep only the actions
-    root_actions = np.empty(n1, dtype=np.int64)
-    for lo in range(0, n1, chunk_size):
-        hi = min(lo + chunk_size, n1)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        vals = np.asarray(evaluator.evaluate(1, idx), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("evaluator produced non-finite statistics")
-        acts = strategy.decide_batch(1, vals)
-        root_actions[lo:hi] = acts
-        if log is not None:
-            log.extend((NodeId(1, int(i)), float(x), int(a))
-                       for i, x, a in zip(idx, vals, acts))
-        note(n1 + (hi - lo))
-    observed[0] = n1
-    total_cost += n1 * tree.cost(1)
-
-    def run_counts(values):
-        # lengths of maximal runs of equal values
-        edges = np.flatnonzero(np.diff(values)) + 1
-        return np.concatenate(([0], edges, [values.size]))
-
-    for root in range(n1):
-        s0 = int(root_actions[root])
-        if s0 == 0:
-            continue
-        pending = {layer: [] for layer in range(2, G + 1)}
-        b0 = descendant_count(tree, 1, s0)
-        pending[s0].append((root * b0, (root + 1) * b0))
-        scheduled = b0
-        for layer in range(2, G + 1):
-            ranges = _coalesce(pending[layer])
-            if not ranges:
-                continue
-            is_leaf = layer == G
-            for rlo, rhi in ranges:
-                for lo in range(rlo, rhi, chunk_size):
-                    hi = min(lo + chunk_size, rhi)
-                    scheduled -= hi - lo
-                    idx = np.arange(lo, hi, dtype=np.int64)
-                    vals = np.asarray(evaluator.evaluate(layer, idx), dtype=float)
-                    if not np.all(np.isfinite(vals)):
-                        raise ValueError("evaluator produced non-finite statistics")
-                    acts = strategy.decide_batch(layer, vals)
-                    note(n1 + scheduled + (hi - lo))
-                    observed[layer - 1] += hi - lo
-                    if is_leaf:
-                        for k in np.flatnonzero(vals >= q_reject):
-                            detections.append((NodeId(G, int(idx[k])), float(vals[k])))
-                    else:
-                        bounds = run_counts(acts)
-                        for rstart, rend in zip(bounds[:-1], bounds[1:]):
-                            s = int(acts[rstart])
-                            if s == 0:
-                                continue
-                            b = descendant_count(tree, layer, s)
-                            pending[s].append(((lo + int(rstart)) * b, (lo + int(rend)) * b))
-                            scheduled += (int(rend) - int(rstart)) * b
-                    if log is not None:
-                        log.extend((NodeId(layer, int(i)), float(x), int(a))
-                                   for i, x, a in zip(idx, vals, acts))
-    # per-layer costs from observation counts (layer 1 already added)
-    for layer in range(2, G + 1):
-        total_cost += int(observed[layer - 1]) * tree.cost(layer)
-
-    return SearchOutcome(detections=detections, per_layer_observed=observed,
-                         total_cost=total_cost, peak_tracked=peak, observed_log=log)
+    return _walk(evaluator, strategy.decide_batch, 1, q_reject, chunk_size, emit_observed)
 
 
 def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOutcome:
     """Sweep every leaf; the benchmark the hierarchy is measured against."""
-    tree = evaluator.tree
-    if math.isnan(q_reject):
-        raise ValueError("q_reject must not be NaN")
-    G = tree.num_layers
-    n = nodes_in_layer(tree, G)
-    if n >= _MAX_ENGINE_NODES:
-        raise ValueError("leaf layer too large for engine indexing")
-    detections = []
-    peak = 0
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        vals = np.asarray(evaluator.evaluate(G, idx), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("evaluator produced non-finite statistics")
-        for k in np.flatnonzero(vals >= q_reject):
-            detections.append((NodeId(G, int(idx[k])), float(vals[k])))
-        peak = max(peak, hi - lo + len(detections))
-    observed = np.zeros(G, dtype=np.int64)
-    observed[G - 1] = n
-    return SearchOutcome(detections=detections, per_layer_observed=observed,
-                         total_cost=n * tree.cost(G), peak_tracked=peak, observed_log=None)
+    return _walk(evaluator, None, evaluator.tree.num_layers, q_reject, chunk_size)
 
 
 def default_q_reject(tree: TreeConfig, alpha: float = 0.05, n_effective=None) -> float:
@@ -452,16 +419,25 @@ def write_layer_summary_csv(path, outcome: SearchOutcome, tree: TreeConfig) -> N
 
 
 def write_observed_csv(path, outcome: SearchOutcome, evaluator=None) -> None:
-    """Observed-node log as CSV: layer, node_index, omega_hz, omegadot_s2, statistic, action."""
-    if outcome.observed_log is None:
+    """Observed-node log as CSV: layer, node_index, omega_hz, omegadot_s2, statistic, action.
+
+    Rows follow the log's (layer, node_index) order. The evaluator's
+    ``node_params`` is called once per layer; the parameter columns are
+    empty when the evaluator cannot map nodes to (omega, omegadot).
+    """
+    log = outcome.observed_log
+    if log is None:
         raise ValueError("run_search was not asked to record the observed log")
     params = getattr(evaluator, "node_params", None) if evaluator is not None else None
     with open(path, "w") as fh:
         fh.write("layer,node_index,omega_hz,omegadot_s2,statistic,action\n")
-        for node, val, act in outcome.observed_log:
-            if params is not None:
-                om, od = params(node.layer, np.array([node.index], dtype=np.int64))
-                fh.write(f"{node.layer},{node.index},{float(om[0])!r},"
-                         f"{float(od[0])!r},{val!r},{act}\n")
+        for layer in np.unique(log["layer"]).tolist():
+            rows = log[log["layer"] == layer]
+            if params is None:
+                coords = [","] * rows.size
             else:
-                fh.write(f"{node.layer},{node.index},,,{val!r},{act}\n")
+                om, od = params(layer, rows["index"])
+                coords = [f"{w!r},{d!r}" for w, d in zip(om.tolist(), od.tolist())]
+            fh.writelines(f"{layer},{i},{c},{v!r},{a}\n" for i, c, v, a in
+                          zip(rows["index"].tolist(), coords, rows["statistic"].tolist(),
+                              rows["action"].tolist()))

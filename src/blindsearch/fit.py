@@ -27,19 +27,6 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """Statistics along one root-to-leaf path, values[l-1] for layer l."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("values must be 1-D with one entry per layer")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Fitting parameters: tree shape, cost weight, training threshold."""
 
@@ -129,7 +116,11 @@ class Strategy:
         return self._regions[layer]
 
     def decide(self, layer: int, x: float) -> int:
-        return decide(self, layer, x)
+        """Action at a layer given an observed statistic: 0 or a deeper layer."""
+        if not math.isfinite(x):
+            raise ValueError("statistic must be finite")
+        bounds, actions = self.decision_regions(layer)
+        return int(actions[np.searchsorted(bounds, x, side="right")])
 
     def decide_batch(self, layer: int, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -139,36 +130,16 @@ class Strategy:
         return _apply_regions(bounds, actions, xs)
 
 
-def decide(strategy: Strategy, layer: int, x: float) -> int:
-    """Action at a layer given an observed statistic: 0 or a deeper layer."""
-    if not math.isfinite(x):
-        raise ValueError("statistic must be finite")
-    bounds, actions = strategy.decision_regions(layer)
-    return int(actions[np.searchsorted(bounds, x, side="right")])
-
-
-def sample_path(model, seed) -> PathSample:
-    """Draw one root-to-leaf path of statistics from a generative model."""
-    rng = np.random.default_rng(seed)
-    return PathSample(model.sample_path_values(rng))
-
-
 def sample_paths(model, n: int, seed) -> np.ndarray:
-    """Draw n paths as an (n, G) array, using the model's batch sampler if any."""
+    """Draw n paths as an (n, G) array from the model's batch sampler."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    batch = getattr(model, "sample_path_values_batch", None)
-    if batch is not None:
-        return np.asarray(batch(n, rng), dtype=float)
-    return np.stack([np.asarray(model.sample_path_values(rng), dtype=float) for _ in range(n)])
+    return np.asarray(model.sample_path_values_batch(n, rng), dtype=float)
 
 
 def _as_path_matrix(paths, num_layers: int) -> np.ndarray:
-    if isinstance(paths, np.ndarray):
-        x = np.asarray(paths, dtype=float)
-    else:
-        x = np.stack([np.asarray(p.values, dtype=float) for p in paths])
+    x = np.asarray(paths, dtype=float)
     if x.ndim != 2 or x.shape[1] != num_layers:
         raise ValueError(f"paths must be (n, {num_layers})")
     if x.shape[0] < 2:
@@ -183,7 +154,7 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
 
     Parameters
     ----------
-    paths : (n, G) array or sequence of PathSample
+    paths : (n, G) array
         Statistics along independently sampled root-to-leaf paths.
     cfg : FitConfig
         Tree shape, cost weight lambda, and training threshold q_train.
@@ -237,7 +208,7 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
     return strat
 
 
-def path_payoff(sample: PathSample, strategy: Strategy, lam: float, q: float,
+def path_payoff(values, strategy: Strategy, lam: float, q: float,
                 start_layer: int) -> float:
     """Payoff of one path under a strategy, scaled to stand for the subtree.
 
@@ -250,13 +221,13 @@ def path_payoff(sample: PathSample, strategy: Strategy, lam: float, q: float,
     G = strategy.tree.num_layers
     if not 1 <= start_layer < G:
         raise ValueError(f"start_layer must lie in 1..{G - 1}")
-    values = np.asarray(sample.values, dtype=float)
-    if values.size != G:
-        raise ValueError("sample does not match the strategy's tree depth")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (G,):
+        raise ValueError("values do not match the strategy's tree depth")
     total = 0.0
     layer = start_layer
     while layer < G:
-        s = decide(strategy, layer, float(values[layer - 1]))
+        s = strategy.decide(layer, float(values[layer - 1]))
         if s == 0:
             return total
         total -= lam * descendant_count(strategy.tree, start_layer, s) * strategy.tree.cost(s)

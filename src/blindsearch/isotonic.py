@@ -48,11 +48,6 @@ class MonotoneFn:
         return out
 
 
-def evaluate(fn: MonotoneFn, x):
-    """Evaluate a fitted step function at scalar or array x."""
-    return fn(x)
-
-
 def _merge_ties(xs, ys, ws):
     # Points sharing an abscissa must share a fitted value; replace each
     # tie group by its weighted mean before pooling.

@@ -1,7 +1,7 @@
 """Generative models producing root-to-leaf path statistics for fitting.
 
-A model exposes ``tree`` plus ``sample_path_values(rng)`` (one path) and
-optionally ``sample_path_values_batch(n, rng)``. Paths pick a uniform
+A model exposes ``tree`` plus ``sample_path_values_batch(n, rng)``, which
+returns an (n, G) array of paths. Paths pick a uniform
 root, then a uniform child at every step, and report the statistic a
 search would observe at each layer along the way.
 """
@@ -44,9 +44,6 @@ class GaussianChainModel:
         for layer in range(1, G):
             x[:, layer] = self.rho * x[:, layer - 1] + sd * rng.standard_normal(n)
         return x
-
-    def sample_path_values(self, rng) -> np.ndarray:
-        return self.sample_path_values_batch(1, rng)[0]
 
     def sample_tree_batch(self, n_sims: int, rng) -> list:
         """Full-tree realizations: one (n_sims, nodes_in_layer) array per layer."""
@@ -125,6 +122,3 @@ class PulsarNullModel:
                     power = (sre * sre + sim * sim).reshape(k, nblocks).sum(axis=1)
                 out[lo:hi, layer - 1] = 2.0 * power / m
         return out
-
-    def sample_path_values(self, rng) -> np.ndarray:
-        return self.sample_path_values_batch(1, rng)[0]

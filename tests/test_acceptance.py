@@ -19,8 +19,7 @@ from blindsearch.evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD,
                                     desk_scale_config, estimate_tradeoff,
                                     exact_dp_oracle, fitted_payoff_estimate,
                                     naive_power_check)
-from blindsearch.fit import (FitConfig, PathSample, Strategy, fit_strategy,
-                             path_payoff, sample_paths)
+from blindsearch.fit import FitConfig, Strategy, fit_strategy, path_payoff, sample_paths
 from blindsearch.isotonic import MonotoneFn, pava
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import (FreqDrift, SignalSpec, chi2_2_isf, rayleigh_power,
@@ -174,8 +173,7 @@ def test_path_payoff_identity():
         vals = [v[0] for v in model.sample_tree_batch(1, rng)]
         total = executed_payoff(strat, vals, q)
         per_path = [
-            path_payoff(PathSample(np.array([vals[l - 1][c[l - 1]]
-                                             for l in range(1, 4)])),
+            path_payoff(np.array([vals[l - 1][c[l - 1]] for l in range(1, 4)]),
                         strat, lam, q, start_layer=1)
             for c in lineage_paths(tree)]
         worst = max(worst, abs(np.mean(per_path) * nodes_in_layer(tree, 1) - total))

@@ -50,6 +50,18 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_exponent_form_negative_value(self, tmp_path):
+        out = tmp_path / "p.txt"
+        run_ok(["simulate", "--photons", "20", "--span", "10", "--omega", "2.0",
+                "--omegadot", "-1e-11", "--out", str(out)])
+        manifest = json.loads((tmp_path / "p.txt.manifest.json").read_text())
+        assert manifest["config"]["omegadot"] == -1e-11
+
+    def test_missing_value_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["simulate", "--omegadot", "--seed", "1", "--out", str(tmp_path / "p.txt")])
+        assert exc.value.code == cli.USAGE_ERROR
+
 
 class TestFit:
     def test_strategy_file_and_manifest(self, tmp_path):
@@ -75,6 +87,10 @@ class TestFit:
         assert rc == cli.DEGENERATE_FIT
         err = capsys.readouterr().err
         assert "qtrain" in err or "paths" in err
+
+    def test_exponent_form_negative_grid_flag(self, tmp_path):
+        out = fit(tmp_path, extra=["--omegadot-min", "-2e-6"])
+        assert load_strategy(out).grid["omegadot_min"] == -2e-6
 
     def test_refit_is_byte_identical(self, tmp_path):
         a = fit(tmp_path, name="a.json")

@@ -204,7 +204,8 @@ def test_run_search_matches_reference(inst, chunk):
     assert out.total_cost == pytest.approx(want_cost, rel=1e-12)
     # the log holds exactly the observed nodes, each once
     seen = {}
-    for node, val, act in out.observed_log:
+    for layer, index, val, act in out.observed_log.tolist():
+        node = NodeId(layer, index)
         assert node not in seen
         seen[node] = (val, act)
     for l, cnt in enumerate(want_counts, start=1):
@@ -273,6 +274,39 @@ def test_peak_tracked_stays_small_on_pruned_tree():
     assert out.peak_tracked < leaves / 10
     planted = [n for n, _ in out.detections if n.index == leaves // 2]
     assert planted
+
+
+def test_bad_chunk_size_rejected():
+    tree = TreeConfig(num_layers=5, root_count=16, branching=(8,) * 4,
+                      costs=(1.0,) * 5)
+    ev = SparsePeakEvaluator(tree, peak_leaf=nodes_in_layer(tree, 5) // 2, height=80.0, seed=3)
+    strat = threshold_strategy(tree, cut=8.0)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            naive_search(ev, 25.0, chunk_size=size)
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_search(strat, ev, 25.0, chunk_size=size)
+
+
+def test_observed_csv_rows_follow_layer_and_index(tmp_path):
+    spec = GridSpec(1.0, 1.4, -1e-4, 0.0, num_layers=3, oversampling=3)
+    photons = simulate_photons(SignalSpec(FreqDrift(1.2, -5e-5), 0.7, 60, 50.0), 8)
+    ev = pulsar_evaluator(photons, spec)
+    strat = threshold_strategy(ev.tree, cut=2.0)
+    texts = []
+    for size in (1, 7, 4096):
+        path = tmp_path / f"o{size}.csv"
+        write_observed_csv(path, run_search(strat, ev, 8.0, emit_observed=True,
+                                            chunk_size=size), ev)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
+    keys = [(int(r[0]), int(r[1])) for r in rows]
+    assert keys == sorted(set(keys))
+    assert {layer for layer, _ in keys} == {1, 2, 3}
+    for r, (layer, index) in zip(rows, keys):
+        om, od = ev.node_params(layer, np.array([index]))
+        assert (float(r[2]), float(r[3])) == (om[0], od[0])
 
 
 def test_default_q_reject_frozen():

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindsearch.fit import (FitConfig, PathSample, Strategy, decide, fit_strategy,
-                             load_strategy, path_payoff, sample_paths, save_strategy,
-                             strategy_from_dict, strategy_to_dict,
-                             threshold_rule_of_thumb)
+from blindsearch.fit import (FitConfig, Strategy, fit_strategy, load_strategy,
+                             path_payoff, save_strategy, strategy_from_dict,
+                             strategy_to_dict, threshold_rule_of_thumb)
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.stats import chi2_2_quantile
 from blindsearch.tree import NodeId, TreeConfig, ancestor_index, descendant_count, nodes_in_layer
@@ -107,7 +106,7 @@ def test_path_payoff_by_hand():
                       costs=(1.0, 0.5, 0.25))
     strat = manual_strategy(tree, {1: {2: step_fn(1.0, -1.0, 1.0), 3: const_fn(-1.0)},
                                    2: {3: step_fn(2.0, -1.0, 1.0)}}, lam=0.2)
-    sample = PathSample(np.array([1.5, 2.5, 7.0]))
+    sample = np.array([1.5, 2.5, 7.0])
     # visit layer 2 (2 nodes, cost 0.5) and layer 3 (4 nodes, 0.25), detect
     want = -0.2 * 2 * 0.5 - 0.2 * 4 * 0.25 + 4
     assert path_payoff(sample, strat, 0.2, 5.0, 1) == pytest.approx(want, rel=1e-15)
@@ -115,14 +114,14 @@ def test_path_payoff_by_hand():
     want2 = -0.2 * 2 * 0.25 + 2
     assert path_payoff(sample, strat, 0.2, 5.0, 2) == pytest.approx(want2, rel=1e-15)
     # stop at once: nothing spent
-    assert path_payoff(PathSample(np.array([0.5, 2.5, 7.0])), strat, 0.2, 5.0, 1) == 0.0
+    assert path_payoff(np.array([0.5, 2.5, 7.0]), strat, 0.2, 5.0, 1) == 0.0
     # exceedance is strict
-    assert path_payoff(PathSample(np.array([1.5, 2.5, 5.0])), strat, 0.2, 5.0, 1) == \
+    assert path_payoff(np.array([1.5, 2.5, 5.0]), strat, 0.2, 5.0, 1) == \
         pytest.approx(-0.2 * 2 * 0.5 - 0.2 * 4 * 0.25, rel=1e-15)
 
 
 def enumerate_lineage_paths(tree, layer_values):
-    """PathSample per leaf: the values of its ancestors down the lineage."""
+    """Path values per leaf: the values of its ancestors down the lineage."""
     G = tree.num_layers
     out = []
     for leaf in range(nodes_in_layer(tree, G)):
@@ -130,7 +129,7 @@ def enumerate_lineage_paths(tree, layer_values):
         for l in range(1, G):
             vals.append(layer_values[l - 1][ancestor_index(tree, NodeId(G, leaf), l)])
         vals.append(layer_values[G - 1][leaf])
-        out.append(PathSample(np.array(vals)))
+        out.append(np.array(vals))
     return out
 
 
@@ -220,19 +219,6 @@ def test_threshold_rule_of_thumb():
     assert threshold_rule_of_thumb(1e-3) == pytest.approx(chi2_2_quantile(0.999))
     with pytest.raises(ValueError):
         threshold_rule_of_thumb(0.0)
-
-
-def test_sample_paths_without_batch_sampler():
-    class Toy:
-        num_layers = 3
-
-        def sample_path_values(self, rng):
-            return rng.normal(size=3)
-
-    out = sample_paths(Toy(), 7, 5)
-    assert out.shape == (7, 3)
-    again = sample_paths(Toy(), 7, 5)
-    assert np.array_equal(out, again)
 
 
 def test_fit_config_validation():

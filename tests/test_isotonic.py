@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindsearch.isotonic import MonotoneFn, evaluate, pava
+from blindsearch.isotonic import MonotoneFn, pava
 
 
 def sse(fn, xs, ys, ws):
@@ -76,7 +76,7 @@ def test_step_evaluation_is_right_open():
     assert fn(1.0) == 3.0
     assert fn(1.999) == 3.0
     assert fn(2.0) == 7.0
-    assert evaluate(fn, 100.0) == 7.0
+    assert fn(100.0) == 7.0
     out = fn(np.array([0.0, 1.5, 2.5]))
     assert out.tolist() == [3.0, 3.0, 7.0]
 

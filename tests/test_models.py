@@ -37,11 +37,6 @@ class TestGaussianChain:
         # two-layer jump decorrelates geometrically
         assert np.corrcoef(x[:, 0], x[:, 2])[0, 1] == pytest.approx(0.49, abs=0.02)
 
-    def test_single_path_matches_batch_shape(self):
-        m = GaussianChainModel(chain_tree(5), rho=0.5)
-        v = m.sample_path_values(np.random.default_rng(1))
-        assert np.asarray(v).shape == (5,)
-
     def test_tree_batch_structure(self):
         tree = chain_tree(3, branch=3)
         m = GaussianChainModel(tree, rho=0.9)
