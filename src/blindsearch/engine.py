@@ -28,6 +28,37 @@ from .tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
 _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such limit
 
 
+_TILE_ELEMENTS = 1 << 15  # bounds every (rows x photons) temporary of the statistic
+
+
+def _tile_rows(width: int) -> int:
+    """Rows per tile when each row holds ``width`` elements; at least one."""
+    return max(1, _TILE_ELEMENTS // width)
+
+
+def _block_power(z: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per row, the sum over time blocks of |sum of z over the block|^2.
+
+    ``z`` is (rows, m) complex phasors with each row's photons in time
+    order, so every block is a contiguous run. ``ends`` holds each
+    block's exclusive end index, the last one m: shape (nblocks,) when
+    the rows share their photons, (rows, nblocks) when each row has its
+    own. Empty blocks contribute nothing. A single block takes numpy's
+    pairwise sum, as ``rayleigh_power`` does; more blocks are
+    differenced from one running sum.
+    """
+    if ends.shape[-1] == 1:
+        re = z.real.sum(axis=1)
+        im = z.imag.sum(axis=1)
+        return re * re + im * im
+    c = np.empty((z.shape[0], z.shape[1] + 1), dtype=complex)
+    c[:, 0] = 0.0
+    np.cumsum(z, axis=1, out=c[:, 1:])
+    at = c[:, ends] if ends.ndim == 1 else np.take_along_axis(c, ends, axis=1)
+    s = np.diff(at, axis=1, prepend=0.0)
+    return (s.real * s.real + s.imag * s.imag).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Search box and layering for a frequency/drift grid.
@@ -140,8 +171,6 @@ class PulsarGrid:
 class PulsarEvaluator:
     """Blocked-statistic evaluator for one photon series on a PulsarGrid."""
 
-    _row_chunk = 1024  # bounds the (rows x photons) phase matrix
-
     def __init__(self, photons: PhotonSeries, grid: PulsarGrid):
         if abs(photons.span - grid.span) > 1e-9 * grid.span:
             raise ValueError("photon span does not match the grid span")
@@ -150,13 +179,13 @@ class PulsarEvaluator:
         self.tree = grid.tree
         self._t = photons.times
         self._ht2 = 0.5 * photons.times ** 2
-        self._starts = {}
+        self._ends = {}  # kappa -> end index of every block, the last one the photon count
         for layer in range(1, grid.spec.num_layers + 1):
             k = grid.kappa(layer)
-            if k > 0 and k not in self._starts:
-                edges = block_edges(photons.span, k)
-                st = np.searchsorted(self._t, edges[:-1], side="left")
-                self._starts[k] = (st, np.append(st[1:], photons.count))
+            if k not in self._ends:
+                inner = block_edges(photons.span, k)[1:-1]
+                self._ends[k] = np.append(np.searchsorted(self._t, inner, side="left"),
+                                          photons.count)
 
     def node_params(self, layer: int, indices):
         return self.grid.node_params(layer, indices)
@@ -165,24 +194,15 @@ class PulsarEvaluator:
         """Statistic F^kappa at each node, kappa matched to the layer."""
         v = np.asarray(indices, dtype=np.int64)
         omega, omegadot = self.grid.node_params(layer, v)
-        kappa = self.grid.kappa(layer)
+        ends = self._ends[self.grid.kappa(layer)]
         m = self.photons.count
         out = np.empty(v.shape)
-        for lo in range(0, v.size, self._row_chunk):
-            hi = min(lo + self._row_chunk, v.size)
+        rows = _tile_rows(max(m, ends.size))
+        for lo in range(0, v.size, rows):
+            hi = min(lo + rows, v.size)
             ph = omega[lo:hi, None] * self._t + omegadot[lo:hi, None] * self._ht2
             ph *= TWO_PI
-            re = np.cos(ph)
-            im = np.sin(ph)
-            if kappa == 0:
-                out[lo:hi] = re.sum(axis=1) ** 2 + im.sum(axis=1) ** 2
-            else:
-                starts, ends = self._starts[kappa]
-                cre = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(re, axis=1)], axis=1)
-                cim = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(im, axis=1)], axis=1)
-                sre = cre[:, ends] - cre[:, starts]
-                sim = cim[:, ends] - cim[:, starts]
-                out[lo:hi] = (sre * sre + sim * sim).sum(axis=1)
+            out[lo:hi] = _block_power(np.exp(1j * ph), ends)
         return 2.0 * out / m
 
 

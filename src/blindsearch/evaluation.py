@@ -286,7 +286,8 @@ def naive_power_check(theta: float, num_photons: int, q_reject: float, n_sims: i
     """MC estimate of the exhaustive search's per-signal detection power.
 
     Simulates modulated series and evaluates the full-coherence statistic
-    at the exact true parameters. Returns (power, standard error).
+    at the exact true parameters; a statistic at or above ``q_reject``
+    is a detection. Returns (power, standard error).
     """
     from .stats import rayleigh_power
     if n_sims < 1:
@@ -295,7 +296,7 @@ def naive_power_check(theta: float, num_photons: int, q_reject: float, n_sims: i
     hits = 0
     for i in range(n_sims):
         photons = simulate_photons(spec, subseed(seed, i))
-        if rayleigh_power(photons, fd) > q_reject:
+        if rayleigh_power(photons, fd) >= q_reject:
             hits += 1
     p = hits / n_sims
     return p, math.sqrt(max(p * (1 - p), 1.0 / n_sims) / n_sims)
@@ -375,8 +376,8 @@ def tree_payoff_batch(strategy, layer_values, q: float):
 
     ``layer_values[l-1]`` holds (n_sims, nodes_in_layer) statistics.
     Returns (payoffs, costs, detections) arrays over realizations; the
-    payoff counts leaves strictly above q among observed leaves minus
-    lambda times the observation cost of layers below the roots.
+    payoff counts observed leaves at or above q minus lambda times the
+    observation cost of layers below the roots.
     """
     tree = strategy.tree
     G = tree.num_layers
@@ -395,7 +396,7 @@ def tree_payoff_batch(strategy, layer_values, q: float):
     costs = np.zeros(n_sims)
     for layer in range(2, G + 1):
         costs += tree.cost(layer) * observed[layer].sum(axis=1)
-    detections = (observed[G] & (layer_values[G - 1] > q)).sum(axis=1)
+    detections = (observed[G] & (layer_values[G - 1] >= q)).sum(axis=1)
     return detections - strategy.lam * costs, costs, detections
 
 

@@ -167,8 +167,8 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
 
     Notes
     -----
-    Leaf payoffs start as the indicator of exceeding q_train. For layer l
-    and jump target s the regression targets are
+    Leaf payoffs start as the indicator of reaching q_train (``>=``).
+    For layer l and jump target s the regression targets are
     ``B(l,s) * (payoff_s - lam * cost_s)`` against the layer-l statistic,
     where B(l,s) is the number of layer-s descendants; the monotone fit of
     those targets is the continuation-value curve. A layer whose sampled
@@ -215,7 +215,7 @@ def path_payoff(values, strategy: Strategy, lam: float, q: float,
     Starting from an observed node at ``start_layer``, follow the
     strategy's decisions down the path. Each visited layer s contributes
     ``-lam * B(start,s) * cost_s``; reaching the leaf layer adds
-    ``B(start,G)`` when the leaf statistic strictly exceeds q. Requires
+    ``B(start,G)`` when the leaf statistic reaches q (``>= q``). Requires
     decisions for every layer from ``start_layer`` down.
     """
     G = strategy.tree.num_layers
@@ -232,7 +232,7 @@ def path_payoff(values, strategy: Strategy, lam: float, q: float,
             return total
         total -= lam * descendant_count(strategy.tree, start_layer, s) * strategy.tree.cost(s)
         layer = s
-    if values[G - 1] > q:
+    if values[G - 1] >= q:
         total += descendant_count(strategy.tree, start_layer, G)
     return total
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import PulsarGrid
+from .engine import PulsarGrid, _block_power, _tile_rows
+from .stats import TWO_PI
 from .tree import TreeConfig, nodes_in_layer
 
 
@@ -62,9 +63,17 @@ class PulsarNullModel:
     Every path gets its own freshly simulated uniform photon series of
     fixed size; the path's statistics are the blocked powers the layers
     of a search would compute at the visited (omega, omegadot) nodes.
+
+    Only the leaf phasors come from the phase itself. A child sits half
+    a child spacing times an odd integer from its parent in each split
+    dimension, so the parent's phasors are the child's times integer
+    powers of two per-photon factors, one per dimension; going up a
+    layer squares the frequency factor and raises the drift factor to
+    the fourth power. Photon times are sorted per path, so every time
+    block is a contiguous run.
     """
 
-    _chunk = 512  # paths simulated per trig batch; fixed so draws are reproducible
+    _chunk = 512  # paths whose nodes are drawn together; fixes the order of the RNG stream
 
     def __init__(self, grid: PulsarGrid, num_photons: int):
         if num_photons < 1:
@@ -74,11 +83,19 @@ class PulsarNullModel:
         self.num_photons = int(num_photons)
 
     def _path_params(self, n: int, rng):
-        """(omega, omegadot) arrays of shape (n, G) for uniform random paths."""
+        """The nodes of n uniform random paths.
+
+        Returns (omega, omegadot, e_omega, e_omegadot): the visited node
+        parameters, shape (n, G), and the exponents of each child's
+        offset from its parent, shape (n, G - 1), in units of half the
+        child layer's spacing (0 where a dimension does not split).
+        """
         g = self.grid
         G = g.spec.num_layers
         omega = np.empty((n, G))
         omegadot = np.empty((n, G))
+        e_omega = np.empty((n, G - 1), dtype=np.int64)
+        e_omegadot = np.empty((n, G - 1), dtype=np.int64)
         roots = rng.integers(0, g.tree.root_count, n)
         rw, rd = np.divmod(roots, g.n1_omegadot)
         omega[:, 0] = g.omega_start + (rw + 0.5) * g.d_omega[0]
@@ -88,37 +105,65 @@ class PulsarNullModel:
             fd = g.drift_factor[j - 1]
             fw = g.freq_factor[j - 1]
             iw, idot = np.divmod(c, fd)
-            omega[:, j] = omega[:, j - 1] + (iw - 0.5 * (fw - 1)) * g.d_omega[j]
-            omegadot[:, j] = omegadot[:, j - 1] + (idot - 0.5 * (fd - 1)) * g.d_omegadot[j]
-        return omega, omegadot
+            e_omega[:, j - 1] = 2 * iw - (fw - 1)
+            e_omegadot[:, j - 1] = 2 * idot - (fd - 1)
+            omega[:, j] = omega[:, j - 1] + 0.5 * e_omega[:, j - 1] * g.d_omega[j]
+            omegadot[:, j] = omegadot[:, j - 1] + 0.5 * e_omegadot[:, j - 1] * g.d_omegadot[j]
+        return omega, omegadot, e_omega, e_omegadot
 
-    def sample_path_values_batch(self, n: int, rng) -> np.ndarray:
-        from .stats import TWO_PI
+    def _times(self, n: int, rng) -> np.ndarray:
+        """Uniform photon times for n paths, shape (n, m), sorted per path."""
+        t = rng.random((n, self.num_photons)) * self.grid.span
+        t.sort(axis=1)
+        return t
+
+    def _powers(self, omega, omegadot, e_omega, e_omegadot, t) -> np.ndarray:
+        """Blocked powers (rows, G) of one tile of drawn paths, leaf first."""
         g = self.grid
         G = g.spec.num_layers
-        span = g.span
-        m = self.num_photons
-        out = np.empty((n, G))
-        for lo in range(0, n, self._chunk):
-            hi = min(lo + self._chunk, n)
-            k = hi - lo
-            omega, omegadot = self._path_params(k, rng)
-            t = rng.random((k, m)) * span
-            ht2 = 0.5 * t * t
-            rows = np.arange(k)
-            for layer in range(1, G + 1):
-                ph = TWO_PI * (omega[:, layer - 1, None] * t
-                               + omegadot[:, layer - 1, None] * ht2)
-                re = np.cos(ph)
-                im = np.sin(ph)
-                nblocks = 1 << g.kappa(layer)
-                if nblocks == 1:
-                    power = re.sum(axis=1) ** 2 + im.sum(axis=1) ** 2
-                else:
-                    block = np.minimum((t * (nblocks / span)).astype(np.int64), nblocks - 1)
-                    bins = (rows[:, None] * nblocks + block).ravel()
-                    sre = np.bincount(bins, weights=re.ravel(), minlength=k * nblocks)
-                    sim = np.bincount(bins, weights=im.ravel(), minlength=k * nblocks)
-                    power = (sre * sre + sim * sim).reshape(k, nblocks).sum(axis=1)
-                out[lo:hi, layer - 1] = 2.0 * power / m
+        rows = t.shape[0]
+        ht2 = 0.5 * t * t
+        z = np.exp(1j * (TWO_PI * (omega[:, G - 1, None] * t + omegadot[:, G - 1, None] * ht2)))
+        # block ends at the finest blocking (layer 1); layer j keeps every 2^(j-1)-th
+        nb = 1 << g.kappa(1)
+        block = np.minimum((t * (nb / g.span)).astype(np.int64), nb - 1)
+        block += nb * np.arange(rows)[:, None]
+        ends = np.bincount(block.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
+        u = np.exp(1j * np.pi * g.d_omega[G - 1] * t) if 2 in g.freq_factor else None
+        v = np.exp(1j * np.pi * g.d_omegadot[G - 1] * ht2) if 4 in g.drift_factor else None
+        out = np.empty((rows, G))
+        out[:, G - 1] = _block_power(z, ends[:, -1:])
+        for layer in range(G - 1, 0, -1):
+            # child (layer + 1) -> parent: times u^-e_omega * v^-e_omegadot;
+            # a negative power is the conjugate, a unit phasor's inverse
+            if g.freq_factor[layer - 1] > 1:
+                f = u.copy()
+                f.imag *= -e_omega[:, layer - 1, None]
+                z *= f
+            if g.drift_factor[layer - 1] > 1:
+                e = e_omegadot[:, layer - 1, None]
+                f = np.where(np.abs(e) == 3, v * v * v, v)
+                f.imag *= -np.sign(e)
+                z *= f
+            step = 1 << (layer - 1)
+            out[:, layer - 1] = _block_power(z, ends[:, step - 1::step])
+            if u is not None:
+                u *= u
+            if v is not None:
+                v *= v
+                v *= v
         return out
+
+    def sample_path_values_batch(self, n: int, rng) -> np.ndarray:
+        m = self.num_photons
+        rows = _tile_rows(max(m, 1 << self.grid.kappa(1)))
+        out = np.empty((n, self.grid.spec.num_layers))
+        for lo in range(0, n, self._chunk):
+            k = min(self._chunk, n - lo)
+            params = self._path_params(k, rng)
+            # times drawn tile by tile continue the stream of one (k, m) draw
+            for r in range(lo, lo + k, rows):
+                hi = min(r + rows, lo + k)
+                out[r:hi] = self._powers(*(a[r - lo:hi - lo] for a in params),
+                                         self._times(hi - r, rng))
+        return 2.0 * out / m

@@ -53,6 +53,7 @@ def test_naive_power_at_reference_signal_fractions():
 # 2 ------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_desk_scale_tradeoff_point():
     """Some default (theta, lambda) keeps >=90% power at <=1% sweep cost.
 

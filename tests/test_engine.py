@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blindsearch import engine
 from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, PulsarGrid,
                                 SparsePeakEvaluator, default_q_reject, naive_search,
                                 pulsar_evaluator, run_search, write_detections_csv,
@@ -131,15 +132,14 @@ class TestPulsarEvaluator:
                     for w, d in zip(om, od)]
             assert np.allclose(got, want, rtol=1e-10)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         spec = GridSpec(1.0, 1.4, 0.0, 0.0, num_layers=2, oversampling=3)
         photons = simulate_photons(SignalSpec(FreqDrift(1.2), 0.0, 40, 30.0), 1)
         ev = pulsar_evaluator(photons, spec)
-        ev._row_chunk = 3
-        n = nodes_in_layer(ev.tree, 2)
-        idx = np.arange(n)
-        big = pulsar_evaluator(photons, spec).evaluate(2, idx)
-        assert np.allclose(ev.evaluate(2, idx), big, rtol=1e-12)
+        idx = np.arange(nodes_in_layer(ev.tree, 2))
+        big = ev.evaluate(2, idx)
+        monkeypatch.setattr(engine, "_TILE_ELEMENTS", 3 * photons.count)  # 3-row tiles
+        assert np.array_equal(ev.evaluate(2, idx), big)
 
     def test_span_mismatch_rejected(self):
         spec = GridSpec(1.0, 1.4, 0.0, 0.0, num_layers=2, oversampling=3)

@@ -120,7 +120,7 @@ def reference_tree_payoff(strategy, vals, q):
                 lo, hi = descendant_range(tree, NodeId(layer, idx), s)
                 observed[s].update(range(lo, hi))
     cost = sum(tree.cost(l) * len(observed[l]) for l in range(2, G + 1))
-    det = sum(1 for idx in observed[G] if vals[G - 1][idx] > q)
+    det = sum(1 for idx in observed[G] if vals[G - 1][idx] >= q)
     return det - strategy.lam * cost, cost, det
 
 
@@ -175,7 +175,14 @@ class TestTreePayoffBatch:
         pay, cost, det = tree_payoff_batch(strat, vals, q=0.0)
         full = nodes_in_layer(tree, 2) + nodes_in_layer(tree, 3)
         assert np.all(cost == full)
-        assert np.array_equal(det, (vals[2] > 0.0).sum(axis=1))
+        assert np.array_equal(det, (vals[2] >= 0.0).sum(axis=1))
+
+    def test_leaf_equal_to_q_counts(self):
+        tree = chain_tree(2, branch=3)
+        strat = manual_strategy(tree, 0.0, {1: {2: const_fn(1.0)}})
+        vals = [np.zeros((1, 1)), np.array([[0.5, 1.0, 2.0]])]
+        _, _, det = tree_payoff_batch(strat, vals, q=1.0)
+        assert det.tolist() == [2]
 
     def test_straight_jump_skips_middle_layer_cost(self):
         tree = chain_tree(3, branch=2, roots=2)
@@ -186,7 +193,7 @@ class TestTreePayoffBatch:
         vals = GaussianChainModel(tree, 0.5).sample_tree_batch(30, rng)
         _, cost, det = tree_payoff_batch(strat, vals, q=0.0)
         assert np.all(cost == nodes_in_layer(tree, 3))
-        assert np.array_equal(det, (vals[2] > 0.0).sum(axis=1))
+        assert np.array_equal(det, (vals[2] >= 0.0).sum(axis=1))
 
 
 class TestLeafWindow:

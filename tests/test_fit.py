@@ -115,9 +115,9 @@ def test_path_payoff_by_hand():
     assert path_payoff(sample, strat, 0.2, 5.0, 2) == pytest.approx(want2, rel=1e-15)
     # stop at once: nothing spent
     assert path_payoff(np.array([0.5, 2.5, 7.0]), strat, 0.2, 5.0, 1) == 0.0
-    # exceedance is strict
+    # a leaf statistic equal to q counts, as in the fit and the search
     assert path_payoff(np.array([1.5, 2.5, 5.0]), strat, 0.2, 5.0, 1) == \
-        pytest.approx(-0.2 * 2 * 0.5 - 0.2 * 4 * 0.25, rel=1e-15)
+        pytest.approx(want, rel=1e-15)
 
 
 def enumerate_lineage_paths(tree, layer_values):
@@ -146,7 +146,7 @@ def reference_payoff(tree, strategy, layer_values, lam, q):
                 lo = i * descendant_count(tree, l, s)
                 observed[s].update(range(lo, lo + descendant_count(tree, l, s)))
     cost = sum(len(observed[l]) * tree.cost(l) for l in range(2, G + 1))
-    dets = sum(1 for i in observed[G] if layer_values[G - 1][i] > q)
+    dets = sum(1 for i in observed[G] if layer_values[G - 1][i] >= q)
     return dets - lam * cost
 
 

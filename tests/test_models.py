@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from blindsearch import engine
 from blindsearch.engine import GridSpec, PulsarEvaluator, PulsarGrid
 from blindsearch.models import GaussianChainModel, PulsarNullModel
-from blindsearch.stats import FreqDrift, SignalSpec, simulate_photons
+from blindsearch.stats import (FreqDrift, PhotonSeries, SignalSpec, blocked_power,
+                               simulate_photons)
 from blindsearch.tree import NodeId, TreeConfig, ancestor_index, nodes_in_layer
 from blindsearch.util import subseed
 
@@ -120,6 +122,38 @@ class TestPulsarNullModel:
             cf = np.corrcoef(fitted[:, layer], fitted[:, layer + 1])[0, 1]
             cr = np.corrcoef(real[:, layer], real[:, layer + 1])[0, 1]
             assert abs(cf - cr) < 0.25
+
+
+@pytest.mark.parametrize("spec, span, m, branching", [
+    (GridSpec(1.0, 2.0, -1e-6, 0.0, num_layers=4, oversampling=3), 500.0, 100, (2, 2, 8)),
+    (GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3), 80.0, 150, (8, 8, 8)),
+    (GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=5, oversampling=3), 80.0, 7, (8, 8, 8, 8)),
+], ids=["drift-box", "eight-ary", "empty-blocks"])
+def test_path_values_match_blocked_power_on_own_photons(spec, span, m, branching, monkeypatch):
+    """Replay one draw: each path value is the reference statistic at its node.
+
+    The sampler derives coarser layers from the leaf by phase rotation;
+    the reference computes every layer's phases from scratch. The first
+    grid splits in drift only at its last step; with 7 photons in 16
+    layer-1 blocks, some blocks of the third are empty.
+    """
+    grid = PulsarGrid(spec, span)
+    assert grid.tree.branching == branching
+    model = PulsarNullModel(grid, m)
+    n = 40  # within one draw batch: nodes first, then every path's photons
+    got = model.sample_path_values_batch(n, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    omega, omegadot, _, _ = model._path_params(n, rng)
+    t = model._times(n, rng)
+    for i in range(n):
+        photons = PhotonSeries(t[i], span)
+        for layer in grid.tree.layers():
+            fd = FreqDrift(float(omega[i, layer - 1]), float(omegadot[i, layer - 1]))
+            ref = blocked_power(photons, fd, grid.kappa(layer))
+            assert abs(got[i, layer - 1] - ref) <= 1e-9 * max(1.0, abs(ref)), (i, layer)
+    # tiles group whole rows, so tiles of one to three rows give the same bits
+    monkeypatch.setattr(engine, "_TILE_ELEMENTS", 3 * m)
+    assert np.array_equal(model.sample_path_values_batch(n, np.random.default_rng(11)), got)
 
 
 def test_models_expose_num_layers():
