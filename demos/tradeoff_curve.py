@@ -13,11 +13,11 @@ from blindsearch import GridSpec, TradeoffConfig, estimate_tradeoff
 
 grid = GridSpec(omega_min=1.0, omega_max=3.0, omegadot_min=-1e-6, omegadot_max=0.0,
                 num_layers=4, oversampling=3)
-cfg = TradeoffConfig(grid=grid, span=80.0, num_photons=150, theta=0.55,
-                     num_paths=20_000, qtrain_quantile=0.99, q_reject=18.0)
+cfg = TradeoffConfig(grid=grid, span=80.0, num_photons=150, num_paths=20_000,
+                     qtrain_quantile=0.99, q_reject=18.0)
 
 t0 = time.time()
-points = estimate_tradeoff([0.0, 1e-3, 5e-3, 2e-2, 1e-1], cfg, n_sims=40, seed=21)
+points = estimate_tradeoff([0.0, 1e-3, 5e-3, 2e-2, 1e-1], [0.55], cfg, n_sims=40, seed=21)[0]
 print(f"{'lambda':>8} {'cost/naive':>11} {'power/naive':>12}")
 for p in points:
     print(f"{p.lam:8.3g} {p.cost_fraction:11.3f} {p.power_fraction:12.3f}")

@@ -16,18 +16,16 @@ from .stats import (FreqDrift, PhotonSeries, SignalSpec, block_edges, blocked_po
                     read_photons, simulate_photons, write_photons)
 from .fit import (FORMAT_VERSION, FitConfig, Strategy, fit_strategy, load_strategy,
                   path_payoff, sample_paths, save_strategy, strategy_from_dict,
-                  strategy_to_dict, threshold_rule_of_thumb)
+                  strategy_to_dict)
 from .engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, PulsarGrid,
                      SearchOutcome, SparsePeakEvaluator, default_q_reject,
-                     naive_search, pulsar_evaluator, run_search,
-                     write_detections_csv, write_layer_summary_csv,
-                     write_observed_csv)
+                     naive_search, run_search, write_detections_csv,
+                     write_layer_summary_csv, write_observed_csv)
 from .models import GaussianChainModel, PulsarNullModel
 from .evaluation import (OracleResult, TradeoffConfig, TradeoffPoint,
                          desk_scale_config, estimate_tradeoff, exact_dp_oracle,
                          fitted_payoff_estimate, leaf_window, naive_power_check,
                          tree_payoff_batch, write_tradeoff_csv)
-from .util import resolve_workers, subseed
 
 __all__ = [
     "__version__",
@@ -40,14 +38,11 @@ __all__ = [
     "FORMAT_VERSION", "FitConfig", "Strategy",
     "fit_strategy", "load_strategy", "path_payoff", "sample_paths",
     "save_strategy", "strategy_from_dict", "strategy_to_dict",
-    "threshold_rule_of_thumb",
     "ArrayEvaluator", "GridSpec", "PulsarEvaluator", "PulsarGrid", "SearchOutcome",
-    "SparsePeakEvaluator", "default_q_reject", "naive_search", "pulsar_evaluator",
-    "run_search", "write_detections_csv", "write_layer_summary_csv",
-    "write_observed_csv",
+    "SparsePeakEvaluator", "default_q_reject", "naive_search", "run_search",
+    "write_detections_csv", "write_layer_summary_csv", "write_observed_csv",
     "GaussianChainModel", "PulsarNullModel",
     "OracleResult", "TradeoffConfig", "TradeoffPoint", "desk_scale_config",
     "estimate_tradeoff", "exact_dp_oracle", "fitted_payoff_estimate", "leaf_window",
     "naive_power_check", "tree_payoff_batch", "write_tradeoff_csv",
-    "resolve_workers", "subseed",
 ]

@@ -28,8 +28,8 @@ from .engine import (PulsarEvaluator, PulsarGrid, GridSpec, default_q_reject,
                      naive_search, run_search, write_detections_csv,
                      write_layer_summary_csv, write_observed_csv)
 from .evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD, REFERENCE_SPAN,
-                         TradeoffConfig, desk_scale_config, estimate_tradeoff,
-                         exact_dp_oracle, fitted_payoff_estimate, write_tradeoff_csv)
+                         TradeoffConfig, estimate_tradeoff, exact_dp_oracle,
+                         fitted_payoff_estimate, write_tradeoff_csv)
 from .fit import (FORMAT_VERSION, FitConfig, fit_strategy, load_strategy,
                   sample_paths, save_strategy)
 from .models import GaussianChainModel, PulsarNullModel
@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.add_argument("--lambdas", help="comma separated cost weights")
     p.add_argument("--thetas", help="comma separated signal amplitudes")
-    p.add_argument("--sims", type=int, help="simulated datasets per lambda")
+    p.add_argument("--sims", type=int,
+                   help="simulated datasets per theta, shared by every lambda")
     p.add_argument("--paths", type=int)
     p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile")
     _add_grid_flags(p)
@@ -412,15 +413,14 @@ def cmd_evaluate(args) -> int:
     thetas = _float_list(cfg["thetas"])
     out = Path(args.out)
     outputs = []
-    for theta in thetas:
-        tc = TradeoffConfig(grid=_grid_from_cfg(cfg), span=cfg["span"],
-                            num_photons=int(cfg["photons"]), theta=theta,
-                            num_paths=int(cfg["paths"]),
-                            qtrain_quantile=cfg["qtrain_quantile"],
-                            alpha=cfg["alpha"], n_effective=cfg["n_effective"],
-                            q_reject=cfg["qreject"])
-        points = estimate_tradeoff(lambdas, tc, int(cfg["sims"]), int(cfg["seed"]),
-                                   workers=cfg["workers"])
+    tc = TradeoffConfig(grid=_grid_from_cfg(cfg), span=cfg["span"],
+                        num_photons=int(cfg["photons"]), num_paths=int(cfg["paths"]),
+                        qtrain_quantile=cfg["qtrain_quantile"],
+                        alpha=cfg["alpha"], n_effective=cfg["n_effective"],
+                        q_reject=cfg["qreject"])
+    curves = estimate_tradeoff(lambdas, thetas, tc, int(cfg["sims"]), int(cfg["seed"]),
+                               workers=cfg["workers"])
+    for theta, points in zip(thetas, curves):
         if len(thetas) == 1:
             path = out
         else:

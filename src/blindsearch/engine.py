@@ -206,11 +206,6 @@ class PulsarEvaluator:
         return 2.0 * out / m
 
 
-def pulsar_evaluator(photons: PhotonSeries, grid: GridSpec, costs=None) -> PulsarEvaluator:
-    """Build the grid for the photon span and wrap both in an evaluator."""
-    return PulsarEvaluator(photons, PulsarGrid(grid, photons.span, costs=costs))
-
-
 class ArrayEvaluator:
     """Evaluator over fully materialized per-layer value arrays (small trees)."""
 

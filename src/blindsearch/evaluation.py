@@ -3,7 +3,9 @@
 ``estimate_tradeoff`` reproduces the headline experiment at desk scale:
 fit one strategy per lambda from a shared path budget, then measure
 observation cost on null datasets and detection power on signal
-injections, both relative to the exhaustive leaf sweep.
+injections at each pulsed fraction theta, both relative to the
+exhaustive leaf sweep. Paths, fits and null datasets do not depend on
+theta and are made once for all thetas.
 
 ``exact_dp_oracle`` computes the true optimal value function on small
 reference trees with closed-form conditional laws by numerically
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .engine import (GridSpec, PulsarGrid, PulsarEvaluator, default_q_reject, run_search)
-from .fit import FitConfig, fit_strategy, sample_paths, strategy_from_dict, strategy_to_dict
+from .fit import FitConfig, fit_strategy, sample_paths
 from .models import GaussianChainModel, PulsarNullModel
 from .stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
 from .tree import descendant_count, nodes_in_layer
@@ -46,12 +48,11 @@ class TradeoffPoint:
 
 @dataclass(frozen=True)
 class TradeoffConfig:
-    """Everything estimate_tradeoff needs besides the lambda grid."""
+    """Everything estimate_tradeoff needs besides the lambda and theta grids."""
 
     grid: GridSpec
     span: float
     num_photons: int
-    theta: float
     num_paths: int
     qtrain_quantile: float
     alpha: float = 0.05
@@ -61,8 +62,6 @@ class TradeoffConfig:
     def __post_init__(self):
         if not self.span > 0:
             raise ValueError("span must be positive")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if not 0.0 < self.qtrain_quantile < 1.0:
             raise ValueError("qtrain_quantile must lie in (0, 1)")
         if self.num_paths < 2:
@@ -78,7 +77,7 @@ DESK_LAMBDAS = (0.0, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
 DESK_THETAS = (0.24, 0.34, 0.5)
 
 
-def desk_scale_config(theta: float = 0.34, num_layers: int = DESK_NUM_LAYERS,
+def desk_scale_config(num_layers: int = DESK_NUM_LAYERS,
                       num_paths: int = 100_000, qtrain_quantile: float = 0.99,
                       ) -> TradeoffConfig:
     """Scaled-down benchmark: same photon budget, 1/32 of the span.
@@ -90,7 +89,7 @@ def desk_scale_config(theta: float = 0.34, num_layers: int = DESK_NUM_LAYERS,
     grid = GridSpec(omega_min=1.0, omega_max=5.0, omegadot_min=-5e-11, omegadot_max=0.0,
                     num_layers=num_layers, oversampling=3)
     return TradeoffConfig(grid=grid, span=DESK_SPAN, num_photons=REFERENCE_PHOTONS,
-                          theta=theta, num_paths=num_paths, qtrain_quantile=qtrain_quantile)
+                          num_paths=num_paths, qtrain_quantile=qtrain_quantile)
 
 
 def _dim_lattice(grid: PulsarGrid, drift: bool):
@@ -154,82 +153,81 @@ def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
     return idx[keep]
 
 
-def _success(detections, grid: PulsarGrid, fd: FreqDrift, radius_omega, radius_omegadot) -> bool:
-    if not detections:
-        return False
-    idx = np.array([node.index for node, _ in detections], dtype=np.int64)
-    om, od = grid.node_params(grid.spec.num_layers, idx)
-    return bool(np.any((np.abs(om - fd.omega) <= radius_omega)
-                       & (np.abs(od - fd.omegadot) <= radius_omegadot)))
-
-
 _WORKER = None
 
 
-def _build_worker_state(payload):
-    strategy = strategy_from_dict(payload["strategy"]) if payload["strategy"] else None
-    grid = PulsarGrid.from_dict(payload["grid"], costs=payload["costs"])
-    return {**payload, "strategy": strategy, "grid": grid}
-
-
-def _init_worker(payload):
+def _init_worker(state):
     global _WORKER
-    _WORKER = _build_worker_state(payload)
+    _WORKER = state
 
 
 def _cost_sim(task, state=None):
+    """Search cost of every lambda's strategy on one global-null dataset."""
     st = state if state is not None else _WORKER
     i, seed = task
     grid = st["grid"]
     photons = simulate_photons(
         SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
-    out = run_search(st["strategy"], PulsarEvaluator(photons, grid), st["q_reject"])
-    return out.total_cost
+    ev = PulsarEvaluator(photons, grid)
+    return [run_search(s, ev, st["q_reject"]).total_cost for s in st["strategies"]]
 
 
 def _power_sim(task, state=None):
+    """(hit per lambda, sweep hit) on one injection at pulsed fraction theta.
+
+    A hit is a detected leaf in the success window around the truth; the
+    sweep hit evaluates every leaf of that window.
+    """
     st = state if state is not None else _WORKER
-    i, seed = task
+    i, seed, theta = task
     grid = st["grid"]
     spec = grid.spec
     rng = np.random.default_rng(subseed(seed, 2, i))
     fd = FreqDrift(omega=rng.uniform(spec.omega_min, spec.omega_max),
                    omegadot=rng.uniform(spec.omegadot_min, spec.omegadot_max))
     photons = simulate_photons(
-        SignalSpec(fd, st["theta"], st["num_photons"], grid.span), subseed(seed, 3, i))
+        SignalSpec(fd, theta, st["num_photons"], grid.span), subseed(seed, 3, i))
     ev = PulsarEvaluator(photons, grid)
-    r_w = 1.0 / grid.span
-    r_d = 1.0 / grid.span ** 2
-    window = leaf_window(grid, fd, r_w, r_d)
-    naive_hit = bool(window.size
+    window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
+    sweep_hit = bool(window.size
                      and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
-    out = run_search(st["strategy"], ev, st["q_reject"])
-    hier_hit = _success(out.detections, grid, fd, r_w, r_d)
-    return hier_hit, naive_hit
+    hits = []
+    for s in st["strategies"]:
+        found = [node.index for node, _ in run_search(s, ev, st["q_reject"]).detections]
+        hits.append(bool(np.isin(found, window).any()))
+    return hits, sweep_hit
 
 
-def _map_sims(fn, tasks, payload, workers):
+def _map_sims(fn, tasks, state, workers):
     if workers <= 1 or len(tasks) < 2:
-        state = _build_worker_state(payload)
         return [fn(t, state) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(payload,)) as pool:
+                             initargs=(state,)) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def estimate_tradeoff(lambdas, cfg: TradeoffConfig, n_sims: int, seed,
+def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
                       workers=None) -> list:
-    """Tradeoff points for a lambda grid, all fitted from one path budget.
+    """Tradeoff curves, one list of points per theta, in the order given.
 
-    Cost fractions come from global-null datasets, power fractions from
-    signal injections with a uniformly drawn true (omega, omegadot);
+    One path budget fits one strategy per lambda. Cost fractions come
+    from global-null datasets, which do not depend on theta, so they are
+    simulated once; power fractions come from signal injections at each
+    pulsed fraction theta, with a uniformly drawn true (omega, omegadot);
     success means detecting a leaf within 1/span in frequency and
-    1/span^2 in drift of the truth. Datasets are shared across lambdas,
-    so the curve is internally paired. Deterministic for a given seed,
-    independent of the worker count.
+    1/span^2 in drift of the truth. Every lambda runs on the same
+    datasets, so each curve is internally paired, and the injections at
+    different thetas share their true parameters. Deterministic for a
+    given seed, independent of the worker count.
     """
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")
+    lambdas = [float(lam) for lam in lambdas]
+    thetas = [float(theta) for theta in thetas]
+    if not all(math.isfinite(lam) and lam >= 0.0 for lam in lambdas):
+        raise ValueError("every lambda must be finite and >= 0")
+    if not all(0.0 <= theta <= 1.0 for theta in thetas):
+        raise ValueError("every theta must lie in [0, 1]")
     workers = resolve_workers(workers)
     grid = PulsarGrid(cfg.grid, cfg.span)
     tree = grid.tree
@@ -240,35 +238,38 @@ def estimate_tradeoff(lambdas, cfg: TradeoffConfig, n_sims: int, seed,
     model = PulsarNullModel(grid, cfg.num_photons)
     paths = sample_paths(model, cfg.num_paths, subseed(seed, 0))
     naive_cost = nodes_in_layer(tree, tree.num_layers) * tree.cost(tree.num_layers)
+    strategies = [fit_strategy(paths, FitConfig(tree, lam, q_train, cfg.num_paths))
+                  for lam in lambdas]
+    state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
+             "q_reject": q_reject}
 
-    points = []
-    for lam in lambdas:
-        strategy = fit_strategy(paths, FitConfig(tree, float(lam), q_train, cfg.num_paths))
-        payload = {"strategy": strategy_to_dict(strategy), "grid": grid.to_dict(),
-                   "costs": tree.costs, "num_photons": cfg.num_photons,
-                   "theta": cfg.theta, "q_reject": q_reject}
-        tasks = [(i, seed) for i in range(n_sims)]
-        costs = np.array(_map_sims(_cost_sim, tasks, payload, workers))
-        hits = _map_sims(_power_sim, tasks, payload, workers)
-        hier = np.array([h for h, _ in hits], dtype=float)
-        naive = np.array([n for _, n in hits], dtype=float)
-        naive_rate = naive.mean()
-        p = hier.mean()
-        if naive_rate > 0:
-            power_fraction = p / naive_rate
-            power_se = math.sqrt(p * (1 - p) / n_sims) / naive_rate
-        else:
-            power_fraction = math.nan
-            power_se = math.nan
-        points.append(TradeoffPoint(
-            lam=float(lam),
-            cost_fraction=float(costs.mean() / naive_cost),
-            power_fraction=float(power_fraction),
-            cost_se=float(costs.std(ddof=1) / math.sqrt(n_sims) / naive_cost),
-            power_se=float(power_se),
-            n_sims=n_sims,
-        ))
-    return points
+    costs = _map_sims(_cost_sim, [(i, seed) for i in range(n_sims)], state, workers)
+    null_costs = [np.array([c[k] for c in costs]) for k in range(len(lambdas))]
+    sims = _map_sims(_power_sim, [(i, seed, theta) for theta in thetas for i in range(n_sims)],
+                     state, workers)
+    curves = []
+    for t in range(len(thetas)):
+        hits = sims[t * n_sims:(t + 1) * n_sims]
+        naive_rate = np.array([sweep for _, sweep in hits], dtype=float).mean()
+        points = []
+        for k, (lam, cost) in enumerate(zip(lambdas, null_costs)):
+            p = np.array([h[k] for h, _ in hits], dtype=float).mean()
+            if naive_rate > 0:
+                power_fraction = p / naive_rate
+                power_se = math.sqrt(p * (1 - p) / n_sims) / naive_rate
+            else:
+                power_fraction = math.nan
+                power_se = math.nan
+            points.append(TradeoffPoint(
+                lam=lam,
+                cost_fraction=float(cost.mean() / naive_cost),
+                power_fraction=float(power_fraction),
+                cost_se=float(cost.std(ddof=1) / math.sqrt(n_sims) / naive_cost),
+                power_se=float(power_se),
+                n_sims=n_sims,
+            ))
+        curves.append(points)
+    return curves
 
 
 def write_tradeoff_csv(path, points) -> None:

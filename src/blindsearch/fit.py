@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .isotonic import MonotoneFn, pava
-from .stats import chi2_2_quantile
 from .tree import TreeConfig, descendant_count
 
 FORMAT_VERSION = 1
@@ -42,17 +41,6 @@ class FitConfig:
             raise ValueError("q_train must be finite")
         if self.num_paths < 2:
             raise ValueError("num_paths must be >= 2")
-
-
-def threshold_rule_of_thumb(beta: float) -> float:
-    """Training threshold aiming at a null exceedance fraction beta.
-
-    To cut observation cost to roughly a fraction beta of exhaustive,
-    train against the (1 - beta) null quantile of the leaf statistic.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    return chi2_2_quantile(1.0 - beta)
 
 
 def _build_regions(fns: dict, lam: float):
@@ -181,6 +169,7 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
 
     payoff = {G: (x[:, G - 1] >= cfg.q_train).astype(float)}
     continuation = {}
+    regions = {}
     for layer in range(G - 1, 0, -1):
         xs = x[:, layer - 1]
         if np.all(xs == xs[0]):
@@ -193,6 +182,7 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
             fns[s] = pava(xs, target)
             scaled[s] = target
         bounds, actions = _build_regions(fns, cfg.lam)
+        regions[layer] = bounds, actions
         act = _apply_regions(bounds, actions, xs)
         p = np.zeros(n)
         for s in scaled:
@@ -201,11 +191,8 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
         payoff[layer] = p
         continuation[layer] = fns
 
-    strat = Strategy(tree=tree, lam=cfg.lam, q_train=cfg.q_train, continuation=continuation,
-                     seed=seed, num_paths=n)
-    for layer in range(1, G):
-        strat._regions[layer] = _build_regions(continuation[layer], cfg.lam)
-    return strat
+    return Strategy(tree=tree, lam=cfg.lam, q_train=cfg.q_train, continuation=continuation,
+                    seed=seed, num_paths=n, _regions=regions)
 
 
 def path_payoff(values, strategy: Strategy, lam: float, q: float,

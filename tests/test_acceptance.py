@@ -14,8 +14,7 @@ import pytest
 
 from blindsearch.engine import (GridSpec, PulsarEvaluator, PulsarGrid,
                                 SparsePeakEvaluator, naive_search, run_search)
-from blindsearch.evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD,
-                                    REFERENCE_PHOTONS, REFERENCE_SPAN,
+from blindsearch.evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_PHOTONS,
                                     desk_scale_config, estimate_tradeoff,
                                     exact_dp_oracle, fitted_payoff_estimate,
                                     naive_power_check)
@@ -70,8 +69,8 @@ def test_desk_scale_tradeoff_point():
     for theta, lams, n_sims in [(0.34, [5.5e-2, 6.5e-2], 100),
                                 (0.5, [5.5e-2, 6e-2, 6.5e-2], 200)]:
         assert set(lams) <= set(DESK_LAMBDAS)
-        cfg = desk_scale_config(theta=theta)
-        for p in estimate_tradeoff(lams, cfg, n_sims=n_sims, seed=7, workers=1):
+        for p in estimate_tradeoff(lams, [theta], desk_scale_config(), n_sims=n_sims,
+                                   seed=7, workers=1)[0]:
             rows.append(f"theta={theta:g} lam={p.lam:g}: "
                         f"cost={p.cost_fraction:.4f}+-{p.cost_se:.4f}, "
                         f"power={p.power_fraction:.3f}+-{p.power_se:.3f}")
@@ -156,7 +155,7 @@ def executed_payoff(strategy, vals, q):
                 b = descendant_count(tree, layer, s)
                 observed[s].update(range(idx * b, (idx + 1) * b))
     cost = sum(tree.cost(l) * len(observed[l]) for l in range(2, G + 1))
-    det = sum(1 for i in observed[G] if vals[G - 1][i] > q)
+    det = sum(1 for i in observed[G] if vals[G - 1][i] >= q)
     return det - strategy.lam * cost
 
 

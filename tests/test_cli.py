@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blindsearch import cli
+from blindsearch import cli, evaluation
 from blindsearch.fit import load_strategy
 from blindsearch.stats import read_photons
 
@@ -183,6 +183,18 @@ class TestEvaluate:
                 "--out", str(out)])
         assert (tmp_path / "curve_theta0.3.csv").exists()
         assert (tmp_path / "curve_theta0.85.csv").exists()
+
+    @pytest.mark.parametrize("curve", [["--lambdas", "0.1", "--thetas", "0.5,1.5"],
+                                       ["--lambdas", "0.1,-1", "--thetas", "0.5"]])
+    def test_bad_grid_rejected_before_any_work(self, tmp_path, monkeypatch, curve):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+        rc = cli.run(["evaluate", *GRID_FLAGS, *curve, "--sims", "2", "--paths", "500",
+                      "--photons", "40", "--qreject", "12", "--workers", "1",
+                      "--out", str(tmp_path / "curve.csv")])
+        assert rc == 3
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestOracle:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from blindsearch import engine
 from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, PulsarGrid,
                                 SparsePeakEvaluator, default_q_reject, naive_search,
-                                pulsar_evaluator, run_search, write_detections_csv,
+                                run_search, write_detections_csv,
                                 write_layer_summary_csv, write_observed_csv)
 from blindsearch.fit import FitConfig, fit_strategy
 from blindsearch.stats import FreqDrift, SignalSpec, blocked_power, simulate_photons
@@ -120,7 +118,7 @@ class TestPulsarEvaluator:
     def test_matches_blocked_power_per_node(self):
         spec = GridSpec(1.0, 1.4, -1e-4, 0.0, num_layers=3, oversampling=3)
         photons = simulate_photons(SignalSpec(FreqDrift(1.2, -5e-5), 0.7, 60, 50.0), 8)
-        ev = pulsar_evaluator(photons, spec)
+        ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
         g = ev.grid
         rng = np.random.default_rng(0)
         for layer in g.tree.layers():
@@ -135,7 +133,7 @@ class TestPulsarEvaluator:
     def test_chunking_invariance(self, monkeypatch):
         spec = GridSpec(1.0, 1.4, 0.0, 0.0, num_layers=2, oversampling=3)
         photons = simulate_photons(SignalSpec(FreqDrift(1.2), 0.0, 40, 30.0), 1)
-        ev = pulsar_evaluator(photons, spec)
+        ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
         idx = np.arange(nodes_in_layer(ev.tree, 2))
         big = ev.evaluate(2, idx)
         monkeypatch.setattr(engine, "_TILE_ELEMENTS", 3 * photons.count)  # 3-row tiles
@@ -291,7 +289,7 @@ def test_bad_chunk_size_rejected():
 def test_observed_csv_rows_follow_layer_and_index(tmp_path):
     spec = GridSpec(1.0, 1.4, -1e-4, 0.0, num_layers=3, oversampling=3)
     photons = simulate_photons(SignalSpec(FreqDrift(1.2, -5e-5), 0.7, 60, 50.0), 8)
-    ev = pulsar_evaluator(photons, spec)
+    ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
     strat = threshold_strategy(ev.tree, cut=2.0)
     texts = []
     for size in (1, 7, 4096):
@@ -323,7 +321,7 @@ def test_default_q_reject_frozen():
 def test_csv_writers(tmp_path):
     spec = GridSpec(1.0, 1.2, 0.0, 0.0, num_layers=2, oversampling=3)
     photons = simulate_photons(SignalSpec(FreqDrift(1.1), 0.9, 500, 40.0), 5)
-    ev = pulsar_evaluator(photons, spec)
+    ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
     strat = fitted_strategy(ev.tree, 0.0, q_train=1.0)
     out = run_search(strat, ev, q_reject=12.0, emit_observed=True)
     assert out.detections

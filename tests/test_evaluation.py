@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy import stats as sps
 
+from blindsearch import evaluation
 from blindsearch.engine import GridSpec, PulsarGrid
 from blindsearch.evaluation import (DESK_SPAN, REFERENCE_PHOTONS, TradeoffConfig,
                                     desk_scale_config, estimate_tradeoff,
@@ -243,12 +244,12 @@ class TestLeafWindow:
 class TestEstimateTradeoff:
     def tiny_config(self):
         grid = GridSpec(1.0, 2.0, -1e-6, 0.0, num_layers=3, oversampling=3)
-        return TradeoffConfig(grid=grid, span=40.0, num_photons=60, theta=0.85,
+        return TradeoffConfig(grid=grid, span=40.0, num_photons=60,
                               num_paths=3000, qtrain_quantile=0.9, q_reject=12.0)
 
     def test_free_and_prohibitive_endpoints(self):
         cfg = self.tiny_config()
-        pts = estimate_tradeoff([0.0, 50.0], cfg, n_sims=12, seed=5, workers=1)
+        [pts] = estimate_tradeoff([0.0, 50.0], [0.85], cfg, n_sims=12, seed=5, workers=1)
         free, blocked = pts
         grid = PulsarGrid(cfg.grid, cfg.span)
         n1 = nodes_in_layer(grid.tree, 1)
@@ -269,18 +270,51 @@ class TestEstimateTradeoff:
 
     def test_deterministic_and_worker_count_invariant(self):
         cfg = self.tiny_config()
-        a = estimate_tradeoff([0.3], cfg, n_sims=6, seed=3, workers=1)
-        b = estimate_tradeoff([0.3], cfg, n_sims=6, seed=3, workers=1)
-        c = estimate_tradeoff([0.3], cfg, n_sims=6, seed=3, workers=2)
+        a = estimate_tradeoff([0.3], [0.5, 0.85], cfg, n_sims=6, seed=3, workers=1)
+        b = estimate_tradeoff([0.3], [0.5, 0.85], cfg, n_sims=6, seed=3, workers=1)
+        c = estimate_tradeoff([0.3], [0.5, 0.85], cfg, n_sims=6, seed=3, workers=2)
         assert a == b == c
+        assert len(a) == 2
+
+    def test_thetas_share_one_pass(self, monkeypatch):
+        calls = {"sample_paths": 0, "fit_strategy": 0, "_cost_sim": 0, "_power_sim": 0}
+        for name in calls:
+            fn = getattr(evaluation, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(evaluation, name, counted)
+        curves = estimate_tradeoff([0.0, 0.3], [0.5, 0.85], self.tiny_config(),
+                                   n_sims=4, seed=8, workers=1)
+        assert [len(points) for points in curves] == [2, 2]
+        assert calls == {"sample_paths": 1, "fit_strategy": 2, "_cost_sim": 4,
+                         "_power_sim": 8}
+
+    def test_each_theta_matches_its_own_pass(self):
+        cfg = self.tiny_config()
+        lams = [0.0, 0.3, 50.0]
+        both = estimate_tradeoff(lams, [0.85, 0.5], cfg, n_sims=5, seed=4, workers=1)
+        alone = [estimate_tradeoff(lams, [theta], cfg, n_sims=5, seed=4, workers=1)[0]
+                 for theta in (0.85, 0.5)]
+        assert both == alone
 
     def test_rejects_degenerate_sim_count(self):
         with pytest.raises(ValueError):
-            estimate_tradeoff([0.1], self.tiny_config(), n_sims=1, seed=0)
+            estimate_tradeoff([0.1], [0.85], self.tiny_config(), n_sims=1, seed=0)
+
+    @pytest.mark.parametrize("lams, thetas", [([0.1], [0.5, 1.5]), ([0.1], [math.nan]),
+                                              ([0.1, -1.0], [0.5]), ([math.inf], [0.5])])
+    def test_rejects_bad_grid_before_sampling(self, monkeypatch, lams, thetas):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+        with pytest.raises(ValueError, match="lambda|theta"):
+            estimate_tradeoff(lams, thetas, self.tiny_config(), n_sims=4, seed=0, workers=1)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = self.tiny_config()
-        pts = estimate_tradeoff([0.0], cfg, n_sims=4, seed=2, workers=1)
+        [pts] = estimate_tradeoff([0.0], [0.85], cfg, n_sims=4, seed=2, workers=1)
         out = tmp_path / "curve.csv"
         write_tradeoff_csv(out, pts)
         with open(out) as fh:
@@ -343,20 +377,16 @@ class TestConfigs:
         cfg = desk_scale_config()
         assert cfg.span == DESK_SPAN == pytest.approx(1205197.0 / 32)
         assert cfg.num_photons == REFERENCE_PHOTONS == 1072
-        assert cfg.theta == 0.34
         assert cfg.grid.num_layers == 9
 
     def test_validation(self):
         grid = GridSpec(1.0, 2.0, 0.0, 0.0, num_layers=2, oversampling=3)
         with pytest.raises(ValueError):
-            TradeoffConfig(grid, span=-1.0, num_photons=10, theta=0.3,
+            TradeoffConfig(grid, span=-1.0, num_photons=10,
                            num_paths=10, qtrain_quantile=0.9)
         with pytest.raises(ValueError):
-            TradeoffConfig(grid, span=10.0, num_photons=10, theta=1.5,
-                           num_paths=10, qtrain_quantile=0.9)
-        with pytest.raises(ValueError):
-            TradeoffConfig(grid, span=10.0, num_photons=10, theta=0.3,
+            TradeoffConfig(grid, span=10.0, num_photons=10,
                            num_paths=10, qtrain_quantile=1.0)
         with pytest.raises(ValueError):
-            TradeoffConfig(grid, span=10.0, num_photons=10, theta=0.3,
+            TradeoffConfig(grid, span=10.0, num_photons=10,
                            num_paths=1, qtrain_quantile=0.9)

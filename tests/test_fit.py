@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from blindsearch.fit import (FitConfig, Strategy, fit_strategy, load_strategy,
                              path_payoff, save_strategy, strategy_from_dict,
-                             strategy_to_dict, threshold_rule_of_thumb)
+                             strategy_to_dict)
 from blindsearch.isotonic import MonotoneFn
-from blindsearch.stats import chi2_2_quantile
 from blindsearch.tree import NodeId, TreeConfig, ancestor_index, descendant_count, nodes_in_layer
 
 
@@ -213,12 +211,6 @@ def test_from_dict_rejects_bad_documents():
     del bad["layers"][0]["actions"][1]
     with pytest.raises(ValueError, match="every deeper layer"):
         strategy_from_dict(bad)
-
-
-def test_threshold_rule_of_thumb():
-    assert threshold_rule_of_thumb(1e-3) == pytest.approx(chi2_2_quantile(0.999))
-    with pytest.raises(ValueError):
-        threshold_rule_of_thumb(0.0)
 
 
 def test_fit_config_validation():
