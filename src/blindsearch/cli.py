@@ -153,7 +153,8 @@ def _resolve(args, command: str) -> dict:
     return cfg
 
 
-def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs) -> None:
+def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs,
+                    layers=None) -> None:
     doc = {
         "tool": "blindsearch",
         "version": __version__,
@@ -164,6 +165,8 @@ def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs) -> 
         "outputs": [str(p) for p in outputs],
         "created": datetime.now(timezone.utc).isoformat(),
     }
+    if layers is not None:
+        doc["layers"] = layers
     with open(manifest_path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -369,7 +372,23 @@ def _write_search_outputs(out_dir: Path, command, cfg, inputs, outcome, evaluato
         obs = out_dir / "observed.csv"
         write_observed_csv(obs, outcome, evaluator)
         outputs.append(obs)
-    _write_manifest(out_dir / "manifest.json", command, cfg, inputs, outputs)
+    _write_manifest(out_dir / "manifest.json", command, cfg, inputs, outputs,
+                    layers=_layer_report(outcome))
+
+
+def _layer_report(outcome) -> list:
+    """Per-layer observed nodes, evaluate calls and seconds of a search."""
+    return [{"layer": layer, "observed": int(n), "evaluate_calls": int(c), "seconds": float(sec)}
+            for layer, (n, c, sec) in enumerate(zip(outcome.per_layer_observed,
+                                                    outcome.evaluate_calls, outcome.seconds),
+                                                start=1)]
+
+
+def _print_layers(outcome) -> None:
+    for row in _layer_report(outcome):
+        if row["evaluate_calls"]:
+            print(f"  layer {row['layer']}: {row['observed']} nodes in "
+                  f"{row['evaluate_calls']} evaluate calls, {row['seconds']:.3f} s")
 
 
 def cmd_search(args) -> int:
@@ -388,6 +407,7 @@ def cmd_search(args) -> int:
     print(f"{len(outcome.detections)} detections at q={q_reject:.4f}; "
           f"cost {outcome.total_cost!r} ({frac:.2e} of exhaustive); "
           f"peak {outcome.peak_tracked} tracked records; wrote {out_dir}/")
+    _print_layers(outcome)
     return 0
 
 
@@ -404,6 +424,7 @@ def cmd_naive(args) -> int:
                           outcome, evaluator, grid.tree)
     print(f"{len(outcome.detections)} detections at q={q_reject:.4f} over "
           f"{int(outcome.per_layer_observed[-1])} leaves; wrote {out_dir}/")
+    _print_layers(outcome)
     return 0
 
 

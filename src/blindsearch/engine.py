@@ -18,6 +18,7 @@ Evaluation must be deterministic given the data.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,16 @@ _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such 
 
 
 _TILE_ELEMENTS = 1 << 15  # bounds every (rows x photons) temporary of the statistic
+
+
+def _checked_indices(tree: TreeConfig, layer: int, indices) -> np.ndarray:
+    """Node indices as an int64 array, each valid for the layer."""
+    if not 1 <= layer <= tree.num_layers:
+        raise ValueError(f"layer {layer} outside 1..{tree.num_layers}")
+    v = np.asarray(indices, dtype=np.int64)
+    if v.size and (v.min() < 0 or v.max() >= nodes_in_layer(tree, layer)):
+        raise ValueError("node index out of range")
+    return v
 
 
 def _tile_rows(width: int) -> int:
@@ -45,7 +56,9 @@ def _block_power(z: np.ndarray, ends: np.ndarray) -> np.ndarray:
     the rows share their photons, (rows, nblocks) when each row has its
     own. Empty blocks contribute nothing. A single block takes numpy's
     pairwise sum, as ``rayleigh_power`` does; more blocks are
-    differenced from one running sum.
+    differenced from one running sum; each row's block terms are summed
+    in one C-ordered row, so a row's value does not depend on the rows
+    beside it.
     """
     if ends.shape[-1] == 1:
         re = z.real.sum(axis=1)
@@ -54,7 +67,7 @@ def _block_power(z: np.ndarray, ends: np.ndarray) -> np.ndarray:
     c = np.empty((z.shape[0], z.shape[1] + 1), dtype=complex)
     c[:, 0] = 0.0
     np.cumsum(z, axis=1, out=c[:, 1:])
-    at = c[:, ends] if ends.ndim == 1 else np.take_along_axis(c, ends, axis=1)
+    at = np.take(c, ends, axis=1) if ends.ndim == 1 else np.take_along_axis(c, ends, axis=1)
     s = np.diff(at, axis=1, prepend=0.0)
     return (s.real * s.real + s.imag * s.imag).sum(axis=1)
 
@@ -119,7 +132,9 @@ class PulsarGrid:
         if costs is None:
             costs = (1.0,) * G
         self.tree = TreeConfig(num_layers=G, root_count=n1, branching=branching, costs=costs)
-        if nodes_in_layer(self.tree, G) >= _MAX_ENGINE_NODES:
+        if (nodes_in_layer(self.tree, G) >= _MAX_ENGINE_NODES
+                or self.n1_omega * 2 ** G >= _MAX_ENGINE_NODES
+                or self.n1_omegadot * 4 ** G >= _MAX_ENGINE_NODES):  # node_coords in int64
             raise ValueError("grid too large for engine indexing")
         mid_w = 0.5 * (spec.omega_min + spec.omega_max)
         mid_d = 0.5 * (spec.omegadot_min + spec.omegadot_max)
@@ -132,26 +147,52 @@ class PulsarGrid:
 
     def node_params(self, layer: int, indices):
         """(omega, omegadot) arrays for node indices in a layer."""
-        G = self.spec.num_layers
-        if not 1 <= layer <= G:
-            raise ValueError(f"layer {layer} outside 1..{G}")
-        v = np.asarray(indices, dtype=np.int64)
-        if v.size and (v.min() < 0 or v.max() >= nodes_in_layer(self.tree, layer)):
-            raise ValueError("node index out of range")
+        return self._digits(layer, indices)[:2]
+
+    def node_coords(self, layer: int, indices):
+        """Integer lattice coordinates (kw, kd) of node indices in a layer.
+
+        Up to rounding, ``node_params`` is omega_start + kw * 0.5 *
+        d_omega[layer-1] and omegadot_start + kd * 0.5 *
+        d_omegadot[layer-1]. Along each dimension a layer holds either
+        one position or odd coordinates 2 apart.
+        """
+        return self._digits(layer, indices)[2:]
+
+    def _digits(self, layer: int, indices):
+        """(omega, omegadot, kw, kd) from one pass over the index digits."""
+        v = _checked_indices(self.tree, layer, indices)
         omega = np.zeros(v.shape)
         omegadot = np.zeros(v.shape)
+        kw = np.zeros(v.shape, dtype=np.int64)  # first the sum of digit * weight
+        kd = np.zeros(v.shape, dtype=np.int64)
+        sw = sd = 1  # a digit's weight in half-spacings of this layer
+        cw = cd = 0  # the digits' fixed shift, sum of (factor - 1) * weight
         for j in range(layer - 1, 0, -1):
-            b = self.tree.branching[j - 1]
-            v, c = np.divmod(v, b)
+            v, c = np.divmod(v, self.tree.branching[j - 1])
             fd = self.drift_factor[j - 1]
             fw = self.freq_factor[j - 1]
-            iw, idot = np.divmod(c, fd)
-            omega += (iw - 0.5 * (fw - 1)) * self.d_omega[j]
-            omegadot += (idot - 0.5 * (fd - 1)) * self.d_omegadot[j]
+            # an unsplit dimension's digit is 0 and adds exactly 0.0 to its parameter
+            if fw > 1 and fd > 1:
+                iw, idot = np.divmod(c, fd)
+            else:
+                iw = idot = c
+            if fw > 1:
+                omega += (iw - 0.5 * (fw - 1)) * self.d_omega[j]
+                kw += iw * sw
+                cw += (fw - 1) * sw
+            if fd > 1:
+                omegadot += (idot - 0.5 * (fd - 1)) * self.d_omegadot[j]
+                kd += idot * sd
+                cd += (fd - 1) * sd
+            sw *= 2
+            sd *= 4
         rw, rd = np.divmod(v, self.n1_omegadot)
         omega += self.omega_start + (rw + 0.5) * self.d_omega[0]
         omegadot += self.omegadot_start + (rd + 0.5) * self.d_omegadot[0]
-        return omega, omegadot
+        kw = 2 * (kw + rw * sw) + (sw - cw)
+        kd = 2 * (kd + rd * sd) + (sd - cd)
+        return omega, omegadot, kw, kd
 
     def to_dict(self) -> dict:
         s = self.spec
@@ -168,8 +209,59 @@ class PulsarGrid:
         return cls(spec, doc["span"], costs=costs)
 
 
+def _step_table(step_ph: np.ndarray, step_z: np.ndarray, count: int):
+    """Phases j * step and phasors step^j, one row for each j < count.
+
+    ``step_ph`` has at most 48 significant bits, so every phase j *
+    step_ph is exact for j < 32, and ``step_z`` is exp(i * step_ph).
+    Row j of the phasors is the product of rows j // 2 and j - j // 2,
+    so it depends on j alone; it is within about j ulps of
+    exp(i * j * step_ph).
+    """
+    ph = np.arange(count)[:, None] * step_ph
+    z = np.empty(ph.shape, dtype=complex)
+    z[0] = 1.0
+    z[1:2] = step_z
+    for j in range(2, count):
+        np.multiply(z[j // 2], z[j - j // 2], out=z[j])
+    return ph, z
+
+
 class PulsarEvaluator:
-    """Blocked-statistic evaluator for one photon series on a PulsarGrid."""
+    """Blocked-statistic evaluator for one photon series on a PulsarGrid.
+
+    A node's phase at photon j is phi_k = 2 pi (omega t_j + omegadot
+    t_j^2 / 2) at its ``node_params``, and F^kappa sums its phasors
+    exp(i phi_k) over each time block. ``evaluate`` takes one complex
+    exponential per photon for each anchor, not for each node. Along a
+    dimension that holds more than one position in a layer, the odd
+    lattice coordinates of ``PulsarGrid.node_coords`` fall into blocks
+    of ``stride`` positions. A node's anchor is the first position of
+    its block in each such dimension (its own position in the others),
+    and its offsets cw, cd count the lattice steps past the anchor,
+    0 <= c < stride. The node's phasor is the identity
+
+        exp(i phi_k) = exp(i phi_a) * W[cw] * D[cd] * exp(i eta),
+        eta = ((phi_k - phi_a) - phi_w[cw]) - phi_d[cd],
+
+    where phi_a is the anchor's phase by the same formula, phi_w[c] is c
+    times the phase of one frequency step, phi_d likewise for drift, and
+    W, D are the matching phasors (``_step_table``). eta is the residual
+    that the rounded phases leave, about 1e-10 rad at desk scale, so
+    exp(i eta) is taken as 1 + i eta. Every subtraction in eta is exact
+    while phi_a lies within a factor 2 of phi_k, since the step phases
+    are cut to 48 significant bits. Where phi_a < phi_k / 2 (omega near
+    0, or a drift that turns the phase back) phi_k - phi_a rounds, by no
+    more than phi_k's own rounding. A value stays within about 1e-13 of
+    max(1, value) of ``stats.blocked_power``.
+
+    Anchors and offsets depend on a node's coordinates alone, so a
+    node's value is the same in every call and tile. The stride is the
+    largest power of two up to 16 whose step table (stride rows of m
+    photons) fits ``_TILE_ELEMENTS``, fixed when the evaluator is built.
+    A tile builds one anchor row per distinct anchor, at most one per
+    node row; the one-step rows are kept per layer, two rows of m each.
+    """
 
     def __init__(self, photons: PhotonSeries, grid: PulsarGrid):
         if abs(photons.span - grid.span) > 1e-9 * grid.span:
@@ -186,23 +278,69 @@ class PulsarEvaluator:
                 inner = block_edges(photons.span, k)[1:-1]
                 self._ends[k] = np.append(np.searchsorted(self._t, inner, side="left"),
                                           photons.count)
+        fit = _TILE_ELEMENTS // photons.count
+        self.stride = 1 << min(4, max(0, fit.bit_length() - 1))
+        self._spaced = {}  # layer -> whether (frequency, drift) hold more than one position
+        nw, nd = grid.n1_omega, grid.n1_omegadot
+        for layer in range(1, grid.spec.num_layers + 1):
+            self._spaced[layer] = (nw > 1, nd > 1)
+            if layer < grid.spec.num_layers:
+                nw *= grid.freq_factor[layer - 1]
+                nd *= grid.drift_factor[layer - 1]
+        self._steps = {}  # (layer, dimension) -> one lattice step's (phase, phasor) rows
 
     def node_params(self, layer: int, indices):
         return self.grid.node_params(layer, indices)
 
+    def _step(self, layer: int, dim: int):
+        if (layer, dim) not in self._steps:
+            g = self.grid
+            if dim == 0:
+                ph = TWO_PI * g.d_omega[layer - 1] * self._t
+            else:
+                ph = TWO_PI * g.d_omegadot[layer - 1] * self._ht2
+            ph = (ph.view(np.int64) & ~np.int64(0x1F)).view(np.float64)  # 48 bits
+            self._steps[layer, dim] = ph, np.exp(1j * ph)
+        return self._steps[layer, dim]
+
+    def _anchors(self, layer: int, dim: int, k: np.ndarray, param: np.ndarray):
+        """(anchor parameter, offset, block) of every node along one dimension."""
+        if not self._spaced[layer][dim]:
+            zero = np.zeros_like(k)
+            return param, zero, zero
+        g = self.grid
+        start, half = ((g.omega_start, 0.5 * g.d_omega[layer - 1]) if dim == 0
+                       else (g.omegadot_start, 0.5 * g.d_omegadot[layer - 1]))
+        block, c = np.divmod(k >> 1, self.stride)  # k is odd: positions counted from 1
+        return start + (2 * self.stride * block + 1) * half, c, block
+
     def evaluate(self, layer: int, indices) -> np.ndarray:
         """Statistic F^kappa at each node, kappa matched to the layer."""
-        v = np.asarray(indices, dtype=np.int64)
-        omega, omegadot = self.grid.node_params(layer, v)
+        omega, omegadot, kw, kd = self.grid._digits(layer, indices)
+        wa, cw, bw = self._anchors(layer, 0, kw, omega)
+        da, cd, bd = self._anchors(layer, 1, kd, omegadot)
+        key = bw * (int(bd.max(initial=0)) + 1) + bd  # one per anchor
+        tables = [(_step_table(*self._step(layer, dim), int(c.max()) + 1), c)
+                  for dim, c in enumerate((cw, cd)) if c.any()]
+        t, ht2 = self._t, self._ht2
         ends = self._ends[self.grid.kappa(layer)]
         m = self.photons.count
-        out = np.empty(v.shape)
+        out = np.empty(omega.shape)
         rows = _tile_rows(max(m, ends.size))
-        for lo in range(0, v.size, rows):
-            hi = min(lo + rows, v.size)
-            ph = omega[lo:hi, None] * self._t + omegadot[lo:hi, None] * self._ht2
+        for lo in range(0, out.size, rows):
+            tile = slice(lo, min(lo + rows, out.size))
+            _, first, at = np.unique(key[tile], return_index=True, return_inverse=True)
+            pa = wa[tile][first, None] * t + da[tile][first, None] * ht2
+            pa *= TWO_PI
+            ph = omega[tile, None] * t + omegadot[tile, None] * ht2
             ph *= TWO_PI
-            out[lo:hi] = _block_power(np.exp(1j * ph), ends)
+            ph -= pa[at]
+            z = np.exp(1j * pa)[at]
+            for (tab_ph, tab_z), c in tables:
+                ph -= tab_ph[c[tile]]
+                z *= tab_z[c[tile]]
+            z *= 1.0 + 1j * ph  # ph is now eta
+            out[tile] = _block_power(z, ends)
         return 2.0 * out / m
 
 
@@ -219,7 +357,7 @@ class ArrayEvaluator:
                 raise ValueError(f"layer {layer} values have the wrong length")
 
     def evaluate(self, layer, indices):
-        return self.values[layer - 1][np.asarray(indices, dtype=np.int64)]
+        return self.values[layer - 1][_checked_indices(self.tree, layer, indices)]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -246,7 +384,7 @@ class SparsePeakEvaluator:
         self.seed = int(seed)
 
     def evaluate(self, layer, indices):
-        v = np.asarray(indices, dtype=np.int64)
+        v = _checked_indices(self.tree, layer, indices)
         key = np.uint64(self.seed * 1315423911 + layer)
         bits = _splitmix64(v.astype(np.uint64) ^ _splitmix64(np.uint64([key]))[0])
         u = (bits >> np.uint64(11)) * (2.0 ** -53)
@@ -274,12 +412,19 @@ class SearchOutcome:
     ``observed_log``, when requested, is a numpy structured array with
     one row per observed node and the fields ``layer``, ``index``,
     ``statistic`` and ``action``, sorted by (layer, index).
+
+    ``evaluate_calls`` and ``seconds`` hold, per layer, the ``evaluate``
+    calls made and the wall seconds spent on the layer's nodes
+    (evaluating, deciding and queueing their descendants). They are
+    timings for reports, never for the data files.
     """
 
     detections: list
     per_layer_observed: np.ndarray
     total_cost: float
     peak_tracked: int
+    evaluate_calls: np.ndarray
+    seconds: np.ndarray
     observed_log: np.ndarray | None = None
 
 
@@ -305,6 +450,8 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
     if n >= _MAX_ENGINE_NODES:
         raise ValueError(f"layer {start} too large for engine indexing")
     observed = np.zeros(G, dtype=np.int64)
+    calls = np.zeros(G, dtype=np.int64)
+    seconds = np.zeros(G)
     detections = []
     log = [] if emit_observed else None
     logged = peak = 0
@@ -316,6 +463,7 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
         for layer in range(start, G + 1):
             if layer not in pending:
                 continue
+            began = time.perf_counter()
             los, his = zip(*pending.pop(layer))
             lo, hi = np.concatenate(los), np.concatenate(his)
             order = np.argsort(lo)
@@ -329,6 +477,7 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
                 if not np.all(np.isfinite(vals)):
                     raise ValueError("evaluator produced non-finite statistics")
                 observed[layer - 1] += idx.size
+                calls[layer - 1] += 1
                 if layer == G:
                     acts = np.zeros(idx.size, dtype=np.int64)
                     hit = vals >= q_reject
@@ -352,6 +501,7 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
                     logged += idx.size
                 peak = max(peak, queued + idx.size + len(detections) + logged)
             queued -= lo.size
+            seconds[layer - 1] += time.perf_counter() - began
     if log is not None:
         cols = [np.concatenate(col) for col in zip(*log)]
         order = np.lexsort((cols[1], cols[0]))
@@ -360,7 +510,8 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
             log[name] = col[order]
     total_cost = sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
     return SearchOutcome(detections=detections, per_layer_observed=observed,
-                         total_cost=total_cost, peak_tracked=peak, observed_log=log)
+                         total_cost=total_cost, peak_tracked=peak, evaluate_calls=calls,
+                         seconds=seconds, observed_log=log)
 
 
 def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False,

@@ -124,6 +124,34 @@ class TestSearch:
         assert (d1 / "detections.csv").read_bytes() == (d2 / "detections.csv").read_bytes()
         assert (d1 / "layers.csv").read_bytes() == (d2 / "layers.csv").read_bytes()
 
+    def test_per_layer_report_in_stdout_and_manifest(self, tmp_path, capsys):
+        strat = fit(tmp_path)
+        photons = simulate(tmp_path, theta=0.8, omega=1.5)
+        runs = [tmp_path / "r1", tmp_path / "r2"]
+        outputs = []
+        for d in runs:
+            capsys.readouterr()
+            run_ok(["search", "--strategy", str(strat), "--photons-file", str(photons),
+                    "--emit-observed", "--out-dir", str(d)])
+            outputs.append(capsys.readouterr().out)
+        lines = outputs[0].splitlines()
+        first = lines[0]
+        assert "; cost " in first and " (" in first.split("; cost ", 1)[1]
+        layers = json.loads((runs[0] / "manifest.json").read_text())["layers"]
+        assert [row["layer"] for row in layers] == [1, 2, 3]
+        counts = [int(r.split(",")[1]) for r in
+                  (runs[0] / "layers.csv").read_text().splitlines()[1:]]
+        assert [row["observed"] for row in layers] == counts
+        assert layers[0]["evaluate_calls"] >= 1 and layers[0]["seconds"] >= 0.0
+        reported = [row for row in layers if row["evaluate_calls"]]
+        assert lines[1:1 + len(reported)] == [
+            f"  layer {row['layer']}: {row['observed']} nodes in "
+            f"{row['evaluate_calls']} evaluate calls, {row['seconds']:.3f} s"
+            for row in reported]
+        for name in ("detections.csv", "layers.csv", "observed.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+            assert b"seconds" not in (runs[0] / name).read_bytes()
+
     def test_observed_log_flag(self, tmp_path):
         strat = fit(tmp_path)
         photons = simulate(tmp_path)
@@ -160,6 +188,19 @@ class TestNaive:
                 "--qreject", "12", "--out-dir", str(out_dir)])
         dets = (out_dir / "detections.csv").read_text().splitlines()
         assert dets[0] == "omega_hz,omegadot_s2,statistic,leaf_index"
+
+    def test_reports_leaf_layer(self, tmp_path, capsys):
+        photons = simulate(tmp_path, theta=0.8, omega=1.5)
+        out_dir = tmp_path / "naive"
+        capsys.readouterr()
+        run_ok(["naive", *GRID_FLAGS, "--photons-file", str(photons),
+                "--qreject", "12", "--out-dir", str(out_dir)])
+        lines = capsys.readouterr().out.splitlines()
+        layers = json.loads((out_dir / "manifest.json").read_text())["layers"]
+        leaf = layers[-1]
+        assert [row["evaluate_calls"] for row in layers[:-1]] == [0] * (len(layers) - 1)
+        assert leaf["evaluate_calls"] >= 1
+        assert lines[1].startswith(f"  layer {leaf['layer']}: {leaf['observed']} nodes in ")
 
 
 class TestEvaluate:

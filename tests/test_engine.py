@@ -8,7 +8,8 @@ from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, Pulsa
                                 run_search, write_detections_csv,
                                 write_layer_summary_csv, write_observed_csv)
 from blindsearch.fit import FitConfig, fit_strategy
-from blindsearch.stats import FreqDrift, SignalSpec, blocked_power, simulate_photons
+from blindsearch.evaluation import REFERENCE_SPAN
+from blindsearch.stats import TWO_PI, FreqDrift, SignalSpec, blocked_power, simulate_photons
 from blindsearch.tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
 
 
@@ -126,9 +127,9 @@ class TestPulsarEvaluator:
             idx = np.unique(rng.integers(0, n, size=min(n, 12)))
             got = ev.evaluate(layer, idx)
             om, od = g.node_params(layer, idx)
-            want = [blocked_power(photons, FreqDrift(float(w), float(d)), g.kappa(layer))
-                    for w, d in zip(om, od)]
-            assert np.allclose(got, want, rtol=1e-10)
+            want = np.array([blocked_power(photons, FreqDrift(float(w), float(d)),
+                                           g.kappa(layer)) for w, d in zip(om, od)])
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_chunking_invariance(self, monkeypatch):
         spec = GridSpec(1.0, 1.4, 0.0, 0.0, num_layers=2, oversampling=3)
@@ -145,6 +146,143 @@ class TestPulsarEvaluator:
         grid = PulsarGrid(spec, 31.0)
         with pytest.raises(ValueError, match="span"):
             PulsarEvaluator(photons, grid)
+
+
+# (spec, span): frequency-only, 8-ary (2 frequency x 4 drift), and mixed: drift
+# splits at every layer, frequency from layer 2 on. The leaf lattices span
+# several anchor blocks of 16 in each dimension, the mixed one in drift only.
+KERNEL_GRIDS = {
+    "frequency": (GridSpec(1.0, 2.0, 0.0, 0.0, num_layers=4, oversampling=3), 50.0),
+    "eight_ary": (GridSpec(1.0, 1.3, -2e-3, 0.0, num_layers=3, oversampling=3), 40.0),
+    "mixed": (GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5, oversampling=3), 100.0),
+}
+
+
+def kernel_case(name, count=70, seed=4):
+    spec, span = KERNEL_GRIDS[name]
+    fd = FreqDrift(0.5 * (spec.omega_min + spec.omega_max), spec.omegadot_min / 3)
+    photons = simulate_photons(SignalSpec(fd, 0.6, count, span), seed)
+    return PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+
+
+def reference_values(ev, layer, idx):
+    om, od = ev.grid.node_params(layer, idx)
+    return np.array([blocked_power(ev.photons, FreqDrift(float(w), float(d)),
+                                   ev.grid.kappa(layer)) for w, d in zip(om, od)])
+
+
+class TestAnchoredKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+    def test_grid_splits_as_described(self, name):
+        g = kernel_case(name).grid
+        want = {"frequency": ((2, 2, 2), (1, 1, 1)), "eight_ary": ((2, 2), (4, 4)),
+                "mixed": ((1, 2, 2, 2), (4, 4, 4, 4))}[name]
+        assert (g.freq_factor, g.drift_factor) == want
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+    def test_value_does_not_depend_on_the_call(self, name, monkeypatch):
+        ev = kernel_case(name)
+        assert ev.stride == 16
+        rng = np.random.default_rng(1)
+        for layer in ev.tree.layers():
+            n = nodes_in_layer(ev.tree, layer)
+            whole = ev.evaluate(layer, np.arange(n))
+            alone = rng.choice(n, size=min(n, 12), replace=False)
+            for i in alone.tolist():
+                assert ev.evaluate(layer, [i])[0] == whole[i]
+            subset = rng.permutation(n)[: max(1, n // 3)]
+            assert np.array_equal(ev.evaluate(layer, subset), whole[subset])
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_TILE_ELEMENTS", 3 * ev.photons.count)  # 3-row tiles
+                assert np.array_equal(ev.evaluate(layer, np.arange(n)), whole)
+                assert np.array_equal(ev.evaluate(layer, subset), whole[subset])
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+    def test_matches_blocked_power(self, name):
+        ev = kernel_case(name)
+        rng = np.random.default_rng(2)
+        for layer in ev.tree.layers():
+            n = nodes_in_layer(ev.tree, layer)
+            idx = np.unique(rng.integers(0, n, size=min(n, 40)))
+            got = ev.evaluate(layer, idx)
+            want = reference_values(ev, layer, idx)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_matches_blocked_power_at_reference_span(self):
+        # phases near 1e8 rad: omega of 13 Hz over the full reference span
+        spec = GridSpec(13.0, 13.00002, -1e-12, 0.0, num_layers=4, oversampling=3)
+        fd = FreqDrift(13.00001, -3e-13)
+        photons = simulate_photons(SignalSpec(fd, 0.5, 200, REFERENCE_SPAN), 6)
+        ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+        assert TWO_PI * 13.0 * photons.times[-1] > 9e7
+        for layer in ev.tree.layers():
+            idx = np.arange(nodes_in_layer(ev.tree, layer))
+            want = reference_values(ev, layer, idx)
+            got = ev.evaluate(layer, idx)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_matches_blocked_power_near_zero_frequency(self):
+        # anchors far below half the node's phase: phi_k - phi_a is not exact there
+        spec = GridSpec(1e-4, 0.05, -1e-5, 0.0, num_layers=5, oversampling=3)
+        photons = simulate_photons(SignalSpec(FreqDrift(0.02, -1e-6), 0.5, 120, 400.0), 3)
+        ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+        for layer in ev.tree.layers():
+            idx = np.arange(nodes_in_layer(ev.tree, layer))
+            om, _ = ev.grid.node_params(layer, idx)
+            idx = idx[om > 0]  # edge children may probe omega <= 0, which FreqDrift rejects
+            want = reference_values(ev, layer, idx)
+            got = ev.evaluate(layer, idx)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+    def test_node_coords_twin_node_params(self, name):
+        g = kernel_case(name).grid
+        for layer in g.tree.layers():
+            idx = np.arange(nodes_in_layer(g.tree, layer))
+            om, od = g.node_params(layer, idx)
+            kw, kd = g.node_coords(layer, idx)
+            assert np.allclose(g.omega_start + kw * 0.5 * g.d_omega[layer - 1], om,
+                               rtol=1e-14, atol=0)
+            assert np.allclose(g.omegadot_start + kd * 0.5 * g.d_omegadot[layer - 1], od,
+                               rtol=0, atol=1e-9 * g.d_omegadot[layer - 1])
+            for k in (kw, kd):
+                pos = np.unique(k)
+                if pos.size > 1:
+                    assert np.all(pos % 2 == 1) and np.all(np.diff(pos) == 2)
+
+    def test_large_photon_count_shrinks_the_stride(self):
+        spec, span = KERNEL_GRIDS["frequency"]
+        photons = simulate_photons(SignalSpec(FreqDrift(1.5), 0.5, 5000, span), 2)
+        ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+        assert ev.stride == 4  # 2^15 elements hold 6 rows of 5000 photons
+        idx = np.arange(nodes_in_layer(ev.tree, 4))[::7]
+        want = reference_values(ev, 4, idx)
+        got = ev.evaluate(4, idx)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_too_many_layers_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            PulsarGrid(GridSpec(1.0, 1.0, 0.0, 0.0, num_layers=40, oversampling=3), 10.0)
+
+
+class TestIndexRange:
+    def test_array_evaluator_rejects_out_of_range(self):
+        tree = TreeConfig(num_layers=2, root_count=1, branching=(2,), costs=(1.0, 1.0))
+        ev = ArrayEvaluator(tree, [np.zeros(1), np.arange(2.0)])
+        assert ev.evaluate(2, [1]).tolist() == [1.0]
+        for bad in ([-1], [2], [0, 5]):
+            with pytest.raises(ValueError, match="node index out of range"):
+                ev.evaluate(2, bad)
+        with pytest.raises(ValueError, match="layer"):
+            ev.evaluate(0, [0])
+
+    def test_sparse_peak_evaluator_rejects_out_of_range(self):
+        tree = TreeConfig(num_layers=3, root_count=2, branching=(3, 3), costs=(1.0,) * 3)
+        ev = SparsePeakEvaluator(tree, peak_leaf=5, height=10.0, seed=1)
+        assert ev.evaluate(3, [0, 17]).shape == (2,)
+        for bad in ([-1], [18], [99]):
+            with pytest.raises(ValueError, match="node index out of range"):
+                ev.evaluate(3, bad)
 
 
 class TestSparsePeakEvaluator:
