@@ -154,7 +154,7 @@ def _resolve(args, command: str) -> dict:
 
 
 def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs,
-                    layers=None) -> None:
+                    **reports) -> None:
     doc = {
         "tool": "blindsearch",
         "version": __version__,
@@ -165,8 +165,7 @@ def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs,
         "outputs": [str(p) for p in outputs],
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    if layers is not None:
-        doc["layers"] = layers
+    doc.update(reports)
     with open(manifest_path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -372,8 +371,10 @@ def _write_search_outputs(out_dir: Path, command, cfg, inputs, outcome, evaluato
         obs = out_dir / "observed.csv"
         write_observed_csv(obs, outcome, evaluator)
         outputs.append(obs)
-    _write_manifest(out_dir / "manifest.json", command, cfg, inputs, outputs,
-                    layers=_layer_report(outcome))
+    reports = {"layers": _layer_report(outcome)}
+    if outcome.sweep is not None:
+        reports["sweep"] = outcome.sweep
+    _write_manifest(out_dir / "manifest.json", command, cfg, inputs, outputs, **reports)
 
 
 def _layer_report(outcome) -> list:
@@ -385,10 +386,17 @@ def _layer_report(outcome) -> list:
 
 
 def _print_layers(outcome) -> None:
-    for row in _layer_report(outcome):
+    """One line per evaluated layer; a leaf sweep adds how it swept to the leaf line."""
+    rows = _layer_report(outcome)
+    for row in rows:
         if row["evaluate_calls"]:
-            print(f"  layer {row['layer']}: {row['observed']} nodes in "
-                  f"{row['evaluate_calls']} evaluate calls, {row['seconds']:.3f} s")
+            line = (f"  layer {row['layer']}: {row['observed']} nodes in "
+                    f"{row['evaluate_calls']} evaluate calls, {row['seconds']:.3f} s")
+            if outcome.sweep is not None and row is rows[-1]:
+                sweep = outcome.sweep
+                line += (f"; sweep by {sweep['method']}, {sweep['segments']} segments, "
+                         f"{sweep['confirmed']} confirmed")
+            print(line)
 
 
 def cmd_search(args) -> int:

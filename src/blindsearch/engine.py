@@ -1,12 +1,21 @@
 """Search execution over layered hypothesis trees.
 
 An evaluator computes the layer statistic for batches of node indices;
-``run_search`` drives a fitted strategy over it from layer 1, and
-``naive_search`` sweeps the leaf layer exhaustively. Both run the same
+``run_search`` drives a fitted strategy over it from layer 1 with a
 batched walker, which holds pending work as index ranges, never as the
-tree itself. The concrete evaluator for pulsar-style data
-maps node indices to (frequency, drift) hypotheses on a dyadic grid and
-scores them with the blocked statistic matched to the layer.
+tree itself. ``naive_search`` sweeps the leaf layer exhaustively. The
+concrete evaluator for pulsar-style data maps node indices to
+(frequency, drift) hypotheses on a dyadic grid and scores them with the
+blocked statistic matched to the layer.
+
+On a grid whose leaves form a uniform lattice, one row of leaf
+statistics along a lattice dimension is one type-1 nonuniform FFT of the
+photons. There ``naive_search`` screens the leaves by FFT segment by
+segment, re-evaluates with the exact kernel only the leaves whose
+screened value comes within a margin of 1e-6 * max(1, q_reject) below
+the threshold, and reports only exact values, so its detections equal
+those of evaluating every leaf. Other grids, and every other evaluator,
+are swept by the walker.
 
 Evaluator protocol (duck-typed): a ``tree`` attribute carrying the
 TreeConfig, and ``evaluate(layer, indices) -> values`` accepting an int64
@@ -30,6 +39,8 @@ _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such 
 
 
 _TILE_ELEMENTS = 1 << 15  # bounds every (rows x photons) temporary of the statistic
+_SCREEN_MODES = _TILE_ELEMENTS // 4  # leaf positions per screen segment
+_SPREAD = 12  # Gaussian gridding half-width in grid points; 8 is off by up to about 2e-7
 
 
 def _checked_indices(tree: TreeConfig, layer: int, indices) -> np.ndarray:
@@ -194,6 +205,59 @@ class PulsarGrid:
         kd = 2 * (kd + rd * sd) + (sd - cd)
         return omega, omegadot, kw, kd
 
+    def has_leaf_lattice(self) -> bool:
+        """Whether each dimension splits at every transition or at none.
+
+        Only then do a dimension's leaf positions form one uniform
+        lattice; an unsplit dimension holds a single position.
+        """
+        return len(set(self.freq_factor)) == 1 and len(set(self.drift_factor)) == 1
+
+    def _require_leaf_lattice(self) -> None:
+        if not self.has_leaf_lattice():
+            raise ValueError("the grid has no uniform leaf lattice: a dimension splits "
+                             "at some transitions and not others")
+
+    def leaf_lattice(self, dim: int):
+        """(count, first, spacing) of the leaf positions along one dimension.
+
+        Dimension 0 is omega, 1 is omegadot. Position p, 0 <= p < count,
+        lies at first + p * spacing, as ``node_params`` gives it up to
+        rounding; its ``node_coords`` coordinate is (2p + 1) * spacing /
+        d[-1], d the dimension's spacing array. The spacing is taken from
+        that array, never as a difference of node parameters, whose
+        rounding would grow with p. Raises ValueError on a grid without a
+        leaf lattice.
+        """
+        self._require_leaf_lattice()
+        factors, d, n1, start = ((self.freq_factor, self.d_omega, self.n1_omega, self.omega_start)
+                                 if dim == 0 else (self.drift_factor, self.d_omegadot,
+                                                   self.n1_omegadot, self.omegadot_start))
+        spacing = d[-1] if factors[0] > 1 else d[0]
+        count = n1 * factors[0] ** (self.spec.num_layers - 1)
+        return count, start + 0.5 * spacing, spacing
+
+    def leaf_index(self, pw, pd) -> np.ndarray:
+        """Leaf indices at leaf-lattice positions (pw, pd), the inverse of ``node_coords``.
+
+        Positions count from 0 along each dimension, as in
+        ``leaf_lattice``. Raises ValueError on a grid without a leaf
+        lattice.
+        """
+        self._require_leaf_lattice()
+        g = self.spec.num_layers
+        kw = np.asarray(pw, dtype=np.int64)
+        kd = np.asarray(pd, dtype=np.int64)
+        digits = []
+        for j in range(g - 1, 0, -1):
+            kw, dw = np.divmod(kw, self.freq_factor[j - 1])
+            kd, dd = np.divmod(kd, self.drift_factor[j - 1])
+            digits.append(dw * self.drift_factor[j - 1] + dd)
+        idx = kw * self.n1_omegadot + kd
+        for j in range(1, g):
+            idx = idx * self.tree.branching[j - 1] + digits[g - 1 - j]
+        return idx
+
     def to_dict(self) -> dict:
         s = self.spec
         return {"omega_min": s.omega_min, "omega_max": s.omega_max,
@@ -225,6 +289,39 @@ def _step_table(step_ph: np.ndarray, step_z: np.ndarray, count: int):
     for j in range(2, count):
         np.multiply(z[j // 2], z[j - j // 2], out=z[j])
     return ph, z
+
+
+def _gridded_sums(u: np.ndarray, c: np.ndarray, modes: int) -> np.ndarray:
+    """sum_j c_j exp(2 pi i k u_j) for k in [-(modes // 2), modes - modes // 2).
+
+    A type-1 nonuniform FFT by Gaussian gridding (Greengard & Lee 2004,
+    SIAM Rev. 46(3):443). Each c_j is spread onto the 2 * _SPREAD points
+    of a periodic grid of n points nearest to u_j in [0, 1), with weights
+    exp(-(2 pi (u_j - i / n))^2 / (4 tau)); n is the least power of two
+    >= 2 * modes, R = n / modes and tau = pi * _SPREAD / (modes^2 R (R -
+    1/2)). One inverse FFT of the grid, divided by the Gaussian's
+    transform, gives the sums. Photons are spread in tiles of at most
+    ``_TILE_ELEMENTS`` weights.
+    """
+    n = 2 << (modes - 1).bit_length()
+    ratio = n / modes
+    tau = math.pi * _SPREAD / (modes * modes * ratio * (ratio - 0.5))
+    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+    scale = -((TWO_PI / n) ** 2) / (4.0 * tau)  # the exponent per squared grid step
+    re = np.zeros(n)
+    im = np.zeros(n)
+    rows = _tile_rows(offsets.size)
+    for lo in range(0, u.size, rows):
+        pos = u[lo:lo + rows] * n
+        near = np.floor(pos)
+        dist = (pos - near)[:, None] - offsets
+        w = np.exp(scale * dist * dist)
+        at = ((near.astype(np.int64)[:, None] + offsets) % n).ravel()
+        cs = c[lo:lo + rows, None]
+        re += np.bincount(at, (w * cs.real).ravel(), n)
+        im += np.bincount(at, (w * cs.imag).ravel(), n)
+    k = np.arange(-(modes // 2), modes - modes // 2)
+    return np.fft.ifft(re + 1j * im)[k] * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))
 
 
 class PulsarEvaluator:
@@ -343,6 +440,40 @@ class PulsarEvaluator:
             out[tile] = _block_power(z, ends)
         return 2.0 * out / m
 
+    def screen_leaves(self):
+        """Leaf statistics by nonuniform FFT, one lattice segment at a time.
+
+        Needs a grid with a uniform leaf lattice (``PulsarGrid.leaf_lattice``).
+        Rows run along the dimension with more leaf positions: frequency,
+        one row per drift position, unless the grid holds more drift
+        positions than frequencies. Along a row, position p adds 2 pi p
+        spacing s_j to photon j's phase, s_j being t_j for frequency and
+        t_j^2 / 2 for drift, so the row's statistics are (2/m) |sum_j c_j
+        exp(2 pi i p u_j)|^2 with u_j = frac(spacing s_j): one type-1
+        nonuniform FFT. A row is cut into segments of at most
+        ``_SCREEN_MODES`` positions, each one ``_gridded_sums`` with its
+        modes centred on the segment. The values are within about 1e-9 of
+        max(1, value) of ``evaluate``: a screen, not a result.
+
+        Yields (axis, row, lo, values): ``values`` at positions lo, lo + 1,
+        ... along dimension ``axis``, at position ``row`` of the other.
+        """
+        g = self.grid
+        lattice = (g.leaf_lattice(0), g.leaf_lattice(1))
+        axis = 0 if lattice[0][0] >= lattice[1][0] else 1
+        count, first, spacing = lattice[axis]
+        rows, row_first, row_spacing = lattice[1 - axis]
+        s = (self._t, self._ht2)
+        u = np.mod(spacing * s[axis], 1.0)
+        m = self.photons.count
+        for row in range(rows):
+            fixed = TWO_PI * (row_first + row * row_spacing) * s[1 - axis]
+            for lo in range(0, count, _SCREEN_MODES):
+                modes = min(_SCREEN_MODES, count - lo)
+                centre = first + (lo + modes // 2) * spacing
+                f = _gridded_sums(u, np.exp(1j * (TWO_PI * centre * s[axis] + fixed)), modes)
+                yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
+
 
 class ArrayEvaluator:
     """Evaluator over fully materialized per-layer value arrays (small trees)."""
@@ -407,7 +538,8 @@ class SearchOutcome:
     ranges (one record each, however many nodes a range spans), the
     detections and the observed-log rows. Pending work never exists as
     one record per node, so the mark stays far below the leaf count on
-    a pruned tree.
+    a pruned tree. In a screened leaf sweep the segment's screened values
+    and its confirm candidates take the place of the batch and ranges.
 
     ``observed_log``, when requested, is a numpy structured array with
     one row per observed node and the fields ``layer``, ``index``,
@@ -415,8 +547,15 @@ class SearchOutcome:
 
     ``evaluate_calls`` and ``seconds`` hold, per layer, the ``evaluate``
     calls made and the wall seconds spent on the layer's nodes
-    (evaluating, deciding and queueing their descendants). They are
-    timings for reports, never for the data files.
+    (evaluating, deciding and queueing their descendants). In a screened
+    leaf sweep the leaf layer's calls count the screen segments plus the
+    confirming ``evaluate`` calls. They are timings for reports, never
+    for the data files.
+
+    ``sweep`` is set by ``naive_search`` only: {"method": "screen" or
+    "walk", "segments": screen segments, "confirmed": leaves the exact
+    kernel re-evaluated after the screen}. The walk screens and confirms
+    nothing; it evaluates every leaf.
     """
 
     detections: list
@@ -426,6 +565,18 @@ class SearchOutcome:
     evaluate_calls: np.ndarray
     seconds: np.ndarray
     observed_log: np.ndarray | None = None
+    sweep: dict | None = None
+
+
+def _check_search_args(q_reject: float, chunk_size: int) -> None:
+    if math.isnan(q_reject):
+        raise ValueError("q_reject must not be NaN")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+
+
+def _total_cost(tree: TreeConfig, observed: np.ndarray) -> float:
+    return sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
 
 
 def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
@@ -440,10 +591,7 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
     pending in turn. Leaves reaching ``q_reject`` are detections; the
     ordered groups and sorted ranges emit them in leaf-index order.
     """
-    if math.isnan(q_reject):
-        raise ValueError("q_reject must not be NaN")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    _check_search_args(q_reject, chunk_size)
     tree = evaluator.tree
     G = tree.num_layers
     n = nodes_in_layer(tree, start)
@@ -508,10 +656,9 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
         log = np.empty(order.size, dtype=_LOG_DTYPE)
         for name, col in zip(_LOG_DTYPE.names, cols):
             log[name] = col[order]
-    total_cost = sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
     return SearchOutcome(detections=detections, per_layer_observed=observed,
-                         total_cost=total_cost, peak_tracked=peak, evaluate_calls=calls,
-                         seconds=seconds, observed_log=log)
+                         total_cost=_total_cost(tree, observed), peak_tracked=peak,
+                         evaluate_calls=calls, seconds=seconds, observed_log=log)
 
 
 def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False,
@@ -533,8 +680,65 @@ def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False
 
 
 def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOutcome:
-    """Sweep every leaf; the benchmark the hierarchy is measured against."""
-    return _walk(evaluator, None, evaluator.tree.num_layers, q_reject, chunk_size)
+    """Sweep every leaf; the benchmark the hierarchy is measured against.
+
+    A ``PulsarEvaluator`` whose grid has a uniform leaf lattice is swept
+    in two steps. The screen (``PulsarEvaluator.screen_leaves``) scores
+    each lattice row with nonuniform FFTs, one segment at a time. Every
+    leaf whose screened value reaches q_reject - 1e-6 * max(1,
+    q_reject), a margin far above the screen's rounding, is then
+    confirmed by ``evaluate`` in calls of at most ``chunk_size`` leaves,
+    segment by segment. Only confirmed values are reported, and a leaf's
+    value does not depend on the call, so the detections are those of
+    evaluating every leaf. Other grids and evaluators take the walker,
+    which evaluates every leaf in calls of ``chunk_size``. Either way the
+    leaf layer counts as fully observed, and detections come in
+    leaf-index order.
+    """
+    _check_search_args(q_reject, chunk_size)
+    if isinstance(evaluator, PulsarEvaluator) and evaluator.grid.has_leaf_lattice():
+        return _screened_sweep(evaluator, q_reject, chunk_size)
+    out = _walk(evaluator, None, evaluator.tree.num_layers, q_reject, chunk_size)
+    out.sweep = {"method": "walk", "segments": 0, "confirmed": 0}
+    return out
+
+
+def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float,
+                    chunk_size: int) -> SearchOutcome:
+    """``naive_search`` by screen and confirm, one screen segment at a time."""
+    began = time.perf_counter()
+    grid = evaluator.grid
+    tree = evaluator.tree
+    G = tree.num_layers
+    cut = q_reject - 1e-6 * max(1.0, q_reject) if math.isfinite(q_reject) else q_reject
+    detections = []
+    segments = calls = confirmed = peak = 0
+    for axis, row, lo, screened in evaluator.screen_leaves():
+        along = lo + np.flatnonzero(screened >= cut)
+        across = np.full(along.size, row)
+        idx = grid.leaf_index(*((along, across) if axis == 0 else (across, along)))
+        for first in range(0, idx.size, chunk_size):
+            part = idx[first:first + chunk_size]
+            vals = evaluator.evaluate(G, part)
+            hit = vals >= q_reject
+            detections += [(NodeId(G, i), v)
+                           for i, v in zip(part[hit].tolist(), vals[hit].tolist())]
+            calls += 1
+        segments += 1
+        confirmed += idx.size
+        peak = max(peak, screened.size + idx.size + len(detections))
+    detections.sort(key=lambda d: d[0].index)
+    observed = np.zeros(G, dtype=np.int64)
+    observed[-1] = nodes_in_layer(tree, G)
+    evaluate_calls = np.zeros(G, dtype=np.int64)
+    evaluate_calls[-1] = segments + calls
+    seconds = np.zeros(G)
+    seconds[-1] = time.perf_counter() - began
+    return SearchOutcome(detections=detections, per_layer_observed=observed,
+                         total_cost=_total_cost(tree, observed), peak_tracked=peak,
+                         evaluate_calls=evaluate_calls, seconds=seconds,
+                         sweep={"method": "screen", "segments": segments,
+                                "confirmed": confirmed})
 
 
 def default_q_reject(tree: TreeConfig, alpha: float = 0.05, n_effective=None) -> float:

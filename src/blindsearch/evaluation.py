@@ -92,52 +92,11 @@ def desk_scale_config(num_layers: int = DESK_NUM_LAYERS,
                           num_paths=num_paths, qtrain_quantile=qtrain_quantile)
 
 
-def _dim_lattice(grid: PulsarGrid, drift: bool):
-    """Leaf lattice of one dimension: (count, first_center, spacing).
-
-    Valid when the dimension splits at every transition or never; mixed
-    splitting has no uniform leaf lattice.
-    """
-    factors = grid.drift_factor if drift else grid.freq_factor
-    full = 4 if drift else 2
-    if all(f == full for f in factors):
-        g = grid.spec.num_layers
-        count = (grid.n1_omegadot if drift else grid.n1_omega) * full ** (g - 1)
-        spacing = grid.d_omegadot[-1] if drift else grid.d_omega[-1]
-    elif all(f == 1 for f in factors):
-        count = grid.n1_omegadot if drift else grid.n1_omega
-        spacing = grid.d_omegadot[0] if drift else grid.d_omega[0]
-    else:
-        raise ValueError("tradeoff evaluation needs fully split or unsplit dimensions")
-    start = grid.omegadot_start if drift else grid.omega_start
-    return count, start + 0.5 * spacing, spacing
-
-
-def _leaf_index_from_coords(grid: PulsarGrid, kw, kd):
-    """Flat leaf indices from per-dimension lattice coordinates (arrays)."""
-    g = grid.spec.num_layers
-    kw = np.asarray(kw, dtype=np.int64)
-    kd = np.asarray(kd, dtype=np.int64)
-    wdigits = []
-    ddigits = []
-    for j in range(g - 1, 0, -1):
-        kw, dw = np.divmod(kw, grid.freq_factor[j - 1])
-        kd, dd = np.divmod(kd, grid.drift_factor[j - 1])
-        wdigits.append(dw)
-        ddigits.append(dd)
-    idx = kw * grid.n1_omegadot + kd
-    for j in range(1, g):
-        dw = wdigits[g - 1 - j]
-        dd = ddigits[g - 1 - j]
-        idx = idx * grid.tree.branching[j - 1] + dw * grid.drift_factor[j - 1] + dd
-    return idx
-
-
 def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
                 radius_omegadot: float) -> np.ndarray:
     """Leaf indices whose parameters lie within the success radius of fd."""
-    nw, w0, dw = _dim_lattice(grid, drift=False)
-    nd, d0, dd = _dim_lattice(grid, drift=True)
+    nw, w0, dw = grid.leaf_lattice(0)
+    nd, d0, dd = grid.leaf_lattice(1)
     kw_lo = max(0, math.floor((fd.omega - radius_omega - w0) / dw) - 1)
     kw_hi = min(nw - 1, math.ceil((fd.omega + radius_omega - w0) / dw) + 1)
     kd_lo = max(0, math.floor((fd.omegadot - radius_omegadot - d0) / dd) - 1)
@@ -147,7 +106,7 @@ def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
     kw = np.arange(kw_lo, kw_hi + 1)
     kd = np.arange(kd_lo, kd_hi + 1)
     kwg, kdg = np.meshgrid(kw, kd, indexing="ij")
-    idx = _leaf_index_from_coords(grid, kwg.ravel(), kdg.ravel())
+    idx = grid.leaf_index(kwg.ravel(), kdg.ravel())
     om, od = grid.node_params(grid.spec.num_layers, idx)
     keep = (np.abs(om - fd.omega) <= radius_omega) & (np.abs(od - fd.omegadot) <= radius_omegadot)
     return idx[keep]

@@ -202,6 +202,24 @@ class TestNaive:
         assert leaf["evaluate_calls"] >= 1
         assert lines[1].startswith(f"  layer {leaf['layer']}: {leaf['observed']} nodes in ")
 
+    def test_reports_how_it_swept(self, tmp_path, capsys):
+        photons = simulate(tmp_path, theta=0.8, omega=1.5)
+        out_dir = tmp_path / "naive"
+        capsys.readouterr()
+        run_ok(["naive", *GRID_FLAGS, "--photons-file", str(photons),
+                "--qreject", "12", "--out-dir", str(out_dir)])
+        lines = capsys.readouterr().out.splitlines()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        sweep = manifest["sweep"]
+        assert sweep["method"] == "screen" and sweep["segments"] >= 1
+        dets = (out_dir / "detections.csv").read_text().splitlines()[1:]
+        assert 1 <= len(dets) <= sweep["confirmed"]
+        assert manifest["layers"][-1]["evaluate_calls"] > sweep["segments"]
+        assert lines[1].endswith(f"; sweep by screen, {sweep['segments']} segments, "
+                                 f"{sweep['confirmed']} confirmed")
+        for name in ("detections.csv", "layers.csv"):
+            assert b"screen" not in (out_dir / name).read_bytes()
+
 
 class TestEvaluate:
     def test_tiny_curve(self, tmp_path):

@@ -8,7 +8,7 @@ from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, Pulsa
                                 run_search, write_detections_csv,
                                 write_layer_summary_csv, write_observed_csv)
 from blindsearch.fit import FitConfig, fit_strategy
-from blindsearch.evaluation import REFERENCE_SPAN
+from blindsearch.evaluation import DESK_SPAN, REFERENCE_SPAN
 from blindsearch.stats import TWO_PI, FreqDrift, SignalSpec, blocked_power, simulate_photons
 from blindsearch.tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
 
@@ -485,3 +485,207 @@ def test_csv_writers(tmp_path):
     det2 = tmp_path / "d2.csv"
     write_detections_csv(det2, bare, None)
     assert det2.read_text().splitlines()[1].startswith(",,")
+
+
+# (spec, span) of leaf-lattice grids: frequency only, 8-ary, and one frequency
+# position with drift split 4 ways
+LATTICE_GRIDS = {
+    "frequency": (GridSpec(1.0, 2.0, -1e-5, 0.0, num_layers=4, oversampling=3), 50.0),
+    "eight_ary": (GridSpec(1.0, 1.3, -2e-3, 0.0, num_layers=3, oversampling=3), 40.0),
+    "single": (GridSpec(1.5, 1.5, -2e-3, 0.0, num_layers=3, oversampling=3), 40.0),
+}
+
+
+class TestLeafLattice:
+    @pytest.mark.parametrize("name", sorted(LATTICE_GRIDS))
+    def test_leaf_index_inverts_node_coords(self, name):
+        g = PulsarGrid(*LATTICE_GRIDS[name])
+        G = g.spec.num_layers
+        idx = np.arange(nodes_in_layer(g.tree, G))
+        om, od = g.node_params(G, idx)
+        kw, kd = g.node_coords(G, idx)
+        positions = []
+        for dim, k, param, d in ((0, kw, om, g.d_omega), (1, kd, od, g.d_omegadot)):
+            count, first, spacing = g.leaf_lattice(dim)
+            unit = round(spacing / d[-1])  # node_coords counts half leaf spacings d[-1] / 2
+            assert np.all(k % unit == 0)
+            p = (k // unit - 1) // 2
+            assert p.min() == 0 and p.max() == count - 1
+            assert np.allclose(first + p * spacing, param, rtol=1e-14, atol=1e-9 * d[-1])
+            positions.append(p)
+        assert np.array_equal(g.leaf_index(*positions), idx)
+
+    def test_grids_split_as_described(self):
+        grids = {name: PulsarGrid(*case) for name, case in LATTICE_GRIDS.items()}
+        shapes = {name: (g.freq_factor, g.drift_factor) for name, g in grids.items()}
+        assert all(g.has_leaf_lattice() for g in grids.values())
+        assert shapes == {"frequency": ((2, 2, 2), (1, 1, 1)), "eight_ary": ((2, 2), (4, 4)),
+                          "single": ((1, 1), (4, 4))}
+
+    def test_mixed_split_grid_raises(self):
+        g = PulsarGrid(*KERNEL_GRIDS["mixed"])
+        assert not g.has_leaf_lattice()
+        with pytest.raises(ValueError, match="leaf lattice"):
+            g.leaf_lattice(0)
+        with pytest.raises(ValueError, match="leaf lattice"):
+            g.leaf_index([0], [0])
+
+
+# the benchmark's sweep box (1/8 of the desk frequency range) and its 8-ary tradeoff grid
+SWEEP_SPEC = GridSpec(1.0, 1.5, -5e-11, 0.0, num_layers=9, oversampling=3)
+TRADEOFF_SPEC = GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3)
+DESK_SPEC = GridSpec(1.0, 5.0, -5e-11, 0.0, num_layers=9, oversampling=3)
+SCREEN_RTOL = 1e-8
+
+
+def sweep_case(spec, span, count, theta, seed):
+    fd = FreqDrift(spec.omega_min + 0.37 * (spec.omega_max - spec.omega_min),
+                   0.6 * spec.omegadot_min)
+    photons = simulate_photons(SignalSpec(fd, theta, count, span), seed)
+    return PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+
+
+def screened_and_exact(ev):
+    """Every leaf's screened value and its exact value, segment by segment."""
+    G = ev.tree.num_layers
+    screened, exact = [], []
+    for axis, row, lo, vals in ev.screen_leaves():
+        along = lo + np.arange(vals.size)
+        across = np.full(vals.size, row)
+        idx = ev.grid.leaf_index(*((along, across) if axis == 0 else (across, along)))
+        screened.append(vals)
+        exact.append(ev.evaluate(G, idx))
+    return np.concatenate(screened), np.concatenate(exact)
+
+
+def screen_error(screened, exact):
+    return float(np.max(np.abs(screened - exact) / np.maximum(1.0, np.abs(exact))))
+
+
+@pytest.fixture(scope="module")
+def sweep_box():
+    return sweep_case(SWEEP_SPEC, DESK_SPAN, 1072, 0.5, 11)
+
+
+class TestScreen:
+    def test_sweep_box_every_leaf(self, sweep_box, monkeypatch):
+        screened, exact = screened_and_exact(sweep_box)
+        assert screened.size == nodes_in_layer(sweep_box.tree, 9) == 56576
+        assert screen_error(screened, exact) <= SCREEN_RTOL
+        # a spreading half-width of 8 is off by about 1e-7: the gate tells them apart
+        monkeypatch.setattr(engine, "_SPREAD", 8)
+        coarse = np.concatenate([v for *_, v in sweep_box.screen_leaves()])
+        assert screen_error(coarse, exact) > SCREEN_RTOL
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_tradeoff_grid_every_leaf(self, theta):
+        ev = sweep_case(TRADEOFF_SPEC, 80.0, 150, theta, 12)
+        screened, exact = screened_and_exact(ev)
+        assert screened.size == nodes_in_layer(ev.tree, 4) == 61440
+        assert screen_error(screened, exact) <= SCREEN_RTOL
+
+    def test_rows_follow_the_longer_dimension(self):
+        # one frequency position: the rows run along drift
+        ev = sweep_case(*LATTICE_GRIDS["single"], 90, 0.6, 13)
+        segments = list(ev.screen_leaves())
+        assert [(axis, row, lo) for axis, row, lo, _ in segments] == [(1, 0, 0)]
+        screened, exact = screened_and_exact(ev)
+        assert screened.size == nodes_in_layer(ev.tree, 3)
+        assert screen_error(screened, exact) <= SCREEN_RTOL
+
+    @pytest.mark.slow
+    def test_desk_grid_every_leaf(self):
+        ev = sweep_case(DESK_SPEC, DESK_SPAN, 1072, 0.0, 14)
+        screened, exact = screened_and_exact(ev)
+        assert screened.size == nodes_in_layer(ev.tree, 9) == 452096
+        assert screen_error(screened, exact) <= SCREEN_RTOL
+
+    @pytest.mark.slow
+    def test_five_thousand_photons(self):
+        ev = sweep_case(SWEEP_SPEC, DESK_SPAN, 5000, 0.2, 15)
+        screened, exact = screened_and_exact(ev)
+        assert screen_error(screened, exact) <= SCREEN_RTOL
+
+
+def walked(ev, q, chunk_size=8192):
+    return engine._walk(ev, None, ev.tree.num_layers, q, chunk_size)
+
+
+class TestScreenedSweep:
+    @pytest.mark.parametrize("grid", ["sweep", "tradeoff"])
+    @pytest.mark.parametrize("pulsed", [False, True])
+    def test_detections_equal_the_walk(self, grid, pulsed, sweep_box):
+        if grid == "sweep":
+            ev = sweep_box if pulsed else sweep_case(SWEEP_SPEC, DESK_SPAN, 1072, 0.0, 16)
+        else:
+            ev = sweep_case(TRADEOFF_SPEC, 80.0, 150, 0.7 if pulsed else 0.0, 17)
+        q = default_q_reject(ev.tree) - 8.0  # a few detections on a null dataset too
+        out = naive_search(ev, q)
+        ref = walked(ev, q)
+        assert out.detections and out.detections == ref.detections
+        assert out.sweep["method"] == "screen"
+        assert out.per_layer_observed.tolist() == ref.per_layer_observed.tolist()
+        assert out.total_cost == ref.total_cost
+
+    def test_threshold_at_a_leaf_value_detects_it(self):
+        ev = sweep_case(TRADEOFF_SPEC, 80.0, 150, 0.7, 18)
+        leaves = np.arange(nodes_in_layer(ev.tree, 4))
+        vals = ev.evaluate(4, leaves)
+        leaf = int(np.argsort(vals)[-5])  # the fifth largest
+        out = naive_search(ev, float(vals[leaf]))
+        assert [(n.index, v) for n, v in out.detections] == [
+            (int(i), float(vals[i])) for i in np.sort(np.argsort(vals)[-5:])]
+        assert (NodeId(4, leaf), float(vals[leaf])) in out.detections
+
+    def test_minus_infinity_confirms_every_leaf_in_chunks(self, monkeypatch):
+        ev = sweep_case(*LATTICE_GRIDS["eight_ary"], 60, 0.5, 19)
+        n = nodes_in_layer(ev.tree, 3)
+        sizes = []
+        evaluate = ev.evaluate
+        monkeypatch.setattr(ev, "evaluate", lambda layer, idx: (
+            sizes.append(len(idx)), evaluate(layer, idx))[1])
+        out = naive_search(ev, -np.inf, chunk_size=7)
+        assert max(sizes) <= 7 and sum(sizes) == n
+        assert out.sweep == {"method": "screen", "segments": out.sweep["segments"],
+                             "confirmed": n}
+        assert out.evaluate_calls[-1] == out.sweep["segments"] + len(sizes)
+        monkeypatch.undo()
+        assert out.detections == walked(ev, -np.inf, 7).detections
+        assert [node.index for node, _ in out.detections] == list(range(n))
+
+    def test_bad_arguments_rejected_before_screening(self, monkeypatch):
+        ev = sweep_case(*LATTICE_GRIDS["frequency"], 60, 0.5, 20)
+
+        def no_screen(self):
+            raise AssertionError("screened before checking the arguments")
+
+        monkeypatch.setattr(PulsarEvaluator, "screen_leaves", no_screen)
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="chunk_size"):
+                naive_search(ev, 25.0, chunk_size=size)
+        with pytest.raises(ValueError, match="NaN"):
+            naive_search(ev, float("nan"))
+
+    def test_mixed_grid_takes_the_walk(self, monkeypatch):
+        ev = kernel_case("mixed")
+        q = 6.0
+        monkeypatch.setattr(PulsarEvaluator, "screen_leaves", None)
+        out = naive_search(ev, q, chunk_size=100)
+        assert out.sweep == {"method": "walk", "segments": 0, "confirmed": 0}
+        ref = walked(ev, q, 100)
+        assert out.detections and out.detections == ref.detections
+        assert out.evaluate_calls.tolist() == ref.evaluate_calls.tolist()
+
+    @pytest.mark.parametrize("make", [
+        lambda tree: ArrayEvaluator(tree, [np.random.default_rng(layer).chisquare(
+            2, nodes_in_layer(tree, layer)) for layer in tree.layers()]),
+        lambda tree: SparsePeakEvaluator(tree, peak_leaf=40, height=30.0, seed=5),
+    ])
+    def test_other_evaluators_take_the_walk(self, make):
+        tree = TreeConfig(num_layers=3, root_count=4, branching=(3, 8), costs=(1.0, 2.0, 0.5))
+        ev = make(tree)
+        out = naive_search(ev, 7.0, chunk_size=10)
+        ref = walked(ev, 7.0, 10)
+        assert out.sweep["method"] == "walk"
+        assert out.detections and out.detections == ref.detections
+        assert out.total_cost == ref.total_cost == 96 * 0.5
