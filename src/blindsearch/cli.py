@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -315,28 +317,40 @@ def cmd_fit(args) -> int:
     if cfg["lam"] is None:
         print("fit: --lambda is required", file=sys.stderr)
         return USAGE_ERROR
+    num_paths, quantile = int(cfg["paths"]), float(cfg["qtrain_quantile"])
+    for message, ok in (("--lambda must be finite and >= 0", 0.0 <= float(cfg["lam"]) < math.inf),
+                        ("--paths must be >= 2", num_paths >= 2),
+                        ("--photons must be >= 1", int(cfg["photons"]) >= 1),
+                        ("--qtrain-quantile must lie in (0, 1)", 0.0 < quantile < 1.0)):
+        if not ok:
+            raise ValueError(message)
     grid = PulsarGrid(_grid_from_cfg(cfg), cfg["span"])
+    fit_cfg = FitConfig(grid.tree, float(cfg["lam"]), chi2_2_quantile(quantile), num_paths)
     model = PulsarNullModel(grid, int(cfg["photons"]))
     seed = int(cfg["seed"])
-    paths = sample_paths(model, int(cfg["paths"]), subseed(seed, 0))
-    q_train = chi2_2_quantile(cfg["qtrain_quantile"])
-    exceed = int((paths[:, -1] >= q_train).sum())
+    start = time.perf_counter()
+    paths = sample_paths(model, num_paths, subseed(seed, 0))
+    sampled = time.perf_counter()
+    exceed = int((paths[:, -1] >= fit_cfg.q_train).sum())
     if exceed == 0:
         print(f"fit: no training path reaches the leaf threshold "
-              f"{q_train:.4f} (quantile {cfg['qtrain_quantile']}); every strategy "
+              f"{fit_cfg.q_train:.4f} (quantile {cfg['qtrain_quantile']}); every strategy "
               f"would stop immediately. Lower --qtrain-quantile or raise --paths.",
               file=sys.stderr)
         return DEGENERATE_FIT
-    strategy = fit_strategy(
-        paths, FitConfig(grid.tree, float(cfg["lam"]), q_train, int(cfg["paths"])),
-        seed=seed)
+    strategy = fit_strategy(paths, fit_cfg, seed=seed)
+    timing = {"sample_s": sampled - start, "regression_s": time.perf_counter() - sampled,
+              "paths_per_s": num_paths / (sampled - start)}
     strategy.grid = grid.to_dict()
     out = Path(args.out)
     save_strategy(out, strategy)
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "fit", cfg, [], [out])
+    _write_manifest(out.with_name(out.name + ".manifest.json"), "fit", cfg, [], [out],
+                    timing=timing)
     leaves = nodes_in_layer(grid.tree, grid.tree.num_layers)
     print(f"fitted lambda={cfg['lam']!r} over {leaves} leaves "
           f"({exceed}/{cfg['paths']} training paths exceed q_train); wrote {out}")
+    print(f"  sampling {timing['sample_s']:.3f} s ({timing['paths_per_s']:.0f} paths/s), "
+          f"regression {timing['regression_s']:.3f} s")
     return 0
 
 

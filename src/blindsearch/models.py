@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import PulsarGrid, _block_power, _tile_rows
-from .stats import TWO_PI
+from .engine import PulsarGrid, _block_power, _tile_rows, _unit_phasors
 from .tree import TreeConfig, nodes_in_layer
 
 
@@ -70,7 +69,15 @@ class PulsarNullModel:
     powers of two per-photon factors, one per dimension; going up a
     layer squares the frequency factor and raises the drift factor to
     the fourth power. Photon times are sorted per path, so every time
-    block is a contiguous run.
+    block is a contiguous run, and each layer's blocked power is one
+    ``engine._block_power`` call over the tile.
+
+    Phases are kept in cycles and turned into phasors by
+    ``engine._unit_phasors`` (an exact reduction, a table and a short
+    series), not by ``np.exp``. Paths are computed in tiles of whole rows
+    within the engine's element budget; one call allocates its tile
+    arrays once and every tile fills them in place, so a path's values
+    do not depend on the tile size.
     """
 
     _chunk = 512  # paths whose nodes are drawn together; fixes the order of the RNG stream
@@ -111,52 +118,82 @@ class PulsarNullModel:
             omegadot[:, j] = omegadot[:, j - 1] + 0.5 * e_omegadot[:, j - 1] * g.d_omegadot[j]
         return omega, omegadot, e_omega, e_omegadot
 
-    def _times(self, n: int, rng) -> np.ndarray:
-        """Uniform photon times for n paths, shape (n, m), sorted per path."""
-        t = rng.random((n, self.num_photons)) * self.grid.span
+    def _times(self, n: int, rng, out=None) -> np.ndarray:
+        """Uniform photon times for n paths, shape (n, m), sorted per path.
+
+        With ``out`` (an (n, m) float array) the draw fills it in place; the
+        values and the stream position are those of a fresh draw.
+        """
+        t = rng.random((n, self.num_photons)) if out is None else rng.random(out=out)
+        t *= self.grid.span
         t.sort(axis=1)
         return t
 
-    def _powers(self, omega, omegadot, e_omega, e_omegadot, t) -> np.ndarray:
-        """Blocked powers (rows, G) of one tile of drawn paths, leaf first."""
+    def _powers(self, omega, omegadot, e_omega, e_omegadot, t, work) -> np.ndarray:
+        """Blocked powers (rows, G) of one tile of drawn paths, leaf first.
+
+        ``work`` maps names to the call's scratch arrays, each with at
+        least as many rows as the tile, shaped like ``t`` per row; every
+        (rows, m) step writes into them.
+        """
         g = self.grid
         G = g.spec.num_layers
         rows = t.shape[0]
-        ht2 = 0.5 * t * t
-        z = np.exp(1j * (TWO_PI * (omega[:, G - 1, None] * t + omegadot[:, G - 1, None] * ht2)))
+        c, z, u, v, w, index = (work[k][:rows] for k in ("c", "z", "u", "v", "w", "index"))
         # block ends at the finest blocking (layer 1); layer j keeps every 2^(j-1)-th
         nb = 1 << g.kappa(1)
-        block = np.minimum((t * (nb / g.span)).astype(np.int64), nb - 1)
-        block += nb * np.arange(rows)[:, None]
-        ends = np.bincount(block.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
-        u = np.exp(1j * np.pi * g.d_omega[G - 1] * t) if 2 in g.freq_factor else None
-        v = np.exp(1j * np.pi * g.d_omegadot[G - 1] * ht2) if 4 in g.drift_factor else None
+        np.multiply(t, nb / g.span, out=c)
+        np.copyto(index, c, casting="unsafe")
+        np.minimum(index, nb - 1, out=index)
+        index += nb * np.arange(rows)[:, None]
+        ends = np.bincount(index.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
+        # leaf phase in cycles: (omega + omegadot t / 2) t
+        np.multiply(t, 0.5 * omegadot[:, G - 1, None], out=c)
+        c += omega[:, G - 1, None]
+        c *= t
+        _unit_phasors(c, z, index, w)
+        split_w, split_d = 2 in g.freq_factor, 4 in g.drift_factor
+        if split_w:
+            np.multiply(t, 0.5 * g.d_omega[G - 1], out=c)
+            _unit_phasors(c, u, index, w)
+        if split_d:
+            np.multiply(t, t, out=c)
+            c *= 0.25 * g.d_omegadot[G - 1]
+            _unit_phasors(c, v, index, w)
         out = np.empty((rows, G))
         out[:, G - 1] = _block_power(z, ends[:, -1:])
         for layer in range(G - 1, 0, -1):
             # child (layer + 1) -> parent: times u^-e_omega * v^-e_omegadot;
             # a negative power is the conjugate, a unit phasor's inverse
             if g.freq_factor[layer - 1] > 1:
-                f = u.copy()
-                f.imag *= -e_omega[:, layer - 1, None]
-                z *= f
+                np.copyto(w, u)
+                w.imag *= -e_omega[:, layer - 1, None]
+                z *= w
             if g.drift_factor[layer - 1] > 1:
                 e = e_omegadot[:, layer - 1, None]
-                f = np.where(np.abs(e) == 3, v * v * v, v)
-                f.imag *= -np.sign(e)
-                z *= f
+                np.copyto(w, v)
+                cube = np.abs(e) == 3
+                np.multiply(w, v, out=w, where=cube)
+                np.multiply(w, v, out=w, where=cube)
+                w.imag *= -np.sign(e)
+                z *= w
             step = 1 << (layer - 1)
             out[:, layer - 1] = _block_power(z, ends[:, step - 1::step])
-            if u is not None:
+            if split_w:
                 u *= u
-            if v is not None:
+            if split_d:
                 v *= v
                 v *= v
         return out
 
     def sample_path_values_batch(self, n: int, rng) -> np.ndarray:
         m = self.num_photons
-        rows = _tile_rows(max(m, 1 << self.grid.kappa(1)))
+        rows = min(n, _tile_rows(max(m, 1 << self.grid.kappa(1))))
+        # one workspace for the call: fresh tile-sized temporaries would be
+        # returned to the system and faulted in again tile after tile
+        work = {k: np.empty((rows, m)) for k in ("t", "c")}
+        work.update((k, np.empty((rows, m), dtype=complex)) for k in ("z", "u", "v", "w"))
+        work["index"] = np.empty((rows, m), dtype=np.int64)
         out = np.empty((n, self.grid.spec.num_layers))
         for lo in range(0, n, self._chunk):
             k = min(self._chunk, n - lo)
@@ -164,6 +201,6 @@ class PulsarNullModel:
             # times drawn tile by tile continue the stream of one (k, m) draw
             for r in range(lo, lo + k, rows):
                 hi = min(r + rows, lo + k)
-                out[r:hi] = self._powers(*(a[r - lo:hi - lo] for a in params),
-                                         self._times(hi - r, rng))
+                t = self._times(hi - r, rng, out=work["t"][:hi - r])
+                out[r:hi] = self._powers(*(a[r - lo:hi - lo] for a in params), t, work)
         return 2.0 * out / m

@@ -88,6 +88,33 @@ class TestFit:
         err = capsys.readouterr().err
         assert "qtrain" in err or "paths" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--lambda=-1", "--paths", "3000"], "--lambda"),
+        (["--lambda", "0.1", "--paths", "1"], "--paths"),
+        (["--lambda", "0.1", "--photons", "0"], "--photons"),
+        (["--lambda", "0.1", "--qtrain-quantile", "1.0"], "--qtrain-quantile"),
+        (["--lambda", "0.1", "--qtrain-quantile", "0"], "--qtrain-quantile"),
+    ])
+    def test_bad_flags_rejected_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                flags, named):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(cli, "sample_paths", unexpected)
+        rc = cli.run(["fit", *GRID_FLAGS, *flags, "--out", str(tmp_path / "s.json")])
+        assert rc == cli.DATA_ERROR
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_reports_timing_in_stdout_and_manifest(self, tmp_path, capsys):
+        out = fit(tmp_path)
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("fitted lambda=") and "training paths exceed" in first
+        assert "sampling" in second and "paths/s" in second and "regression" in second
+        timing = json.loads((tmp_path / "strategy.json.manifest.json").read_text())["timing"]
+        assert set(timing) == {"sample_s", "regression_s", "paths_per_s"}
+        assert all(v > 0 for v in timing.values())
+        assert "timing" not in json.loads(out.read_text())
+
     def test_exponent_form_negative_grid_flag(self, tmp_path):
         out = fit(tmp_path, extra=["--omegadot-min", "-2e-6"])
         assert load_strategy(out).grid["omegadot_min"] == -2e-6

@@ -285,6 +285,71 @@ class TestIndexRange:
                 ev.evaluate(3, bad)
 
 
+class TestUnitPhasors:
+    def test_matches_extended_precision_reference(self):
+        rng = np.random.default_rng(0)
+        cycles = np.concatenate([
+            rng.random(4000) * 1e7, -rng.random(2000) * 1e7, rng.random(1000),
+            np.arange(-40, 41) * 0.5,                      # half-integers
+            np.arange(-2048, 2049) / 1024.0,               # exact table points
+            1e7 - np.arange(64) / 1024.0, [0.0, 1e7, -1e7],
+        ])
+        cycles = np.resize(cycles, (len(cycles) // 8 + 1, 8))  # the kernel's 2-D layout
+        got = engine._unit_phasors(cycles.copy(), np.empty(cycles.shape, dtype=complex),
+                                   np.empty(cycles.shape, dtype=np.int64),
+                                   np.empty(cycles.shape, dtype=complex))
+        turn = 8 * np.arctan(np.longdouble(1))
+        c = cycles.astype(np.longdouble)
+        frac = c - np.rint(c)  # exact: the fraction of a double is a double
+        err_re = np.abs(got.real.astype(np.longdouble) - np.cos(turn * frac))
+        err_im = np.abs(got.imag.astype(np.longdouble) - np.sin(turn * frac))
+        assert max(err_re.max(), err_im.max()) <= 2e-15
+
+    def test_table_points_take_the_table_entry(self):
+        k = np.arange(-3 * 1024, 3 * 1024, 7)
+        cycles = (k / 1024.0)[None, :]
+        got = engine._unit_phasors(cycles.copy(), np.empty(cycles.shape, dtype=complex),
+                                   np.empty(cycles.shape, dtype=np.int64),
+                                   np.empty(cycles.shape, dtype=complex))
+        assert np.array_equal(got[0], engine._PHASOR_TABLE[k % 1024])
+
+
+class TestBlockPower:
+    M = 10
+    # empty blocks first, in the middle and last; rows 2 and 5 end in empty blocks,
+    # one inside the tile and one at its end
+    PER_ROW = np.array([[0, 3, 5, 7, 9, 10],
+                        [2, 4, 4, 4, 8, 10],
+                        [3, 6, 10, 10, 10, 10],
+                        [1, 2, 3, 5, 8, 10],
+                        [0, 0, 10, 10, 10, 10],
+                        [0, 4, 4, 9, 10, 10]])
+    SHARED = np.array([0, 2, 2, 6, 10, 10])
+
+    def phasors(self, rows):
+        rng = np.random.default_rng(5)
+        return np.exp(2j * np.pi * rng.random((rows, self.M))) * rng.random((rows, self.M))
+
+    @staticmethod
+    def by_loop(z, ends):
+        out = []
+        for row, e in zip(z, np.broadcast_to(ends, (len(z), ends.shape[-1]))):
+            begins = np.concatenate(([0], e[:-1]))
+            out.append(sum(abs(row[b:f].sum()) ** 2 for b, f in zip(begins, e)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    def test_empty_blocks(self, shared):
+        z = self.phasors(len(self.PER_ROW))
+        ends = self.SHARED if shared else self.PER_ROW
+        got = engine._block_power(z, ends)
+        want = self.by_loop(z, ends)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want))
+        for i in range(len(z)):
+            alone = engine._block_power(z[i:i + 1], ends if shared else ends[i:i + 1])
+            assert alone[0] == got[i], i
+
+
 class TestSparsePeakEvaluator:
     def test_deterministic_and_planted(self):
         tree = TreeConfig(num_layers=5, root_count=4, branching=(8,) * 4,

@@ -74,6 +74,16 @@ class TestPulsarNullModel:
         assert np.array_equal(a, b)
         assert a.shape == (600, 4)
 
+    def test_times_into_buffer_equal_a_fresh_draw(self):
+        g = self.grid()
+        m = PulsarNullModel(g, num_photons=37)
+        buf = np.full((5, 37), np.nan)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        got = m._times(5, a, out=buf)
+        assert got is buf
+        assert np.array_equal(got, np.sort(b.random((5, 37)) * g.span, axis=1))
+        assert a.random() == b.random()  # the stream continues at the same place
+
     def test_null_moments_per_layer(self):
         g = self.grid()
         m = PulsarNullModel(g, num_photons=400)
