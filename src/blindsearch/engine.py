@@ -6,7 +6,9 @@ batched walker, which holds pending work as index ranges, never as the
 tree itself. ``naive_search`` sweeps the leaf layer exhaustively. The
 concrete evaluator for pulsar-style data maps node indices to
 (frequency, drift) hypotheses on a dyadic grid and scores them with the
-blocked statistic matched to the layer.
+blocked statistic matched to the layer. Its phases stay in cycles and
+become phasors through ``_unit_phasors``, the one phase-to-phasor step
+that the null model's sampler shares.
 
 On a grid whose leaves form a uniform lattice, one row of leaf
 statistics along a lattice dimension is one type-1 nonuniform FFT of the
@@ -329,24 +331,6 @@ class PulsarGrid:
         return cls(spec, doc["span"], costs=costs)
 
 
-def _step_table(step_ph: np.ndarray, step_z: np.ndarray, count: int):
-    """Phases j * step and phasors step^j, one row for each j < count.
-
-    ``step_ph`` has at most 48 significant bits, so every phase j *
-    step_ph is exact for j < 32, and ``step_z`` is exp(i * step_ph).
-    Row j of the phasors is the product of rows j // 2 and j - j // 2,
-    so it depends on j alone; it is within about j ulps of
-    exp(i * j * step_ph).
-    """
-    ph = np.arange(count)[:, None] * step_ph
-    z = np.empty(ph.shape, dtype=complex)
-    z[0] = 1.0
-    z[1:2] = step_z
-    for j in range(2, count):
-        np.multiply(z[j // 2], z[j - j // 2], out=z[j])
-    return ph, z
-
-
 def _gridded_sums(u: np.ndarray, c: np.ndarray, modes: int) -> np.ndarray:
     """sum_j c_j exp(2 pi i k u_j) for k in [-(modes // 2), modes - modes // 2).
 
@@ -383,37 +367,13 @@ def _gridded_sums(u: np.ndarray, c: np.ndarray, modes: int) -> np.ndarray:
 class PulsarEvaluator:
     """Blocked-statistic evaluator for one photon series on a PulsarGrid.
 
-    A node's phase at photon j is phi_k = 2 pi (omega t_j + omegadot
-    t_j^2 / 2) at its ``node_params``, and F^kappa sums its phasors
-    exp(i phi_k) over each time block. ``evaluate`` takes one complex
-    exponential per photon for each anchor, not for each node. Along a
-    dimension that holds more than one position in a layer, the odd
-    lattice coordinates of ``PulsarGrid.node_coords`` fall into blocks
-    of ``stride`` positions. A node's anchor is the first position of
-    its block in each such dimension (its own position in the others),
-    and its offsets cw, cd count the lattice steps past the anchor,
-    0 <= c < stride. The node's phasor is the identity
-
-        exp(i phi_k) = exp(i phi_a) * W[cw] * D[cd] * exp(i eta),
-        eta = ((phi_k - phi_a) - phi_w[cw]) - phi_d[cd],
-
-    where phi_a is the anchor's phase by the same formula, phi_w[c] is c
-    times the phase of one frequency step, phi_d likewise for drift, and
-    W, D are the matching phasors (``_step_table``). eta is the residual
-    that the rounded phases leave, about 1e-10 rad at desk scale, so
-    exp(i eta) is taken as 1 + i eta. Every subtraction in eta is exact
-    while phi_a lies within a factor 2 of phi_k, since the step phases
-    are cut to 48 significant bits. Where phi_a < phi_k / 2 (omega near
-    0, or a drift that turns the phase back) phi_k - phi_a rounds, by no
-    more than phi_k's own rounding. A value stays within about 1e-13 of
-    max(1, value) of ``stats.blocked_power``.
-
-    Anchors and offsets depend on a node's coordinates alone, so a
-    node's value is the same in every call and tile. The stride is the
-    largest power of two up to 16 whose step table (stride rows of m
-    photons) fits ``_TILE_ELEMENTS``, fixed when the evaluator is built.
-    A tile builds one anchor row per distinct anchor, at most one per
-    node row; the one-step rows are kept per layer, two rows of m each.
+    A node's phase at photon j is c_j = omega t_j + omegadot t_j^2 / 2
+    cycles at its ``node_params``, computed with the operations of
+    ``stats.phase`` in the same order, and F^kappa sums the phasors
+    exp(2 pi i c_j) of ``_unit_phasors`` over each time block. A node's
+    value depends on its parameters alone, so it is the same in every
+    call and tile, and lies within about 1e-13 of max(1, value) of
+    ``stats.blocked_power``.
     """
 
     def __init__(self, photons: PhotonSeries, grid: PulsarGrid):
@@ -423,7 +383,6 @@ class PulsarEvaluator:
         self.grid = grid
         self.tree = grid.tree
         self._t = photons.times
-        self._ht2 = 0.5 * photons.times ** 2
         self._ends = {}  # kappa -> end index of every block, the last one the photon count
         for layer in range(1, grid.spec.num_layers + 1):
             k = grid.kappa(layer)
@@ -431,69 +390,37 @@ class PulsarEvaluator:
                 inner = block_edges(photons.span, k)[1:-1]
                 self._ends[k] = np.append(np.searchsorted(self._t, inner, side="left"),
                                           photons.count)
-        fit = _TILE_ELEMENTS // photons.count
-        self.stride = 1 << min(4, max(0, fit.bit_length() - 1))
-        self._spaced = {}  # layer -> whether (frequency, drift) hold more than one position
-        nw, nd = grid.n1_omega, grid.n1_omegadot
-        for layer in range(1, grid.spec.num_layers + 1):
-            self._spaced[layer] = (nw > 1, nd > 1)
-            if layer < grid.spec.num_layers:
-                nw *= grid.freq_factor[layer - 1]
-                nd *= grid.drift_factor[layer - 1]
-        self._steps = {}  # (layer, dimension) -> one lattice step's (phase, phasor) rows
 
     def node_params(self, layer: int, indices):
         return self.grid.node_params(layer, indices)
 
-    def _step(self, layer: int, dim: int):
-        if (layer, dim) not in self._steps:
-            g = self.grid
-            if dim == 0:
-                ph = TWO_PI * g.d_omega[layer - 1] * self._t
-            else:
-                ph = TWO_PI * g.d_omegadot[layer - 1] * self._ht2
-            ph = (ph.view(np.int64) & ~np.int64(0x1F)).view(np.float64)  # 48 bits
-            self._steps[layer, dim] = ph, np.exp(1j * ph)
-        return self._steps[layer, dim]
-
-    def _anchors(self, layer: int, dim: int, k: np.ndarray, param: np.ndarray):
-        """(anchor parameter, offset, block) of every node along one dimension."""
-        if not self._spaced[layer][dim]:
-            zero = np.zeros_like(k)
-            return param, zero, zero
-        g = self.grid
-        start, half = ((g.omega_start, 0.5 * g.d_omega[layer - 1]) if dim == 0
-                       else (g.omegadot_start, 0.5 * g.d_omegadot[layer - 1]))
-        block, c = np.divmod(k >> 1, self.stride)  # k is odd: positions counted from 1
-        return start + (2 * self.stride * block + 1) * half, c, block
-
     def evaluate(self, layer: int, indices) -> np.ndarray:
         """Statistic F^kappa at each node, kappa matched to the layer."""
-        omega, omegadot, kw, kd = self.grid._digits(layer, indices)
-        wa, cw, bw = self._anchors(layer, 0, kw, omega)
-        da, cd, bd = self._anchors(layer, 1, kd, omegadot)
-        key = bw * (int(bd.max(initial=0)) + 1) + bd  # one per anchor
-        tables = [(_step_table(*self._step(layer, dim), int(c.max()) + 1), c)
-                  for dim, c in enumerate((cw, cd)) if c.any()]
-        t, ht2 = self._t, self._ht2
+        omega, omegadot = self.grid.node_params(layer, indices)
+        half = 0.5 * omegadot
+        t = self._t
         ends = self._ends[self.grid.kappa(layer)]
         m = self.photons.count
         out = np.empty(omega.shape)
-        rows = _tile_rows(max(m, ends.size))
+        if not out.size:
+            return out
+        rows = min(out.size, _tile_rows(max(m, ends.size)))
+        # one workspace for the call; every tile fills it in place
+        c = np.empty((rows, m))
+        z = np.empty((rows, m), dtype=complex)
+        index = np.empty((rows, m), dtype=np.int64)
+        work = np.empty((rows, m), dtype=complex)
         for lo in range(0, out.size, rows):
-            tile = slice(lo, min(lo + rows, out.size))
-            _, first, at = np.unique(key[tile], return_index=True, return_inverse=True)
-            pa = wa[tile][first, None] * t + da[tile][first, None] * ht2
-            pa *= TWO_PI
-            ph = omega[tile, None] * t + omegadot[tile, None] * ht2
-            ph *= TWO_PI
-            ph -= pa[at]
-            z = np.exp(1j * pa)[at]
-            for (tab_ph, tab_z), c in tables:
-                ph -= tab_ph[c[tile]]
-                z *= tab_z[c[tile]]
-            z *= 1.0 + 1j * ph  # ph is now eta
-            out[tile] = _block_power(z, ends)
+            hi = min(lo + rows, out.size)
+            ct, zt, it, wt = c[:hi - lo], z[:hi - lo], index[:hi - lo], work[:hi - lo]
+            # the drift term borrows work's memory until _unit_phasors takes it over
+            drift = wt.reshape(-1).view(np.float64)[:ct.size].reshape(ct.shape)
+            np.multiply(omega[lo:hi, None], t, out=ct)
+            np.multiply(half[lo:hi, None], t, out=drift)
+            drift *= t
+            ct += drift
+            _unit_phasors(ct, zt, it, wt)
+            out[lo:hi] = _block_power(zt, ends)
         return 2.0 * out / m
 
     def screen_leaves(self):
@@ -519,7 +446,7 @@ class PulsarEvaluator:
         axis = 0 if lattice[0][0] >= lattice[1][0] else 1
         count, first, spacing = lattice[axis]
         rows, row_first, row_spacing = lattice[1 - axis]
-        s = (self._t, self._ht2)
+        s = (self._t, 0.5 * self._t ** 2)
         u = np.mod(spacing * s[axis], 1.0)
         m = self.photons.count
         for row in range(rows):

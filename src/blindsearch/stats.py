@@ -92,13 +92,24 @@ def phase(times, fd: FreqDrift):
     return fd.omega * t + 0.5 * fd.omegadot * t * t
 
 
+def _reduced_radians(times, fd: FreqDrift) -> np.ndarray:
+    """2 pi times the fraction of ``phase`` nearest 0, in [-pi, pi].
+
+    The fraction of a float64 phase in cycles is exact, so only the final
+    product rounds. Multiplying the unreduced phase by 2 pi instead would
+    round by up to about 7e-9 rad at 1.2e7 cycles, the reference span.
+    """
+    c = phase(times, fd)
+    return TWO_PI * (c - np.rint(c))
+
+
 def rayleigh_power(photons: PhotonSeries, fd: FreqDrift) -> float:
     """Full-coherence statistic (2/m)|sum_j exp(2 pi i phase_j)|^2.
 
     Lies in [0, 2m]; approximately chi-square(2) under the null when the
     span covers many cycles.
     """
-    ph = TWO_PI * phase(photons.times, fd)
+    ph = _reduced_radians(photons.times, fd)
     re = np.cos(ph).sum()
     im = np.sin(ph).sum()
     return 2.0 * (re * re + im * im) / photons.count
@@ -122,7 +133,7 @@ def blocked_power(photons: PhotonSeries, fd: FreqDrift, kappa: int) -> float:
         raise ValueError("kappa must be >= 0")
     if kappa == 0:
         return rayleigh_power(photons, fd)
-    ph = TWO_PI * phase(photons.times, fd)
+    ph = _reduced_radians(photons.times, fd)
     re = np.cos(ph)
     im = np.sin(ph)
     edges = block_edges(photons.span, kappa)

@@ -6,26 +6,14 @@ import os
 
 import numpy as np
 
-THREADS_ENV = "BLINDSEARCH_THREADS"
-
 
 def resolve_workers(workers=None) -> int:
-    """Worker count for parallel sections.
-
-    Explicit argument wins; otherwise the BLINDSEARCH_THREADS environment
-    variable; 0 (or unset) means one worker per CPU.
-    """
+    """Worker count for parallel sections: None or 0 means one per CPU."""
     if workers is None:
-        raw = os.environ.get(THREADS_ENV, "0").strip()
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+        workers = 0
     if workers < 0:
         raise ValueError("worker count must be >= 0")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return workers or os.cpu_count() or 1
 
 
 def subseed(seed, *key) -> np.random.SeedSequence:

@@ -283,6 +283,23 @@ class TestEvaluate:
         assert not list(tmp_path.glob("*.csv"))
 
 
+    def test_grid_without_leaf_lattice_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+        # drift splits at every layer, frequency only from layer 2 on
+        rc = cli.run(["evaluate", "--omega-min", "1.0", "--omega-max", "1.02",
+                      "--omegadot-min=-1e-3", "--omegadot-max=0", "--layers", "5",
+                      "--oversampling", "3", "--span", "100", "--lambdas", "0.1",
+                      "--thetas", "0.5", "--sims", "2", "--paths", "500",
+                      "--photons", "40", "--qreject", "12", "--workers", "1",
+                      "--out", str(tmp_path / "curve.csv")])
+        assert rc == 3
+        assert "no uniform leaf lattice" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestOracle:
     def test_reports_ratio(self, capsys):
         run_ok(["oracle", "--rho", "0.8", "--layers", "2", "--branching", "2",

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import GaussianChainModel
 from blindsearch.stats import FreqDrift
 from blindsearch.tree import (NodeId, TreeConfig, descendant_range, nodes_in_layer)
+from blindsearch.util import resolve_workers
 
 
 def chain_tree(layers, branch=2, roots=1, costs=None):
@@ -311,6 +313,14 @@ class TestEstimateTradeoff:
         monkeypatch.setattr(evaluation, "sample_paths", unexpected)
         with pytest.raises(ValueError, match="lambda|theta"):
             estimate_tradeoff(lams, thetas, self.tiny_config(), n_sims=4, seed=0, workers=1)
+
+    @pytest.mark.parametrize("value", ["1", "64", "not a number"])
+    def test_threads_variable_is_ignored(self, monkeypatch, value):
+        monkeypatch.setenv("BLINDSEARCH_THREADS", value)
+        assert resolve_workers(None) == resolve_workers(0) == (os.cpu_count() or 1)
+        assert resolve_workers(3) == 3
+        with pytest.raises(ValueError, match="worker count"):
+            resolve_workers(-1)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = self.tiny_config()

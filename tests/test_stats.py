@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+from blindsearch.evaluation import REFERENCE_FD, REFERENCE_SPAN
 from blindsearch.stats import (FreqDrift, PhotonSeries, SignalSpec, block_edges,
                                blocked_power, chi2_2_isf, chi2_2_quantile, chi2_2_sf,
                                phase, rayleigh_power, read_photons, simulate_photons,
@@ -49,6 +50,24 @@ def test_blocked_power_manual_two_blocks():
     # same m in the normalization: recombine the per-half squared moduli
     want = (2 * rayleigh_power(first, fd) + 2 * rayleigh_power(second, fd)) / 4
     assert blocked_power(p, fd, 1) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3])
+def test_reference_span_matches_extended_precision(kappa):
+    # phases up to 1.2e7 cycles, where 2 pi times the unreduced phase rounds by up to 7e-9 rad
+    photons = simulate_photons(SignalSpec(REFERENCE_FD, 0.5, 400, REFERENCE_SPAN), 3)
+    c = phase(photons.times, REFERENCE_FD).astype(np.longdouble)
+    ph = 8 * np.arctan(np.longdouble(1)) * (c - np.rint(c))
+    re, im = np.cos(ph), np.sin(ph)
+    starts = np.searchsorted(photons.times, block_edges(photons.span, kappa)[:-1], side="left")
+    bounds = np.append(starts, photons.count)
+    want = 2 * sum(re[lo:hi].sum() ** 2 + im[lo:hi].sum() ** 2
+                   for lo, hi in zip(bounds[:-1], bounds[1:])) / photons.count
+    got = [blocked_power(photons, REFERENCE_FD, kappa)]
+    if kappa == 0:
+        got.append(rayleigh_power(photons, REFERENCE_FD))
+    for value in got:
+        assert abs(value - want) <= 1e-13 * max(1.0, float(want))
 
 
 def test_block_edges_partition():
