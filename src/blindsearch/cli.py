@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import re
 import sys
@@ -456,11 +457,13 @@ def cmd_evaluate(args) -> int:
     thetas = _float_list(cfg["thetas"])
     out = Path(args.out)
     outputs = []
-    tc = TradeoffConfig(grid=_grid_from_cfg(cfg), span=cfg["span"],
+    spec = _grid_from_cfg(cfg)
+    q_reject = _resolve_q_reject(cfg, PulsarGrid(spec, cfg["span"]).tree)
+    tc = TradeoffConfig(grid=spec, span=cfg["span"],
                         num_photons=int(cfg["photons"]), num_paths=int(cfg["paths"]),
                         qtrain_quantile=cfg["qtrain_quantile"],
                         alpha=cfg["alpha"], n_effective=cfg["n_effective"],
-                        q_reject=cfg["qreject"])
+                        q_reject=q_reject)
     curves = estimate_tradeoff(lambdas, thetas, tc, int(cfg["sims"]), int(cfg["seed"]),
                                workers=cfg["workers"])
     for theta, points in zip(thetas, curves):
@@ -479,6 +482,7 @@ def cmd_evaluate(args) -> int:
         else:
             print(f"theta={theta:g}: wrote {len(points)} lambdas to {path}; "
                   f"no lambda reached 90% relative power")
+    cfg["resolved_qreject"] = q_reject
     _write_manifest(out.with_name(out.name + ".manifest.json"), "evaluate", cfg,
                     [], outputs)
     return 0
@@ -527,13 +531,23 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    """Run one command; its progress log lines go to stderr at INFO."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("blindsearch")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(f"{args.command}: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def main() -> None:

@@ -435,8 +435,10 @@ class PulsarEvaluator:
         exp(2 pi i p u_j)|^2 with u_j = frac(spacing s_j): one type-1
         nonuniform FFT. A row is cut into segments of at most
         ``_SCREEN_MODES`` positions, each one ``_gridded_sums`` with its
-        modes centred on the segment. The values are within about 1e-9 of
-        max(1, value) of ``evaluate``: a screen, not a result.
+        modes centred on the segment; the weights c_j are the phasors that
+        ``_unit_phasors`` makes of the cycle phase at the centre. The
+        values are within about 1e-9 of max(1, value) of ``evaluate``: a
+        screen, not a result.
 
         Yields (axis, row, lo, values): ``values`` at positions lo, lo + 1,
         ... along dimension ``axis``, at position ``row`` of the other.
@@ -449,12 +451,18 @@ class PulsarEvaluator:
         s = (self._t, 0.5 * self._t ** 2)
         u = np.mod(spacing * s[axis], 1.0)
         m = self.photons.count
+        cycles = np.empty(m)
+        z = np.empty(m, dtype=complex)
+        index = np.empty(m, dtype=np.int64)
+        work = np.empty(m, dtype=complex)
         for row in range(rows):
-            fixed = TWO_PI * (row_first + row * row_spacing) * s[1 - axis]
+            fixed = (row_first + row * row_spacing) * s[1 - axis]
             for lo in range(0, count, _SCREEN_MODES):
                 modes = min(_SCREEN_MODES, count - lo)
                 centre = first + (lo + modes // 2) * spacing
-                f = _gridded_sums(u, np.exp(1j * (TWO_PI * centre * s[axis] + fixed)), modes)
+                np.multiply(centre, s[axis], out=cycles)
+                cycles += fixed
+                f = _gridded_sums(u, _unit_phasors(cycles, z, index, work), modes)
                 yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
 
 
@@ -532,8 +540,11 @@ class SearchOutcome:
     calls made and the wall seconds spent on the layer's nodes
     (evaluating, deciding and queueing their descendants). In a screened
     leaf sweep the leaf layer's calls count the screen segments plus the
-    confirming ``evaluate`` calls. They are timings for reports, never
-    for the data files.
+    confirming ``evaluate`` calls. When ``run_search`` walks several
+    strategies at once, they count the calls and seconds of the shared
+    walk, the same in every strategy's outcome, and so does
+    ``peak_tracked``. They are timings for reports, never for the data
+    files.
 
     ``sweep`` is set by ``naive_search`` only: {"method": "screen" or
     "walk", "segments": screen segments, "confirmed": leaves the exact
@@ -562,17 +573,101 @@ def _total_cost(tree: TreeConfig, observed: np.ndarray) -> float:
     return sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
 
 
-def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
-          emit_observed: bool = False) -> SearchOutcome:
-    """Observe every ``start``-layer node and follow ``decide`` down the tree.
+class _Track:
+    """One decide function's share of a walk: its pending ranges and its findings."""
 
-    Start-layer nodes are taken in consecutive groups of ``chunk_size``.
-    Inside a group the layers run in order: a layer's pending ``[lo, hi)``
-    ranges are sorted and cut into ``evaluate`` calls of at most
-    ``chunk_size`` nodes, and ``decide(layer, values)`` maps each
-    statistic to 0 (stop) or the deeper layer whose descendants become
-    pending in turn. Leaves reaching ``q_reject`` are detections; the
-    ordered groups and sorted ranges emit them in leaf-index order.
+    def __init__(self, decide, tree: TreeConfig, q_reject: float, emit_observed: bool):
+        self.decide = decide
+        self.tree = tree
+        self.q_reject = q_reject
+        # layer -> (lo, hi) array pairs; the ranges are disjoint, since every
+        # observed node has exactly one observed ancestor that jumped to it
+        self.pending = {}
+        self.queued = 0  # pending ranges
+        self.observed = np.zeros(tree.num_layers, dtype=np.int64)
+        self.detections = []
+        self.log = [] if emit_observed else None
+        self.logged = 0
+
+    def take(self, layer: int):
+        """This layer's pending ranges as sorted (lo, hi) arrays, or None."""
+        if layer not in self.pending:
+            return None
+        los, his = zip(*self.pending.pop(layer))
+        lo, hi = np.concatenate(los), np.concatenate(his)
+        order = np.argsort(lo)
+        return lo[order], hi[order]
+
+    def step(self, layer: int, idx: np.ndarray, vals: np.ndarray) -> None:
+        """Record its nodes ``idx`` and act on their values."""
+        tree = self.tree
+        G = tree.num_layers
+        self.observed[layer - 1] += idx.size
+        if layer == G:
+            acts = np.zeros(idx.size, dtype=np.int64)
+            hit = vals >= self.q_reject
+            self.detections += [(NodeId(G, i), v)
+                                for i, v in zip(idx[hit].tolist(), vals[hit].tolist())]
+        else:
+            acts = self.decide(layer, vals)
+            # maximal runs of one action over consecutive indices
+            cut = np.flatnonzero((np.diff(acts) != 0) | (np.diff(idx) != 1)) + 1
+            run_lo = np.concatenate(([0], cut))
+            run_hi = np.concatenate((cut, [idx.size]))
+            run_act = acts[run_lo]
+            for s in np.unique(run_act[run_act > 0]).tolist():
+                b = descendant_count(tree, layer, s)
+                sel = run_act == s
+                self.pending.setdefault(s, []).append(
+                    (idx[run_lo[sel]] * b, (idx[run_hi[sel] - 1] + 1) * b))
+                self.queued += int(sel.sum())
+        if self.log is not None:
+            self.log.append((np.full(idx.size, layer), idx, vals, acts))
+            self.logged += idx.size
+
+    def sorted_log(self):
+        """The observed log as a structured array sorted by (layer, index), or None."""
+        if self.log is None:
+            return None
+        cols = [np.concatenate(col) for col in zip(*self.log)]
+        order = np.lexsort((cols[1], cols[0]))
+        log = np.empty(order.size, dtype=_LOG_DTYPE)
+        for name, col in zip(_LOG_DTYPE.names, cols):
+            log[name] = col[order]
+        return log
+
+
+def _union(ranges) -> tuple:
+    """Sorted, disjoint (lo, hi) covering every node of several range sets."""
+    lo = np.concatenate([r[0] for r in ranges])
+    hi = np.concatenate([r[1] for r in ranges])
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
+
+
+def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
+          emit_observed: bool = False) -> list:
+    """Observe every ``start``-layer node and follow each decide function down the tree.
+
+    ``decides`` holds one decide function per strategy; ``decide(layer,
+    values)`` maps each statistic to 0 (stop) or the deeper layer whose
+    descendants become pending in turn. Start-layer nodes are taken in
+    consecutive groups of ``chunk_size``, and the strategies walk each
+    group in lockstep. Inside a group the layers run in order: per layer,
+    the union of every strategy's pending ``[lo, hi)`` ranges is cut into
+    ``evaluate`` calls of at most ``chunk_size`` nodes, so a node that
+    several strategies observe is evaluated once, and each strategy gets
+    the values of its own nodes. Leaves reaching ``q_reject`` are
+    detections; the ordered groups and sorted ranges emit them in
+    leaf-index order. One strategy walks its own ranges with no merge.
+
+    Returns one SearchOutcome per decide function. Each strategy keeps
+    its own observed counts, cost, detections and log, equal to those of
+    walking it alone; ``evaluate_calls``, ``seconds`` and
+    ``peak_tracked`` describe the shared walk.
     """
     _check_search_args(q_reject, chunk_size)
     tree = evaluator.tree
@@ -580,25 +675,20 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
     n = nodes_in_layer(tree, start)
     if n >= _MAX_ENGINE_NODES:
         raise ValueError(f"layer {start} too large for engine indexing")
-    observed = np.zeros(G, dtype=np.int64)
+    tracks = [_Track(decide, tree, q_reject, emit_observed) for decide in decides]
     calls = np.zeros(G, dtype=np.int64)
     seconds = np.zeros(G)
-    detections = []
-    log = [] if emit_observed else None
-    logged = peak = 0
+    peak = 0
     for first in range(0, n, chunk_size):
-        # layer -> (lo, hi) array pairs; the ranges are disjoint, since every
-        # observed node has exactly one observed ancestor that jumped to it
-        pending = {start: [(np.array([first]), np.array([min(first + chunk_size, n)]))]}
-        queued = 1
+        for t in tracks:
+            t.pending[start] = [(np.array([first]), np.array([min(first + chunk_size, n)]))]
+            t.queued += 1
         for layer in range(start, G + 1):
-            if layer not in pending:
-                continue
             began = time.perf_counter()
-            los, his = zip(*pending.pop(layer))
-            lo, hi = np.concatenate(los), np.concatenate(his)
-            order = np.argsort(lo)
-            lo, hi = lo[order], hi[order]
+            parts = [(t, r) for t in tracks if (r := t.take(layer)) is not None]
+            if not parts:
+                continue
+            lo, hi = parts[0][1] if len(parts) == 1 else _union([r for _, r in parts])
             ends = np.cumsum(hi - lo)
             shift = hi - ends  # node index minus queue position, per range
             for pos_lo in range(0, int(ends[-1]), chunk_size):
@@ -607,46 +697,31 @@ def _walk(evaluator, decide, start: int, q_reject: float, chunk_size: int,
                 vals = np.asarray(evaluator.evaluate(layer, idx), dtype=float)
                 if not np.all(np.isfinite(vals)):
                     raise ValueError("evaluator produced non-finite statistics")
-                observed[layer - 1] += idx.size
                 calls[layer - 1] += 1
-                if layer == G:
-                    acts = np.zeros(idx.size, dtype=np.int64)
-                    hit = vals >= q_reject
-                    detections += [(NodeId(G, i), v)
-                                   for i, v in zip(idx[hit].tolist(), vals[hit].tolist())]
+                if len(parts) == 1:
+                    parts[0][0].step(layer, idx, vals)
                 else:
-                    acts = decide(layer, vals)
-                    # maximal runs of one action over consecutive indices
-                    cut = np.flatnonzero((np.diff(acts) != 0) | (np.diff(idx) != 1)) + 1
-                    run_lo = np.concatenate(([0], cut))
-                    run_hi = np.concatenate((cut, [idx.size]))
-                    run_act = acts[run_lo]
-                    for s in np.unique(run_act[run_act > 0]).tolist():
-                        b = descendant_count(tree, layer, s)
-                        sel = run_act == s
-                        pending.setdefault(s, []).append(
-                            (idx[run_lo[sel]] * b, (idx[run_hi[sel] - 1] + 1) * b))
-                        queued += int(sel.sum())
-                if log is not None:
-                    log.append((np.full(idx.size, layer), idx, vals, acts))
-                    logged += idx.size
-                peak = max(peak, queued + idx.size + len(detections) + logged)
-            queued -= lo.size
+                    for t, (t_lo, t_hi) in parts:
+                        # the nodes of this call in one of the strategy's ranges
+                        j = np.searchsorted(t_lo, idx, side="right") - 1
+                        mine = (j >= 0) & (idx < t_hi[j])
+                        if mine.any():
+                            t.step(layer, idx[mine], vals[mine])
+                peak = max(peak, idx.size + sum(t.queued + len(t.detections) + t.logged
+                                                for t in tracks))
+            for t, (t_lo, _) in parts:
+                t.queued -= t_lo.size
             seconds[layer - 1] += time.perf_counter() - began
-    if log is not None:
-        cols = [np.concatenate(col) for col in zip(*log)]
-        order = np.lexsort((cols[1], cols[0]))
-        log = np.empty(order.size, dtype=_LOG_DTYPE)
-        for name, col in zip(_LOG_DTYPE.names, cols):
-            log[name] = col[order]
-    return SearchOutcome(detections=detections, per_layer_observed=observed,
-                         total_cost=_total_cost(tree, observed), peak_tracked=peak,
-                         evaluate_calls=calls, seconds=seconds, observed_log=log)
+    return [SearchOutcome(detections=t.detections, per_layer_observed=t.observed,
+                          total_cost=_total_cost(tree, t.observed), peak_tracked=peak,
+                          evaluate_calls=calls.copy(), seconds=seconds.copy(),
+                          observed_log=t.sorted_log())
+            for t in tracks]
 
 
 def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False,
-               chunk_size: int = 4096) -> SearchOutcome:
-    """Execute a fitted strategy over an evaluator's tree.
+               chunk_size: int = 4096):
+    """Execute a fitted strategy, or a list of them, over an evaluator's tree.
 
     Layer 1 is observed completely; every node given a nonzero action has
     its jump-target descendants observed in turn. Observed leaves whose
@@ -655,11 +730,19 @@ def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False
     and the nodes per ``evaluate`` call.
 
     Returns a SearchOutcome; with ``emit_observed`` it also carries the
-    log of every observed node.
+    log of every observed node. Given a list of strategies on one tree,
+    it walks them in lockstep, evaluates each node that any of them
+    observes once, and returns one SearchOutcome per strategy, each equal
+    to that strategy's own run apart from the timings and
+    ``peak_tracked``, which describe the shared walk.
     """
-    if evaluator.tree != strategy.tree:
+    several = isinstance(strategy, (list, tuple))
+    strategies = list(strategy) if several else [strategy]
+    if any(evaluator.tree != s.tree for s in strategies):
         raise ValueError("strategy and evaluator disagree on the tree shape")
-    return _walk(evaluator, strategy.decide_batch, 1, q_reject, chunk_size, emit_observed)
+    outcomes = _walk(evaluator, [s.decide_batch for s in strategies], 1, q_reject,
+                     chunk_size, emit_observed)
+    return outcomes if several else outcomes[0]
 
 
 def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOutcome:
@@ -681,7 +764,7 @@ def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOu
     _check_search_args(q_reject, chunk_size)
     if isinstance(evaluator, PulsarEvaluator) and evaluator.grid.has_leaf_lattice():
         return _screened_sweep(evaluator, q_reject, chunk_size)
-    out = _walk(evaluator, None, evaluator.tree.num_layers, q_reject, chunk_size)
+    [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, chunk_size)
     out.sweep = {"method": "walk", "segments": 0, "confirmed": 0}
     return out
 

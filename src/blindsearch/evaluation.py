@@ -5,7 +5,10 @@ fit one strategy per lambda from a shared path budget, then measure
 observation cost on null datasets and detection power on signal
 injections at each pulsed fraction theta, both relative to the
 exhaustive leaf sweep. Paths, fits and null datasets do not depend on
-theta and are made once for all thetas.
+theta and are made once for all thetas, and on each dataset every
+lambda's strategy shares one walk of the tree, so a node that several
+strategies observe is evaluated once. Progress goes to the
+``blindsearch.evaluation`` logger at INFO.
 
 ``exact_dp_oracle`` computes the true optimal value function on small
 reference trees with closed-form conditional laws by numerically
@@ -15,6 +18,7 @@ Monte-Carlo fitter is validated against it.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,6 +32,8 @@ from .models import GaussianChainModel, PulsarNullModel
 from .stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
 from .tree import descendant_count, nodes_in_layer
 from .util import resolve_workers, subseed
+
+_log = logging.getLogger(__name__)
 
 REFERENCE_FD = FreqDrift(omega=9.761175993, omegadot=-8.827879e-12)
 REFERENCE_SPAN = 1205197.0
@@ -115,24 +121,47 @@ def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
 _WORKER = None
 
 
+class _CountingEvaluator:
+    """An evaluator that counts the nodes it is asked to evaluate."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.tree = evaluator.tree
+        self.nodes = 0
+
+    def evaluate(self, layer, indices):
+        self.nodes += len(indices)
+        return self.evaluator.evaluate(layer, indices)
+
+
+def _searched(strategies, evaluator, q_reject):
+    """Every strategy's SearchOutcome from one shared walk, and its node counts.
+
+    The counts are (nodes evaluated, nodes the strategies observed in all).
+    """
+    counted = _CountingEvaluator(evaluator)
+    outcomes = run_search(strategies, counted, q_reject)
+    return outcomes, (counted.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes))
+
+
 def _init_worker(state):
     global _WORKER
     _WORKER = state
 
 
 def _cost_sim(task, state=None):
-    """Search cost of every lambda's strategy on one global-null dataset."""
+    """(search cost per lambda, node counts) on one global-null dataset."""
     st = state if state is not None else _WORKER
     i, seed = task
     grid = st["grid"]
     photons = simulate_photons(
         SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
-    ev = PulsarEvaluator(photons, grid)
-    return [run_search(s, ev, st["q_reject"]).total_cost for s in st["strategies"]]
+    outcomes, nodes = _searched(st["strategies"], PulsarEvaluator(photons, grid), st["q_reject"])
+    return [o.total_cost for o in outcomes], nodes
 
 
 def _power_sim(task, state=None):
-    """(hit per lambda, sweep hit) on one injection at pulsed fraction theta.
+    """(hit per lambda, sweep hit, node counts) on one injection at pulsed fraction theta.
 
     A hit is a detected leaf in the success window around the truth; the
     sweep hit evaluates every leaf of that window.
@@ -150,19 +179,37 @@ def _power_sim(task, state=None):
     window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
     sweep_hit = bool(window.size
                      and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
-    hits = []
-    for s in st["strategies"]:
-        found = [node.index for node, _ in run_search(s, ev, st["q_reject"]).detections]
-        hits.append(bool(np.isin(found, window).any()))
-    return hits, sweep_hit
+    outcomes, nodes = _searched(st["strategies"], ev, st["q_reject"])
+    hits = [bool(np.isin([node.index for node, _ in o.detections], window).any())
+            for o in outcomes]
+    return hits, sweep_hit, nodes
 
 
-def _map_sims(fn, tasks, state, workers):
+def _map_sims(fn, tasks, state, workers, phase: str):
+    """Results of ``fn`` over ``tasks`` in order, logging progress about every tenth.
+
+    Each result ends with its sim's (nodes evaluated, nodes observed),
+    which the phase's last log line sums.
+    """
+    step = max(1, len(tasks) // 10)
+
+    def logged(results):
+        done = []
+        for result in results:
+            done.append(result)
+            if len(done) % step == 0 or len(done) == len(tasks):
+                _log.info("%s sims: %d/%d done", phase, len(done), len(tasks))
+        evaluated = sum(r[-1][0] for r in done)
+        observed = sum(r[-1][1] for r in done)
+        _log.info("%s sims: %d nodes evaluated for %d observed by the strategies (%.3f)",
+                  phase, evaluated, observed, evaluated / observed if observed else 1.0)
+        return done
+
     if workers <= 1 or len(tasks) < 2:
-        return [fn(t, state) for t in tasks]
+        return logged(fn(t, state) for t in tasks)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(state,)) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return logged(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
@@ -176,8 +223,15 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     success means detecting a leaf within 1/span in frequency and
     1/span^2 in drift of the truth. Every lambda runs on the same
     datasets, so each curve is internally paired, and the injections at
-    different thetas share their true parameters. Deterministic for a
+    different thetas share their true parameters. On each dataset the
+    strategies share one walk (``run_search`` on the list), which
+    evaluates every node once however many of them observe it; each
+    lambda's point equals the one it gets alone. Deterministic for a
     given seed, independent of the worker count.
+
+    Logs at INFO, per phase (cost sims, then power sims), the sims done
+    out of the total and, at the phase's end, the nodes evaluated next to
+    the sum of the nodes the strategies observed.
     """
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")
@@ -206,17 +260,18 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
              "q_reject": q_reject}
 
-    costs = _map_sims(_cost_sim, [(i, seed) for i in range(n_sims)], state, workers)
+    costs = [c for c, _ in _map_sims(_cost_sim, [(i, seed) for i in range(n_sims)], state,
+                                     workers, "cost")]
     null_costs = [np.array([c[k] for c in costs]) for k in range(len(lambdas))]
     sims = _map_sims(_power_sim, [(i, seed, theta) for theta in thetas for i in range(n_sims)],
-                     state, workers)
+                     state, workers, "power")
     curves = []
     for t in range(len(thetas)):
         hits = sims[t * n_sims:(t + 1) * n_sims]
-        naive_rate = np.array([sweep for _, sweep in hits], dtype=float).mean()
+        naive_rate = np.array([sweep for _, sweep, _ in hits], dtype=float).mean()
         points = []
         for k, (lam, cost) in enumerate(zip(lambdas, null_costs)):
-            p = np.array([h[k] for h, _ in hits], dtype=float).mean()
+            p = np.array([h[k] for h, _, _ in hits], dtype=float).mean()
             if naive_rate > 0:
                 power_fraction = p / naive_rate
                 power_se = math.sqrt(p * (1 - p) / n_sims) / naive_rate

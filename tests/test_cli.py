@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blindsearch import cli, evaluation
+from blindsearch.engine import GridSpec, PulsarGrid, default_q_reject
 from blindsearch.fit import load_strategy
 from blindsearch.stats import read_photons
 
@@ -259,6 +260,34 @@ class TestEvaluate:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("lambda,cost_fraction,power_fraction")
         assert len(lines) == 3
+
+    def test_manifest_records_resolved_threshold(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        argv = ["evaluate", *GRID_FLAGS, "--lambdas", "50.0", "--thetas", "0.85",
+                "--sims", "2", "--paths", "500", "--qtrain-quantile", "0.9",
+                "--photons", "40", "--workers", "1", "--seed", "2", "--out", str(out)]
+        run_ok(argv)
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        tree = PulsarGrid(GridSpec(1.0, 2.0, -1e-6, 0.0, 3, 3), 50.0).tree
+        assert manifest["config"]["resolved_qreject"] == default_q_reject(tree)
+        run_ok(argv + ["--qreject", "12"])
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["config"]["resolved_qreject"] == 12.0
+
+    def test_progress_goes_to_stderr_only(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        run_ok(["evaluate", *GRID_FLAGS, "--lambdas", "0.0,50.0", "--thetas", "0.85",
+                "--sims", "3", "--paths", "500", "--qtrain-quantile", "0.9",
+                "--photons", "40", "--qreject", "12", "--workers", "1", "--seed", "2",
+                "--out", str(out)])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert "evaluate: cost sims: 3/3 done" in err
+        assert "evaluate: power sims: 3/3 done" in err
+        assert any(line.startswith("evaluate: power sims:") and "nodes evaluated" in line
+                   for line in err)
+        assert "sims:" not in captured.out
+        assert "sims:" not in out.read_text()
 
     def test_multiple_thetas_get_separate_files(self, tmp_path):
         out = tmp_path / "curve.csv"

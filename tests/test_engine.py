@@ -492,6 +492,99 @@ def test_bad_chunk_size_rejected():
             run_search(strat, ev, 25.0, chunk_size=size)
 
 
+class CountingEvaluator:
+    """Records every (layer, index) it is asked to evaluate."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.tree = evaluator.tree
+        self.seen = []
+
+    def evaluate(self, layer, indices):
+        self.seen += [(layer, i) for i in np.asarray(indices).tolist()]
+        return self.evaluator.evaluate(layer, indices)
+
+
+@st.composite
+def shared_walk_instance(draw):
+    tree, _, seed = draw(search_instance())
+    # fitted strategies, and threshold strategies that prune at a drawn cut
+    kinds = st.one_of(st.tuples(st.just("lam"), st.sampled_from([0.0, 0.02, 0.2, 1.0])),
+                      st.tuples(st.just("cut"), st.floats(0.5, 6.0)))
+    specs = draw(st.lists(kinds, min_size=1, max_size=4))
+    sparse = draw(st.booleans())
+    return tree, specs, seed, sparse
+
+
+class TestSharedWalk:
+    @settings(deadline=None, max_examples=60)
+    @given(shared_walk_instance(), st.sampled_from([1, 3, 4096]))
+    def test_each_strategy_as_if_alone(self, inst, chunk):
+        tree, specs, seed, sparse = inst
+        strats = [fitted_strategy(tree, x, seed=seed + k) if kind == "lam"
+                  else threshold_strategy(tree, cut=x) for k, (kind, x) in enumerate(specs)]
+        if sparse:
+            leaves = nodes_in_layer(tree, tree.num_layers)
+            ev = SparsePeakEvaluator(tree, peak_leaf=seed % leaves, height=6.0, seed=seed)
+        else:
+            rng = np.random.default_rng(seed)
+            ev = ArrayEvaluator(tree, [rng.chisquare(2, size=nodes_in_layer(tree, l)) + 0.3 * l
+                                       for l in tree.layers()])
+        counted = CountingEvaluator(ev)
+        shared = run_search(strats, counted, 6.0, emit_observed=True, chunk_size=chunk)
+        assert len(shared) == len(strats)
+        union = set()
+        for strat, out in zip(strats, shared):
+            alone = run_search(strat, ev, 6.0, emit_observed=True, chunk_size=chunk)
+            assert out.detections == alone.detections
+            assert out.per_layer_observed.tolist() == alone.per_layer_observed.tolist()
+            assert out.total_cost == alone.total_cost
+            assert out.observed_log.tobytes() == alone.observed_log.tobytes()
+            union |= set(zip(out.observed_log["layer"].tolist(),
+                             out.observed_log["index"].tolist()))
+        # start groups hold disjoint subtrees, so no node is evaluated twice in the run
+        assert len(counted.seen) == len(set(counted.seen))
+        assert set(counted.seen) == union
+
+    def test_one_strategy_in_a_list(self):
+        tree = TreeConfig(num_layers=3, root_count=2, branching=(3, 3), costs=(1.0, 2.0, 3.0))
+        ev = SparsePeakEvaluator(tree, peak_leaf=7, height=20.0, seed=1)
+        strat = threshold_strategy(tree, cut=3.0)
+        [listed] = run_search([strat], ev, 10.0, emit_observed=True, chunk_size=2)
+        alone = run_search(strat, ev, 10.0, emit_observed=True, chunk_size=2)
+        assert listed.detections == alone.detections
+        assert listed.observed_log.tobytes() == alone.observed_log.tobytes()
+        assert listed.peak_tracked == alone.peak_tracked
+        assert listed.evaluate_calls.tolist() == alone.evaluate_calls.tolist()
+        assert run_search([], ev, 10.0) == []
+
+    def test_shared_calls_and_bounded_peak(self):
+        tree = TreeConfig(num_layers=5, root_count=16, branching=(8,) * 4,
+                          costs=(1.0,) * 5)
+        leaves = nodes_in_layer(tree, 5)
+        ev = SparsePeakEvaluator(tree, peak_leaf=leaves // 2, height=80.0, seed=3)
+        strats = [threshold_strategy(tree, cut=cut) for cut in (6.0, 8.0, 10.0)]
+        counted = CountingEvaluator(ev)
+        shared = run_search(strats, counted, q_reject=25.0, chunk_size=4)
+        alone = [run_search(s, ev, q_reject=25.0, chunk_size=4) for s in strats]
+        # the cut-6 strategy observes every node the others do
+        assert len(counted.seen) == alone[0].per_layer_observed.sum()
+        assert all(out.evaluate_calls.tolist() == shared[0].evaluate_calls.tolist()
+                   for out in shared)
+        # one start group's ranges and batch at a time, never the dataset's
+        assert shared[0].peak_tracked <= sum(a.peak_tracked for a in alone)
+        assert shared[0].peak_tracked < leaves / 10
+        for out in shared:
+            assert [n.index for n, _ in out.detections] == [leaves // 2]
+
+    def test_mismatched_tree_in_a_list_rejected(self):
+        t1 = TreeConfig(num_layers=2, root_count=1, branching=(2,), costs=(1.0, 1.0))
+        t2 = TreeConfig(num_layers=2, root_count=2, branching=(2,), costs=(1.0, 1.0))
+        ev = ArrayEvaluator(t2, [np.zeros(2), np.zeros(4)])
+        with pytest.raises(ValueError, match="tree"):
+            run_search([fitted_strategy(t2, 0.0), fitted_strategy(t1, 0.0)], ev, 1.0)
+
+
 def test_observed_csv_rows_follow_layer_and_index(tmp_path):
     spec = GridSpec(1.0, 1.4, -1e-4, 0.0, num_layers=3, oversampling=3)
     photons = simulate_photons(SignalSpec(FreqDrift(1.2, -5e-5), 0.7, 60, 50.0), 8)
@@ -676,7 +769,8 @@ class TestScreen:
 
 
 def walked(ev, q, chunk_size=8192):
-    return engine._walk(ev, None, ev.tree.num_layers, q, chunk_size)
+    [out] = engine._walk(ev, [None], ev.tree.num_layers, q, chunk_size)
+    return out
 
 
 class TestScreenedSweep:

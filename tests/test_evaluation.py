@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import os
 
@@ -300,6 +301,30 @@ class TestEstimateTradeoff:
         alone = [estimate_tradeoff(lams, [theta], cfg, n_sims=5, seed=4, workers=1)[0]
                  for theta in (0.85, 0.5)]
         assert both == alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lambdas_do_not_couple(self, workers):
+        # the strategies share one walk per dataset; no lambda's point may move
+        cfg = self.tiny_config()
+        lams = [0.0, 0.3, 50.0]
+        [shared] = estimate_tradeoff(lams, [0.85], cfg, n_sims=5, seed=6, workers=workers)
+        alone = [estimate_tradeoff([lam], [0.85], cfg, n_sims=5, seed=6, workers=workers)[0][0]
+                 for lam in lams]
+        assert shared == alone
+
+    def test_logs_progress_and_shared_nodes(self, caplog):
+        caplog.set_level(logging.INFO, logger="blindsearch")
+        estimate_tradeoff([0.0, 0.3], [0.5, 0.85], self.tiny_config(), n_sims=4, seed=8,
+                          workers=1)
+        lines = [r.getMessage() for r in caplog.records if r.name == "blindsearch.evaluation"]
+        assert lines[:4] == [f"cost sims: {k}/4 done" for k in range(1, 5)]
+        assert lines[5:13] == [f"power sims: {k}/8 done" for k in range(1, 9)]
+        for line, phase in ((lines[4], "cost"), (lines[13], "power")):
+            words = line.split()
+            assert words[:2] == [phase, "sims:"]
+            evaluated, observed = int(words[2]), int(words[6])
+            # lambda = 0 observes every node the other strategy does
+            assert 0 < evaluated < observed
 
     def test_rejects_degenerate_sim_count(self):
         with pytest.raises(ValueError):
