@@ -7,7 +7,9 @@ injections at each pulsed fraction theta, both relative to the
 exhaustive leaf sweep. Paths, fits and null datasets do not depend on
 theta and are made once for all thetas, and on each dataset every
 lambda's strategy shares one walk of the tree, so a node that several
-strategies observe is evaluated once. Progress goes to the
+strategies observe is evaluated once. A sim computes leaf statistics
+only inside the success window around the injected signal, the only
+leaves whose values it reads. Progress goes to the
 ``blindsearch.evaluation`` logger at INFO.
 
 ``exact_dp_oracle`` computes the true optimal value function on small
@@ -121,27 +123,47 @@ def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
 _WORKER = None
 
 
-class _CountingEvaluator:
-    """An evaluator that counts the nodes it is asked to evaluate."""
+class _SimEvaluator:
+    """A dataset's evaluator as a tradeoff sim reads it, counting the nodes it computes.
 
-    def __init__(self, evaluator):
+    Above the leaf layer it forwards to ``evaluator``. At the leaf layer
+    it computes only the leaves of ``window``, once, here; every other
+    leaf reads 0.0. A sim reads a leaf's value only through a hit, a
+    detection inside the window, and leaves take no action, so no cost
+    or hit depends on the value of a leaf outside the window. A node's
+    value depends only on (layer, index), so a window leaf reads what
+    the walk would have computed.
+    """
+
+    def __init__(self, evaluator, window=()):
         self.evaluator = evaluator
         self.tree = evaluator.tree
-        self.nodes = 0
+        self.window = np.sort(np.asarray(window, dtype=np.int64))
+        self.window_values = np.empty(0)
+        if self.window.size:
+            self.window_values = evaluator.evaluate(self.tree.num_layers, self.window)
+        self.nodes = self.window.size
 
     def evaluate(self, layer, indices):
-        self.nodes += len(indices)
-        return self.evaluator.evaluate(layer, indices)
+        if layer < self.tree.num_layers:
+            self.nodes += len(indices)
+            return self.evaluator.evaluate(layer, indices)
+        out = np.zeros(len(indices))
+        if self.window.size:
+            j = np.minimum(np.searchsorted(self.window, indices), self.window.size - 1)
+            inside = self.window[j] == indices
+            out[inside] = self.window_values[j[inside]]
+        return out
 
 
 def _searched(strategies, evaluator, q_reject):
     """Every strategy's SearchOutcome from one shared walk, and its node counts.
 
-    The counts are (nodes evaluated, nodes the strategies observed in all).
+    ``evaluator`` is a ``_SimEvaluator``. The counts are (nodes it
+    computed, nodes the strategies observed in all).
     """
-    counted = _CountingEvaluator(evaluator)
-    outcomes = run_search(strategies, counted, q_reject)
-    return outcomes, (counted.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes))
+    outcomes = run_search(strategies, evaluator, q_reject)
+    return outcomes, (evaluator.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes))
 
 
 def _init_worker(state):
@@ -150,13 +172,19 @@ def _init_worker(state):
 
 
 def _cost_sim(task, state=None):
-    """(search cost per lambda, node counts) on one global-null dataset."""
+    """(search cost per lambda, node counts) on one global-null dataset.
+
+    A cost counts the nodes a strategy observes and reads no value at
+    the leaf layer, where no action is taken, so no leaf is computed:
+    every leaf reads 0.0 (``_SimEvaluator`` with no window).
+    """
     st = state if state is not None else _WORKER
     i, seed = task
     grid = st["grid"]
     photons = simulate_photons(
         SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
-    outcomes, nodes = _searched(st["strategies"], PulsarEvaluator(photons, grid), st["q_reject"])
+    outcomes, nodes = _searched(st["strategies"], _SimEvaluator(PulsarEvaluator(photons, grid)),
+                                st["q_reject"])
     return [o.total_cost for o in outcomes], nodes
 
 
@@ -164,7 +192,12 @@ def _power_sim(task, state=None):
     """(hit per lambda, sweep hit, node counts) on one injection at pulsed fraction theta.
 
     A hit is a detected leaf in the success window around the truth; the
-    sweep hit evaluates every leaf of that window.
+    sweep hit is a window leaf at or above q_reject. Both read leaf
+    values only inside the window, so the window's leaves are computed
+    once, for the sweep hit, and every other leaf reads 0.0
+    (``_SimEvaluator``). A stand-in leaf can become a detection only
+    when q_reject <= 0, and it lies outside the window, where the hit
+    test does not look.
     """
     st = state if state is not None else _WORKER
     i, seed, theta = task
@@ -175,10 +208,9 @@ def _power_sim(task, state=None):
                    omegadot=rng.uniform(spec.omegadot_min, spec.omegadot_max))
     photons = simulate_photons(
         SignalSpec(fd, theta, st["num_photons"], grid.span), subseed(seed, 3, i))
-    ev = PulsarEvaluator(photons, grid)
     window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
-    sweep_hit = bool(window.size
-                     and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
+    ev = _SimEvaluator(PulsarEvaluator(photons, grid), window)
+    sweep_hit = bool(np.any(ev.window_values >= st["q_reject"]))
     outcomes, nodes = _searched(st["strategies"], ev, st["q_reject"])
     hits = [bool(np.isin([node.index for node, _ in o.detections], window).any())
             for o in outcomes]
@@ -226,12 +258,17 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     different thetas share their true parameters. On each dataset the
     strategies share one walk (``run_search`` on the list), which
     evaluates every node once however many of them observe it; each
-    lambda's point equals the one it gets alone. Deterministic for a
-    given seed, independent of the worker count.
+    lambda's point equals the one it gets alone. A cost reads only how
+    many nodes a strategy observes, and a hit only the detected leaves
+    inside the success window, so a sim computes the leaf statistic
+    inside that window alone and every other leaf reads 0.0; leaves take
+    no action, so no cost, hit or point can differ from computing every
+    leaf. Deterministic for a given seed, independent of the worker
+    count.
 
     Logs at INFO, per phase (cost sims, then power sims), the sims done
-    out of the total and, at the phase's end, the nodes evaluated next to
-    the sum of the nodes the strategies observed.
+    out of the total and, at the phase's end, the nodes whose statistic
+    was computed next to the sum of the nodes the strategies observed.
     """
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")

@@ -9,18 +9,18 @@ from scipy import integrate
 from scipy import stats as sps
 
 from blindsearch import evaluation
-from blindsearch.engine import GridSpec, PulsarGrid
-from blindsearch.evaluation import (DESK_SPAN, REFERENCE_PHOTONS, TradeoffConfig,
-                                    desk_scale_config, estimate_tradeoff,
+from blindsearch.engine import GridSpec, PulsarEvaluator, PulsarGrid, run_search
+from blindsearch.evaluation import (DESK_SPAN, REFERENCE_FD, REFERENCE_PHOTONS,
+                                    TradeoffConfig, desk_scale_config, estimate_tradeoff,
                                     exact_dp_oracle, fitted_payoff_estimate,
                                     leaf_window, naive_power_check,
                                     tree_payoff_batch, write_tradeoff_csv)
 from blindsearch.fit import FitConfig, Strategy, fit_strategy, sample_paths
 from blindsearch.isotonic import MonotoneFn
-from blindsearch.models import GaussianChainModel
-from blindsearch.stats import FreqDrift
+from blindsearch.models import GaussianChainModel, PulsarNullModel
+from blindsearch.stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
 from blindsearch.tree import (NodeId, TreeConfig, descendant_range, nodes_in_layer)
-from blindsearch.util import resolve_workers
+from blindsearch.util import resolve_workers, subseed
 
 
 def chain_tree(layers, branch=2, roots=1, costs=None):
@@ -359,6 +359,143 @@ class TestEstimateTradeoff:
         assert float(rows[0]["cost_fraction"]) == pts[0].cost_fraction
         assert float(rows[0]["power_fraction"]) == pts[0].power_fraction
         assert int(rows[0]["n_sims"]) == 4
+
+    def test_cost_phase_counts_no_leaf(self, caplog):
+        # lambda = 0 observes every leaf of every null dataset, and a cost
+        # sim computes none of them
+        caplog.set_level(logging.INFO, logger="blindsearch")
+        cfg = self.tiny_config()
+        estimate_tradeoff([0.0], [0.85], cfg, n_sims=4, seed=8, workers=1)
+        line = next(r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("cost sims:") and "evaluated" in r.getMessage())
+        words = line.split()
+        tree = PulsarGrid(cfg.grid, cfg.span).tree
+        assert int(words[2]) == int(words[6]) - 4 * nodes_in_layer(tree, tree.num_layers)
+
+
+def reference_cost_sim(task, st):
+    """``_cost_sim``'s costs from run_search on a plain PulsarEvaluator."""
+    i, seed = task
+    grid = st["grid"]
+    photons = simulate_photons(
+        SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
+    outcomes = run_search(st["strategies"], PulsarEvaluator(photons, grid), st["q_reject"])
+    return [o.total_cost for o in outcomes]
+
+
+def reference_power_sim(task, st):
+    """``_power_sim``'s hits and sweep hit from every leaf computed exactly."""
+    i, seed, theta = task
+    grid = st["grid"]
+    spec = grid.spec
+    rng = np.random.default_rng(subseed(seed, 2, i))
+    fd = FreqDrift(omega=rng.uniform(spec.omega_min, spec.omega_max),
+                   omegadot=rng.uniform(spec.omegadot_min, spec.omegadot_max))
+    photons = simulate_photons(
+        SignalSpec(fd, theta, st["num_photons"], grid.span), subseed(seed, 3, i))
+    ev = PulsarEvaluator(photons, grid)
+    window = evaluation.leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
+    sweep_hit = bool(window.size
+                     and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
+    outcomes = run_search(st["strategies"], ev, st["q_reject"])
+    hits = [bool(np.isin([node.index for node, _ in o.detections], window).any())
+            for o in outcomes]
+    return hits, sweep_hit
+
+
+class TestSimLeafWork:
+    """Tradeoff sims compute leaves only inside the success window."""
+
+    @pytest.fixture(scope="class", params=["tiny", "drift"])
+    def state(self, request):
+        cfg = TestEstimateTradeoff().tiny_config()
+        if request.param == "drift":
+            # drift splits too, so leaf_window lists a window out of index order
+            cfg = TradeoffConfig(grid=GridSpec(1.0, 1.5, -2e-3, 0.0, num_layers=3,
+                                               oversampling=3),
+                                 span=80.0, num_photons=150, num_paths=3000,
+                                 qtrain_quantile=0.9, q_reject=12.0)
+        grid = PulsarGrid(cfg.grid, cfg.span)
+        paths = sample_paths(PulsarNullModel(grid, cfg.num_photons), cfg.num_paths, 11)
+        q_train = chi2_2_quantile(cfg.qtrain_quantile)
+        strategies = [fit_strategy(paths, FitConfig(grid.tree, lam, q_train, cfg.num_paths))
+                      for lam in (0.0, 0.3, 50.0)]
+        return {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
+                "q_reject": cfg.q_reject}
+
+    @pytest.mark.parametrize("q_reject", [12.0, 0.0, -1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sims_match_exact_reference(self, state, seed, q_reject):
+        st = dict(state, q_reject=q_reject)
+        for i in range(3):
+            costs, _ = evaluation._cost_sim((i, seed), st)
+            assert costs == reference_cost_sim((i, seed), st)
+            for theta in (0.0, 0.85):
+                hits, sweep_hit, _ = evaluation._power_sim((i, seed, theta), st)
+                assert (hits, sweep_hit) == reference_power_sim((i, seed, theta), st)
+
+    def test_high_theta_cases_hit(self, state):
+        # the equivalence above compares hits that do occur
+        hits = [reference_power_sim((i, seed, 0.85), state)
+                for seed in (1, 2, 3) for i in range(3)]
+        assert any(h[0][0] for h in hits) and any(sweep for _, sweep in hits)
+
+    @pytest.mark.parametrize("q_reject", [12.0, -1.0])
+    def test_empty_window(self, state, monkeypatch, q_reject):
+        monkeypatch.setattr(evaluation, "leaf_window",
+                            lambda *args: np.empty(0, dtype=np.int64))
+        st = dict(state, q_reject=q_reject)
+        for seed in (1, 2):
+            hits, sweep_hit, _ = evaluation._power_sim((0, seed, 0.85), st)
+            assert (hits, sweep_hit) == reference_power_sim((0, seed, 0.85), st)
+            assert (hits, sweep_hit) == ([False] * 3, False)
+
+    def test_leaves_read_exact_inside_the_window_and_zero_outside(self, state):
+        grid = state["grid"]
+        spec = grid.spec
+        G = grid.tree.num_layers
+        fd = FreqDrift(0.5 * (spec.omega_min + spec.omega_max),
+                       0.5 * (spec.omegadot_min + spec.omegadot_max))
+        ev = PulsarEvaluator(simulate_photons(SignalSpec(fd, 0.85, state["num_photons"],
+                                                         grid.span), 4), grid)
+        window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
+        sim = evaluation._SimEvaluator(ev, window)
+        leaves = np.arange(nodes_in_layer(grid.tree, G))
+        exact = ev.evaluate(G, leaves)
+        np.testing.assert_array_equal(sim.evaluate(G, leaves),
+                                      np.where(np.isin(leaves, window), exact, 0.0))
+        np.testing.assert_array_equal(sim.evaluate(G, leaves[::-1]),
+                                      np.where(np.isin(leaves, window), exact, 0.0)[::-1])
+        roots = np.arange(nodes_in_layer(grid.tree, 1))
+        np.testing.assert_array_equal(sim.evaluate(1, roots), ev.evaluate(1, roots))
+
+    def test_kernel_sees_no_leaf_outside_the_window(self, state, monkeypatch):
+        calls = []
+        evaluate = PulsarEvaluator.evaluate
+
+        def spy(self, layer, indices):
+            calls.append((layer, np.array(indices)))
+            return evaluate(self, layer, indices)
+        monkeypatch.setattr(PulsarEvaluator, "evaluate", spy)
+        windows = []
+
+        def recorded(*args, _fn=evaluation.leaf_window):
+            windows.append(_fn(*args))
+            return windows[-1]
+        monkeypatch.setattr(evaluation, "leaf_window", recorded)
+        G = state["grid"].tree.num_layers
+        for seed in (1, 2):
+            calls.clear()
+            _, (evaluated, observed) = evaluation._cost_sim((0, seed), state)
+            assert calls and all(layer < G for layer, _ in calls)
+            assert evaluated == sum(idx.size for _, idx in calls) < observed
+
+            calls.clear()
+            _, _, (evaluated, _) = evaluation._power_sim((0, seed, 0.85), state)
+            leaf_calls = [idx for layer, idx in calls if layer == G]
+            assert len(leaf_calls) == 1 and windows[-1].size
+            np.testing.assert_array_equal(np.sort(leaf_calls[0]), np.sort(windows[-1]))
+            assert evaluated == sum(idx.size for _, idx in calls)
 
 
 class TestNaivePowerCheck:
