@@ -10,14 +10,14 @@ blocked statistic matched to the layer. Its phases stay in cycles and
 become phasors through ``_unit_phasors``, the one phase-to-phasor step
 that the null model's sampler shares.
 
-On a grid whose leaves form a uniform lattice, one row of leaf
-statistics along a lattice dimension is one type-1 nonuniform FFT of the
-photons. There ``naive_search`` screens the leaves by FFT segment by
-segment, re-evaluates with the exact kernel only the leaves whose
-screened value comes within a margin of 1e-6 * max(1, q_reject) below
-the threshold, and reports only exact values, so its detections equal
-those of evaluating every leaf. Other grids, and every other evaluator,
-are swept by the walker.
+The leaves of every pulsar grid form a uniform lattice, and one row of
+leaf statistics along a lattice dimension is one type-1 nonuniform FFT
+of the photons. So ``naive_search`` screens a pulsar grid's leaves by
+FFT segment by segment, re-evaluates with the exact kernel only the
+leaves whose screened value comes within a margin of 1e-6 *
+max(1, q_reject) below the threshold, and reports only exact values, so
+its detections equal those of evaluating every leaf. Every other
+evaluator is swept by the walker.
 
 Evaluator protocol (duck-typed): a ``tree`` attribute carrying the
 TreeConfig, and ``evaluate(layer, indices) -> values`` accepting an int64
@@ -263,46 +263,34 @@ class PulsarGrid:
         kd = 2 * (kd + rd * sd) + (sd - cd)
         return omega, omegadot, kw, kd
 
-    def has_leaf_lattice(self) -> bool:
-        """Whether each dimension splits at every transition or at none.
-
-        Only then do a dimension's leaf positions form one uniform
-        lattice; an unsplit dimension holds a single position.
-        """
-        return len(set(self.freq_factor)) == 1 and len(set(self.drift_factor)) == 1
-
-    def _require_leaf_lattice(self) -> None:
-        if not self.has_leaf_lattice():
-            raise ValueError("the grid has no uniform leaf lattice: a dimension splits "
-                             "at some transitions and not others")
-
     def leaf_lattice(self, dim: int):
         """(count, first, spacing) of the leaf positions along one dimension.
 
-        Dimension 0 is omega, 1 is omegadot. Position p, 0 <= p < count,
-        lies at first + p * spacing, as ``node_params`` gives it up to
-        rounding; its ``node_coords`` coordinate is (2p + 1) * spacing /
-        d[-1], d the dimension's spacing array. The spacing is taken from
+        Dimension 0 is omega, 1 is omegadot. Once a dimension splits it
+        splits at every later transition, so its leaves form one uniform
+        lattice: n1 * prod(factors) positions at the leaf spacing d[-1]
+        (at d[0] if it never splits), d the dimension's spacing array, n1
+        its root count. A dimension that starts splitting late has one
+        root, and its leaves are centred on it. Position p, 0 <= p <
+        count, lies at first + p * spacing, as ``node_params`` gives it up
+        to rounding; its ``node_coords`` coordinate is ((2p + 1) * spacing
+        + n1 * d[0] - count * spacing) / d[-1]. The spacing is taken from
         that array, never as a difference of node parameters, whose
-        rounding would grow with p. Raises ValueError on a grid without a
-        leaf lattice.
+        rounding would grow with p.
         """
-        self._require_leaf_lattice()
         factors, d, n1, start = ((self.freq_factor, self.d_omega, self.n1_omega, self.omega_start)
                                  if dim == 0 else (self.drift_factor, self.d_omegadot,
                                                    self.n1_omegadot, self.omegadot_start))
-        spacing = d[-1] if factors[0] > 1 else d[0]
-        count = n1 * factors[0] ** (self.spec.num_layers - 1)
-        return count, start + 0.5 * spacing, spacing
+        spacing = d[-1] if factors[-1] > 1 else d[0]
+        count = n1 * math.prod(factors)
+        # the last term is exactly 0.0 unless the dimension starts splitting late
+        return count, start + 0.5 * spacing + 0.5 * (n1 * d[0] - count * spacing), spacing
 
     def leaf_index(self, pw, pd) -> np.ndarray:
         """Leaf indices at leaf-lattice positions (pw, pd), the inverse of ``node_coords``.
 
-        Positions count from 0 along each dimension, as in
-        ``leaf_lattice``. Raises ValueError on a grid without a leaf
-        lattice.
+        Positions count from 0 along each dimension, as in ``leaf_lattice``.
         """
-        self._require_leaf_lattice()
         g = self.spec.num_layers
         kw = np.asarray(pw, dtype=np.int64)
         kd = np.asarray(pd, dtype=np.int64)
@@ -426,10 +414,10 @@ class PulsarEvaluator:
     def screen_leaves(self):
         """Leaf statistics by nonuniform FFT, one lattice segment at a time.
 
-        Needs a grid with a uniform leaf lattice (``PulsarGrid.leaf_lattice``).
-        Rows run along the dimension with more leaf positions: frequency,
-        one row per drift position, unless the grid holds more drift
-        positions than frequencies. Along a row, position p adds 2 pi p
+        The lattice is the grid's ``PulsarGrid.leaf_lattice``. Rows run
+        along the dimension with more leaf positions: frequency, one row
+        per drift position, unless the grid holds more drift positions
+        than frequencies. Along a row, position p adds 2 pi p
         spacing s_j to photon j's phase, s_j being t_j for frequency and
         t_j^2 / 2 for drift, so the row's statistics are (2/m) |sum_j c_j
         exp(2 pi i p u_j)|^2 with u_j = frac(spacing s_j): one type-1
@@ -748,21 +736,20 @@ def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False
 def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOutcome:
     """Sweep every leaf; the benchmark the hierarchy is measured against.
 
-    A ``PulsarEvaluator`` whose grid has a uniform leaf lattice is swept
-    in two steps. The screen (``PulsarEvaluator.screen_leaves``) scores
-    each lattice row with nonuniform FFTs, one segment at a time. Every
-    leaf whose screened value reaches q_reject - 1e-6 * max(1,
-    q_reject), a margin far above the screen's rounding, is then
-    confirmed by ``evaluate`` in calls of at most ``chunk_size`` leaves,
-    segment by segment. Only confirmed values are reported, and a leaf's
-    value does not depend on the call, so the detections are those of
-    evaluating every leaf. Other grids and evaluators take the walker,
-    which evaluates every leaf in calls of ``chunk_size``. Either way the
-    leaf layer counts as fully observed, and detections come in
-    leaf-index order.
+    A ``PulsarEvaluator`` is swept in two steps. The screen
+    (``PulsarEvaluator.screen_leaves``) scores each row of the grid's
+    leaf lattice with nonuniform FFTs, one segment at a time. Every leaf
+    whose screened value reaches q_reject - 1e-6 * max(1, q_reject), a
+    margin far above the screen's rounding, is then confirmed by
+    ``evaluate`` in calls of at most ``chunk_size`` leaves, segment by
+    segment. Only confirmed values are reported, and a leaf's value does
+    not depend on the call, so the detections are those of evaluating
+    every leaf. Every other evaluator takes the walker, which evaluates
+    every leaf in calls of ``chunk_size``. Either way the leaf layer
+    counts as fully observed, and detections come in leaf-index order.
     """
     _check_search_args(q_reject, chunk_size)
-    if isinstance(evaluator, PulsarEvaluator) and evaluator.grid.has_leaf_lattice():
+    if isinstance(evaluator, PulsarEvaluator):
         return _screened_sweep(evaluator, q_reject, chunk_size)
     [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, chunk_size)
     out.sweep = {"method": "walk", "segments": 0, "confirmed": 0}

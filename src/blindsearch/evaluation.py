@@ -280,10 +280,6 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
         raise ValueError("every theta must lie in [0, 1]")
     workers = resolve_workers(workers)
     grid = PulsarGrid(cfg.grid, cfg.span)
-    if not grid.has_leaf_lattice():  # leaf_window needs it; fail before any sampling
-        raise ValueError("the grid has no uniform leaf lattice (a dimension splits at some "
-                         "layers and not others), so the leaves near an injected signal "
-                         "cannot be found; widen or narrow that dimension's range")
     tree = grid.tree
     q_reject = cfg.q_reject
     if q_reject is None:

@@ -311,22 +311,18 @@ class TestEvaluate:
         assert rc == 3
         assert not list(tmp_path.glob("*.csv"))
 
-
-    def test_grid_without_leaf_lattice_rejected_before_any_work(self, tmp_path, monkeypatch,
-                                                                 capsys):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("sample_paths called")
-        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+    def test_grid_splitting_late_runs(self, tmp_path):
         # drift splits at every layer, frequency only from layer 2 on
-        rc = cli.run(["evaluate", "--omega-min", "1.0", "--omega-max", "1.02",
-                      "--omegadot-min=-1e-3", "--omegadot-max=0", "--layers", "5",
-                      "--oversampling", "3", "--span", "100", "--lambdas", "0.1",
-                      "--thetas", "0.5", "--sims", "2", "--paths", "500",
-                      "--photons", "40", "--qreject", "12", "--workers", "1",
-                      "--out", str(tmp_path / "curve.csv")])
-        assert rc == 3
-        assert "no uniform leaf lattice" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        out = tmp_path / "curve.csv"
+        run_ok(["evaluate", "--omega-min", "1.0", "--omega-max", "1.02",
+                "--omegadot-min=-1e-3", "--omegadot-max=0", "--layers", "5",
+                "--oversampling", "3", "--span", "100", "--lambdas", "0.0,0.1,50.0",
+                "--thetas", "0.5", "--sims", "2", "--paths", "500",
+                "--photons", "40", "--qreject", "12", "--workers", "1",
+                "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("lambda,cost_fraction,power_fraction")
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.1", "50.0"]
 
 
 class TestOracle:

@@ -648,12 +648,13 @@ def test_csv_writers(tmp_path):
     assert det2.read_text().splitlines()[1].startswith(",,")
 
 
-# (spec, span) of leaf-lattice grids: frequency only, 8-ary, and one frequency
-# position with drift split 4 ways
+# (spec, span) of grids: frequency only, 8-ary, one frequency position with drift
+# split 4 ways, and the kernel tests' mixed grid, whose frequency splits late
 LATTICE_GRIDS = {
     "frequency": (GridSpec(1.0, 2.0, -1e-5, 0.0, num_layers=4, oversampling=3), 50.0),
     "eight_ary": (GridSpec(1.0, 1.3, -2e-3, 0.0, num_layers=3, oversampling=3), 40.0),
     "single": (GridSpec(1.5, 1.5, -2e-3, 0.0, num_layers=3, oversampling=3), 40.0),
+    "mixed": KERNEL_GRIDS["mixed"],
 }
 
 
@@ -666,11 +667,15 @@ class TestLeafLattice:
         om, od = g.node_params(G, idx)
         kw, kd = g.node_coords(G, idx)
         positions = []
-        for dim, k, param, d in ((0, kw, om, g.d_omega), (1, kd, od, g.d_omegadot)):
+        for dim, k, param, d, n1 in ((0, kw, om, g.d_omega, g.n1_omega),
+                                     (1, kd, od, g.d_omegadot, g.n1_omegadot)):
             count, first, spacing = g.leaf_lattice(dim)
-            unit = round(spacing / d[-1])  # node_coords counts half leaf spacings d[-1] / 2
-            assert np.all(k % unit == 0)
-            p = (k // unit - 1) // 2
+            # node_coords counts half leaf spacings d[-1] / 2 and gives position p
+            # ((2p + 1) * spacing + n1 * d[0] - count * spacing) / d[-1]
+            unit = round(spacing / d[-1])
+            shift = round((n1 * d[0] - count * spacing) / d[-1])
+            assert np.all((k - shift) % unit == 0)
+            p = ((k - shift) // unit - 1) // 2
             assert p.min() == 0 and p.max() == count - 1
             assert np.allclose(first + p * spacing, param, rtol=1e-14, atol=1e-9 * d[-1])
             positions.append(p)
@@ -679,23 +684,29 @@ class TestLeafLattice:
     def test_grids_split_as_described(self):
         grids = {name: PulsarGrid(*case) for name, case in LATTICE_GRIDS.items()}
         shapes = {name: (g.freq_factor, g.drift_factor) for name, g in grids.items()}
-        assert all(g.has_leaf_lattice() for g in grids.values())
         assert shapes == {"frequency": ((2, 2, 2), (1, 1, 1)), "eight_ary": ((2, 2), (4, 4)),
-                          "single": ((1, 1), (4, 4))}
+                          "single": ((1, 1), (4, 4)), "mixed": ((1, 2, 2, 2), (4, 4, 4, 4))}
 
-    def test_mixed_split_grid_raises(self):
+    def test_mixed_split_grid_centres_its_late_dimension(self):
         g = PulsarGrid(*KERNEL_GRIDS["mixed"])
-        assert not g.has_leaf_lattice()
-        with pytest.raises(ValueError, match="leaf lattice"):
-            g.leaf_lattice(0)
-        with pytest.raises(ValueError, match="leaf lattice"):
-            g.leaf_index([0], [0])
+        assert g.n1_omega == 1
+        count, first, spacing = g.leaf_lattice(0)
+        assert (count, spacing) == (8, g.d_omega[-1])
+        # eight leaf positions centred on the one frequency root, at coordinates 2p + 9
+        [root], _ = g.node_params(1, [0])
+        assert first + 3.5 * spacing == pytest.approx(root, rel=1e-15)
+        G = g.spec.num_layers
+        kw, _ = g.node_coords(G, np.arange(nodes_in_layer(g.tree, G)))
+        assert np.unique(kw).tolist() == (2 * np.arange(count) + 9).tolist()
 
 
 # the benchmark's sweep box (1/8 of the desk frequency range) and its 8-ary tradeoff grid
 SWEEP_SPEC = GridSpec(1.0, 1.5, -5e-11, 0.0, num_layers=9, oversampling=3)
 TRADEOFF_SPEC = GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3)
 DESK_SPEC = GridSpec(1.0, 5.0, -5e-11, 0.0, num_layers=9, oversampling=3)
+# a narrow desk-style box at 4x the desk span: drift splits only at the last two transitions
+MIXED_SPEC = GridSpec(1.0, 1.01, -5e-11, 0.0, num_layers=9, oversampling=3)
+MIXED_SPAN = 4 * DESK_SPAN
 SCREEN_RTOL = 1e-8
 
 
@@ -728,6 +739,11 @@ def sweep_box():
     return sweep_case(SWEEP_SPEC, DESK_SPAN, 1072, 0.5, 11)
 
 
+@pytest.fixture(scope="module")
+def mixed_box():
+    return sweep_case(MIXED_SPEC, MIXED_SPAN, 1072, 0.5, 21)
+
+
 class TestScreen:
     def test_sweep_box_every_leaf(self, sweep_box, monkeypatch):
         screened, exact = screened_and_exact(sweep_box)
@@ -737,6 +753,12 @@ class TestScreen:
         monkeypatch.setattr(engine, "_SPREAD", 8)
         coarse = np.concatenate([v for *_, v in sweep_box.screen_leaves()])
         assert screen_error(coarse, exact) > SCREEN_RTOL
+
+    def test_mixed_grid_every_leaf(self, mixed_box):
+        assert mixed_box.grid.drift_factor == (1,) * 6 + (4, 4)
+        screened, exact = screened_and_exact(mixed_box)
+        assert screened.size == nodes_in_layer(mixed_box.tree, 9) == 18 * 256 * 16
+        assert screen_error(screened, exact) <= SCREEN_RTOL
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_tradeoff_grid_every_leaf(self, theta):
@@ -774,11 +796,13 @@ def walked(ev, q, chunk_size=8192):
 
 
 class TestScreenedSweep:
-    @pytest.mark.parametrize("grid", ["sweep", "tradeoff"])
+    @pytest.mark.parametrize("grid", ["sweep", "tradeoff", "mixed"])
     @pytest.mark.parametrize("pulsed", [False, True])
-    def test_detections_equal_the_walk(self, grid, pulsed, sweep_box):
+    def test_detections_equal_the_walk(self, grid, pulsed, sweep_box, mixed_box):
         if grid == "sweep":
             ev = sweep_box if pulsed else sweep_case(SWEEP_SPEC, DESK_SPAN, 1072, 0.0, 16)
+        elif grid == "mixed":
+            ev = mixed_box if pulsed else sweep_case(MIXED_SPEC, MIXED_SPAN, 1072, 0.0, 22)
         else:
             ev = sweep_case(TRADEOFF_SPEC, 80.0, 150, 0.7 if pulsed else 0.0, 17)
         q = default_q_reject(ev.tree) - 8.0  # a few detections on a null dataset too
@@ -828,15 +852,14 @@ class TestScreenedSweep:
         with pytest.raises(ValueError, match="NaN"):
             naive_search(ev, float("nan"))
 
-    def test_mixed_grid_takes_the_walk(self, monkeypatch):
+    def test_mixed_grid_is_screened(self):
         ev = kernel_case("mixed")
         q = 6.0
-        monkeypatch.setattr(PulsarEvaluator, "screen_leaves", None)
         out = naive_search(ev, q, chunk_size=100)
-        assert out.sweep == {"method": "walk", "segments": 0, "confirmed": 0}
+        assert out.sweep["method"] == "screen"
         ref = walked(ev, q, 100)
         assert out.detections and out.detections == ref.detections
-        assert out.evaluate_calls.tolist() == ref.evaluate_calls.tolist()
+        assert out.per_layer_observed.tolist() == ref.per_layer_observed.tolist()
 
     @pytest.mark.parametrize("make", [
         lambda tree: ArrayEvaluator(tree, [np.random.default_rng(layer).chisquare(

@@ -236,12 +236,26 @@ class TestLeafWindow:
         win = leaf_window(grid, FreqDrift(5.0, 0.0), 1e-3, 1e-5)
         assert win.size == 0
 
-    def test_mixed_split_dimension_rejected(self):
-        spec = GridSpec(1.0, 1.2, -5e-5, 0.0, num_layers=3, oversampling=3)
-        grid = PulsarGrid(spec, 60.0)
-        assert 1 in grid.drift_factor and 4 in grid.drift_factor
-        with pytest.raises(ValueError):
-            leaf_window(grid, FreqDrift(1.1, -1e-5), 0.01, 1e-5)
+    def test_mixed_split_dimension(self):
+        cases = [
+            # drift splits at the last transition only
+            (GridSpec(1.0, 1.2, -5e-5, 0.0, num_layers=3, oversampling=3), 60.0,
+             ((2, 2), (1, 4))),
+            # frequency splits from layer 2 on
+            (GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5, oversampling=3), 100.0,
+             ((1, 2, 2, 2), (4, 4, 4, 4))),
+        ]
+        rng = np.random.default_rng(2)
+        for spec, span, factors in cases:
+            grid = PulsarGrid(spec, span)
+            assert (grid.freq_factor, grid.drift_factor) == factors
+            for _ in range(20):
+                fd = FreqDrift(rng.uniform(spec.omega_min, spec.omega_max),
+                               rng.uniform(spec.omegadot_min, 0.0))
+                rw = float(rng.choice([1 / span, 0.3 * grid.d_omega[-1]]))
+                rd = float(rng.choice([1 / span ** 2, 0.3 * grid.d_omegadot[-1]]))
+                win = leaf_window(grid, fd, rw, rd)
+                assert np.array_equal(np.sort(win), self.brute(grid, fd, rw, rd))
 
 
 class TestEstimateTradeoff:
@@ -406,7 +420,7 @@ def reference_power_sim(task, st):
 class TestSimLeafWork:
     """Tradeoff sims compute leaves only inside the success window."""
 
-    @pytest.fixture(scope="class", params=["tiny", "drift"])
+    @pytest.fixture(scope="class", params=["tiny", "drift", "mixed"])
     def state(self, request):
         cfg = TestEstimateTradeoff().tiny_config()
         if request.param == "drift":
@@ -414,6 +428,12 @@ class TestSimLeafWork:
             cfg = TradeoffConfig(grid=GridSpec(1.0, 1.5, -2e-3, 0.0, num_layers=3,
                                                oversampling=3),
                                  span=80.0, num_photons=150, num_paths=3000,
+                                 qtrain_quantile=0.9, q_reject=12.0)
+        elif request.param == "mixed":
+            # frequency splits from layer 2 on, its leaves centred on one root position
+            cfg = TradeoffConfig(grid=GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5,
+                                               oversampling=3),
+                                 span=100.0, num_photons=150, num_paths=3000,
                                  qtrain_quantile=0.9, q_reject=12.0)
         grid = PulsarGrid(cfg.grid, cfg.span)
         paths = sample_paths(PulsarNullModel(grid, cfg.num_photons), cfg.num_paths, 11)
