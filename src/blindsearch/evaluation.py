@@ -5,12 +5,13 @@ fit one strategy per lambda from a shared path budget, then measure
 observation cost on null datasets and detection power on signal
 injections at each pulsed fraction theta, both relative to the
 exhaustive leaf sweep. Paths, fits and null datasets do not depend on
-theta and are made once for all thetas, and on each dataset every
+theta and are made once for all thetas. On each null dataset every
 lambda's strategy shares one walk of the tree, so a node that several
-strategies observe is evaluated once. A sim computes leaf statistics
-only inside the success window around the injected signal, the only
-leaves whose values it reads. Progress goes to the
-``blindsearch.evaluation`` logger at INFO.
+strategies observe is evaluated once, and no leaf statistic is computed,
+since a cost reads none. A power sim walks no tree: it computes the
+leaves of the success window around the injected signal and their
+ancestors, and follows each strategy's decisions down those chains.
+Progress goes to the ``blindsearch.evaluation`` logger at INFO.
 
 ``exact_dp_oracle`` computes the true optimal value function on small
 reference trees with closed-form conditional laws by numerically
@@ -124,46 +125,23 @@ _WORKER = None
 
 
 class _SimEvaluator:
-    """A dataset's evaluator as a tradeoff sim reads it, counting the nodes it computes.
+    """A null dataset's evaluator as a cost sim reads it, counting the nodes it computes.
 
-    Above the leaf layer it forwards to ``evaluator``. At the leaf layer
-    it computes only the leaves of ``window``, once, here; every other
-    leaf reads 0.0. A sim reads a leaf's value only through a hit, a
-    detection inside the window, and leaves take no action, so no cost
-    or hit depends on the value of a leaf outside the window. A node's
-    value depends only on (layer, index), so a window leaf reads what
-    the walk would have computed.
+    Above the leaf layer it forwards to ``evaluator``; every leaf reads
+    0.0. A cost counts the nodes a strategy observes, and leaves take no
+    action, so no cost depends on a leaf's value.
     """
 
-    def __init__(self, evaluator, window=()):
+    def __init__(self, evaluator):
         self.evaluator = evaluator
         self.tree = evaluator.tree
-        self.window = np.sort(np.asarray(window, dtype=np.int64))
-        self.window_values = np.empty(0)
-        if self.window.size:
-            self.window_values = evaluator.evaluate(self.tree.num_layers, self.window)
-        self.nodes = self.window.size
+        self.nodes = 0
 
     def evaluate(self, layer, indices):
         if layer < self.tree.num_layers:
             self.nodes += len(indices)
             return self.evaluator.evaluate(layer, indices)
-        out = np.zeros(len(indices))
-        if self.window.size:
-            j = np.minimum(np.searchsorted(self.window, indices), self.window.size - 1)
-            inside = self.window[j] == indices
-            out[inside] = self.window_values[j[inside]]
-        return out
-
-
-def _searched(strategies, evaluator, q_reject):
-    """Every strategy's SearchOutcome from one shared walk, and its node counts.
-
-    ``evaluator`` is a ``_SimEvaluator``. The counts are (nodes it
-    computed, nodes the strategies observed in all).
-    """
-    outcomes = run_search(strategies, evaluator, q_reject)
-    return outcomes, (evaluator.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes))
+        return np.zeros(len(indices))
 
 
 def _init_worker(state):
@@ -174,55 +152,74 @@ def _init_worker(state):
 def _cost_sim(task, state=None):
     """(search cost per lambda, node counts) on one global-null dataset.
 
-    A cost counts the nodes a strategy observes and reads no value at
-    the leaf layer, where no action is taken, so no leaf is computed:
-    every leaf reads 0.0 (``_SimEvaluator`` with no window).
+    Every lambda's strategy walks the dataset in one shared
+    ``run_search`` on a ``_SimEvaluator``, which computes no leaf. The
+    counts are (nodes computed, nodes the strategies observed in all).
     """
     st = state if state is not None else _WORKER
     i, seed = task
     grid = st["grid"]
     photons = simulate_photons(
         SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
-    outcomes, nodes = _searched(st["strategies"], _SimEvaluator(PulsarEvaluator(photons, grid)),
-                                st["q_reject"])
-    return [o.total_cost for o in outcomes], nodes
+    ev = _SimEvaluator(PulsarEvaluator(photons, grid))
+    outcomes = run_search(st["strategies"], ev, st["q_reject"])
+    return ([o.total_cost for o in outcomes],
+            (ev.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes)))
 
 
 def _power_sim(task, state=None):
-    """(hit per lambda, sweep hit, node counts) on one injection at pulsed fraction theta.
+    """(hit per lambda, sweep hit, nodes computed) on one injection at pulsed fraction theta.
 
     A hit is a detected leaf in the success window around the truth; the
-    sweep hit is a window leaf at or above q_reject. Both read leaf
-    values only inside the window, so the window's leaves are computed
-    once, for the sweep hit, and every other leaf reads 0.0
-    (``_SimEvaluator``). A stand-in leaf can become a detection only
-    when q_reject <= 0, and it lies outside the window, where the hit
-    test does not look.
+    sweep hit is a window leaf at or above q_reject. A window leaf is
+    observed exactly when the strategy's decisions along its unique
+    chain of ancestors, from layer 1, which is always observed, lead to
+    it, so a hit reads only the window leaves and their ancestors. Each
+    layer's unique ancestors of the window are computed in one
+    ``evaluate`` call, and each strategy follows every leaf's chain:
+    action 0 stops it, action s moves it to the layer-s ancestor. No
+    tree is walked. An empty window computes nothing and hits nothing.
     """
     st = state if state is not None else _WORKER
     i, seed, theta = task
     grid = st["grid"]
     spec = grid.spec
+    tree = grid.tree
+    G = tree.num_layers
+    strategies = st["strategies"]
     rng = np.random.default_rng(subseed(seed, 2, i))
     fd = FreqDrift(omega=rng.uniform(spec.omega_min, spec.omega_max),
                    omegadot=rng.uniform(spec.omegadot_min, spec.omegadot_max))
     photons = simulate_photons(
         SignalSpec(fd, theta, st["num_photons"], grid.span), subseed(seed, 3, i))
     window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
-    ev = _SimEvaluator(PulsarEvaluator(photons, grid), window)
-    sweep_hit = bool(np.any(ev.window_values >= st["q_reject"]))
-    outcomes, nodes = _searched(st["strategies"], ev, st["q_reject"])
-    hits = [bool(np.isin([node.index for node, _ in o.detections], window).any())
-            for o in outcomes]
-    return hits, sweep_hit, nodes
+    if not window.size:
+        return [False] * len(strategies), False, 0
+    ev = PulsarEvaluator(photons, grid)
+    chains = []  # per layer, the value of each window leaf's ancestor there
+    nodes = 0
+    for layer in range(1, G + 1):
+        ancestors, of_leaf = np.unique(window // descendant_count(tree, layer, G),
+                                       return_inverse=True)
+        vals = ev.evaluate(layer, ancestors)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("evaluator produced non-finite statistics")
+        nodes += ancestors.size
+        chains.append(vals[of_leaf])
+    detected = chains[-1] >= st["q_reject"]
+    hits = []
+    for strategy in strategies:
+        at = np.ones(window.size, dtype=np.int64)  # the layer each chain has reached, 0 stopped
+        for layer in range(1, G):
+            here = at == layer
+            if here.any():
+                at[here] = strategy.decide_batch(layer, chains[layer - 1][here])
+        hits.append(bool(np.any(detected & (at == G))))
+    return hits, bool(detected.any()), nodes
 
 
 def _map_sims(fn, tasks, state, workers, phase: str):
-    """Results of ``fn`` over ``tasks`` in order, logging progress about every tenth.
-
-    Each result ends with its sim's (nodes evaluated, nodes observed),
-    which the phase's last log line sums.
-    """
+    """Results of ``fn`` over ``tasks`` in order, logging progress about every tenth."""
     step = max(1, len(tasks) // 10)
 
     def logged(results):
@@ -231,10 +228,6 @@ def _map_sims(fn, tasks, state, workers, phase: str):
             done.append(result)
             if len(done) % step == 0 or len(done) == len(tasks):
                 _log.info("%s sims: %d/%d done", phase, len(done), len(tasks))
-        evaluated = sum(r[-1][0] for r in done)
-        observed = sum(r[-1][1] for r in done)
-        _log.info("%s sims: %d nodes evaluated for %d observed by the strategies (%.3f)",
-                  phase, evaluated, observed, evaluated / observed if observed else 1.0)
         return done
 
     if workers <= 1 or len(tasks) < 2:
@@ -255,20 +248,21 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     success means detecting a leaf within 1/span in frequency and
     1/span^2 in drift of the truth. Every lambda runs on the same
     datasets, so each curve is internally paired, and the injections at
-    different thetas share their true parameters. On each dataset the
-    strategies share one walk (``run_search`` on the list), which
-    evaluates every node once however many of them observe it; each
-    lambda's point equals the one it gets alone. A cost reads only how
-    many nodes a strategy observes, and a hit only the detected leaves
-    inside the success window, so a sim computes the leaf statistic
-    inside that window alone and every other leaf reads 0.0; leaves take
-    no action, so no cost, hit or point can differ from computing every
-    leaf. Deterministic for a given seed, independent of the worker
+    different thetas share their true parameters. On each null dataset
+    the strategies share one walk (``run_search`` on the list), which
+    evaluates every node once however many of them observe it and
+    computes no leaf, since a cost reads only how many nodes a strategy
+    observes. A hit reads only the success window's leaves, and a leaf is
+    observed exactly when the decisions along its chain of ancestors lead
+    to it, so a power sim evaluates those chains alone. Each lambda's
+    point equals the one a full walk that computes every leaf gives it
+    alone. Deterministic for a given seed, independent of the worker
     count.
 
     Logs at INFO, per phase (cost sims, then power sims), the sims done
     out of the total and, at the phase's end, the nodes whose statistic
-    was computed next to the sum of the nodes the strategies observed.
+    was computed; the cost phase puts it next to the sum of the nodes the
+    strategies observed.
     """
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")
@@ -293,11 +287,16 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
              "q_reject": q_reject}
 
-    costs = [c for c, _ in _map_sims(_cost_sim, [(i, seed) for i in range(n_sims)], state,
-                                     workers, "cost")]
-    null_costs = [np.array([c[k] for c in costs]) for k in range(len(lambdas))]
+    cost_sims = _map_sims(_cost_sim, [(i, seed) for i in range(n_sims)], state, workers,
+                          "cost")
+    evaluated = sum(n for _, (n, _) in cost_sims)
+    observed = sum(n for _, (_, n) in cost_sims)
+    _log.info("cost sims: %d nodes evaluated for %d observed by the strategies (%.3f)",
+              evaluated, observed, evaluated / observed)
+    null_costs = [np.array([c[k] for c, _ in cost_sims]) for k in range(len(lambdas))]
     sims = _map_sims(_power_sim, [(i, seed, theta) for theta in thetas for i in range(n_sims)],
                      state, workers, "power")
+    _log.info("power sims: %d nodes evaluated", sum(n for _, _, n in sims))
     curves = []
     for t in range(len(thetas)):
         hits = sims[t * n_sims:(t + 1) * n_sims]

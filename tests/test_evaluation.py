@@ -19,7 +19,8 @@ from blindsearch.fit import FitConfig, Strategy, fit_strategy, sample_paths
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
-from blindsearch.tree import (NodeId, TreeConfig, descendant_range, nodes_in_layer)
+from blindsearch.tree import (NodeId, TreeConfig, descendant_count, descendant_range,
+                              nodes_in_layer)
 from blindsearch.util import resolve_workers, subseed
 
 
@@ -333,12 +334,15 @@ class TestEstimateTradeoff:
         lines = [r.getMessage() for r in caplog.records if r.name == "blindsearch.evaluation"]
         assert lines[:4] == [f"cost sims: {k}/4 done" for k in range(1, 5)]
         assert lines[5:13] == [f"power sims: {k}/8 done" for k in range(1, 9)]
-        for line, phase in ((lines[4], "cost"), (lines[13], "power")):
-            words = line.split()
-            assert words[:2] == [phase, "sims:"]
-            evaluated, observed = int(words[2]), int(words[6])
-            # lambda = 0 observes every node the other strategy does
-            assert 0 < evaluated < observed
+        words = lines[4].split()
+        assert words[:2] == ["cost", "sims:"]
+        evaluated, observed = int(words[2]), int(words[6])
+        # lambda = 0 observes every node the other strategy does
+        assert 0 < evaluated < observed
+        # a power sim follows chains and observes nothing, so it reports no observed count
+        words = lines[13].split()
+        assert words[:2] + words[3:] == ["power", "sims:", "nodes", "evaluated"]
+        assert int(words[2]) > 0
 
     def test_rejects_degenerate_sim_count(self):
         with pytest.raises(ValueError):
@@ -397,8 +401,15 @@ def reference_cost_sim(task, st):
     return [o.total_cost for o in outcomes]
 
 
-def reference_power_sim(task, st):
-    """``_power_sim``'s hits and sweep hit from every leaf computed exactly."""
+def reference_power_sim(task, st, window=None):
+    """``_power_sim``'s result from a full walk that computes every leaf.
+
+    The success window is found by brute force over every leaf's
+    parameters, unless ``window`` is given. The hits and the sweep hit
+    come with the count of the window leaves and their ancestors, the
+    nodes a power sim computes; a sim on a wrong window may still score
+    the same hits, but it cannot compute that count.
+    """
     i, seed, theta = task
     grid = st["grid"]
     spec = grid.spec
@@ -408,17 +419,40 @@ def reference_power_sim(task, st):
     photons = simulate_photons(
         SignalSpec(fd, theta, st["num_photons"], grid.span), subseed(seed, 3, i))
     ev = PulsarEvaluator(photons, grid)
-    window = evaluation.leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
+    if window is None:
+        leaves = np.arange(nodes_in_layer(grid.tree, spec.num_layers))
+        om, od = grid.node_params(spec.num_layers, leaves)
+        window = leaves[(np.abs(om - fd.omega) <= 1.0 / grid.span)
+                        & (np.abs(od - fd.omegadot) <= 1.0 / grid.span ** 2)]
     sweep_hit = bool(window.size
                      and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
     outcomes = run_search(st["strategies"], ev, st["q_reject"])
     hits = [bool(np.isin([node.index for node, _ in o.detections], window).any())
             for o in outcomes]
-    return hits, sweep_hit
+    G = spec.num_layers
+    nodes = sum(np.unique(window // descendant_count(grid.tree, layer, G)).size
+                for layer in range(1, G + 1))
+    return hits, sweep_hit, nodes
+
+
+def mixed_config():
+    """A 5-layer grid whose frequency splits from layer 2 on, its leaves centred on one root."""
+    return TradeoffConfig(grid=GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5, oversampling=3),
+                          span=100.0, num_photons=150, num_paths=3000,
+                          qtrain_quantile=0.9, q_reject=12.0)
+
+
+def jump_strategy(tree, jumps):
+    """A strategy that takes layer l to ``jumps[l]`` whatever its value and stops elsewhere."""
+    G = tree.num_layers
+    return manual_strategy(tree, 0.1, {
+        layer: {s: const_fn(1.0 if jumps.get(layer) == s else -1.0)
+                for s in range(layer + 1, G + 1)}
+        for layer in range(1, G)})
 
 
 class TestSimLeafWork:
-    """Tradeoff sims compute leaves only inside the success window."""
+    """Cost sims compute no leaf; power sims compute only the window's ancestor chains."""
 
     @pytest.fixture(scope="class", params=["tiny", "drift", "mixed"])
     def state(self, request):
@@ -430,11 +464,7 @@ class TestSimLeafWork:
                                  span=80.0, num_photons=150, num_paths=3000,
                                  qtrain_quantile=0.9, q_reject=12.0)
         elif request.param == "mixed":
-            # frequency splits from layer 2 on, its leaves centred on one root position
-            cfg = TradeoffConfig(grid=GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5,
-                                               oversampling=3),
-                                 span=100.0, num_photons=150, num_paths=3000,
-                                 qtrain_quantile=0.9, q_reject=12.0)
+            cfg = mixed_config()
         grid = PulsarGrid(cfg.grid, cfg.span)
         paths = sample_paths(PulsarNullModel(grid, cfg.num_photons), cfg.num_paths, 11)
         q_train = chi2_2_quantile(cfg.qtrain_quantile)
@@ -451,14 +481,14 @@ class TestSimLeafWork:
             costs, _ = evaluation._cost_sim((i, seed), st)
             assert costs == reference_cost_sim((i, seed), st)
             for theta in (0.0, 0.85):
-                hits, sweep_hit, _ = evaluation._power_sim((i, seed, theta), st)
-                assert (hits, sweep_hit) == reference_power_sim((i, seed, theta), st)
+                assert (evaluation._power_sim((i, seed, theta), st)
+                        == reference_power_sim((i, seed, theta), st))
 
     def test_high_theta_cases_hit(self, state):
         # the equivalence above compares hits that do occur
         hits = [reference_power_sim((i, seed, 0.85), state)
                 for seed in (1, 2, 3) for i in range(3)]
-        assert any(h[0][0] for h in hits) and any(sweep for _, sweep in hits)
+        assert any(h[0][0] for h in hits) and any(h[1] for h in hits)
 
     @pytest.mark.parametrize("q_reject", [12.0, -1.0])
     def test_empty_window(self, state, monkeypatch, q_reject):
@@ -466,11 +496,30 @@ class TestSimLeafWork:
                             lambda *args: np.empty(0, dtype=np.int64))
         st = dict(state, q_reject=q_reject)
         for seed in (1, 2):
-            hits, sweep_hit, _ = evaluation._power_sim((0, seed, 0.85), st)
-            assert (hits, sweep_hit) == reference_power_sim((0, seed, 0.85), st)
-            assert (hits, sweep_hit) == ([False] * 3, False)
+            empty = np.empty(0, dtype=np.int64)
+            assert (evaluation._power_sim((0, seed, 0.85), st)
+                    == reference_power_sim((0, seed, 0.85), st, empty)
+                    == ([False] * 3, False, 0))
 
-    def test_leaves_read_exact_inside_the_window_and_zero_outside(self, state):
+    @pytest.mark.parametrize("q_reject", [12.0, 0.0, -1.0])
+    def test_skip_layer_chains_match_reference(self, q_reject):
+        cfg = mixed_config()
+        grid = PulsarGrid(cfg.grid, cfg.span)
+        G = grid.tree.num_layers
+        strategies = [jump_strategy(grid.tree, {1: G}),
+                      jump_strategy(grid.tree, {1: 3, 3: G}),
+                      jump_strategy(grid.tree, {1: 2})]
+        st = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
+              "q_reject": q_reject}
+        for seed in (1, 2):
+            for i in range(3):
+                for theta in (0.0, 0.85):
+                    hits, sweep_hit, nodes = evaluation._power_sim((i, seed, theta), st)
+                    assert (hits, sweep_hit, nodes) == reference_power_sim((i, seed, theta), st)
+                    # both jumping strategies observe every leaf; stopping at 2 observes none
+                    assert hits == [sweep_hit, sweep_hit, False]
+
+    def test_cost_evaluator_exact_except_leaves_zero(self, state):
         grid = state["grid"]
         spec = grid.spec
         G = grid.tree.num_layers
@@ -478,16 +527,16 @@ class TestSimLeafWork:
                        0.5 * (spec.omegadot_min + spec.omegadot_max))
         ev = PulsarEvaluator(simulate_photons(SignalSpec(fd, 0.85, state["num_photons"],
                                                          grid.span), 4), grid)
-        window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
-        sim = evaluation._SimEvaluator(ev, window)
+        sim = evaluation._SimEvaluator(ev)
+        for layer in range(1, G):
+            nodes = np.arange(nodes_in_layer(grid.tree, layer))
+            np.testing.assert_array_equal(sim.evaluate(layer, nodes), ev.evaluate(layer, nodes))
+            np.testing.assert_array_equal(sim.evaluate(layer, nodes[::-1]),
+                                          ev.evaluate(layer, nodes)[::-1])
         leaves = np.arange(nodes_in_layer(grid.tree, G))
-        exact = ev.evaluate(G, leaves)
-        np.testing.assert_array_equal(sim.evaluate(G, leaves),
-                                      np.where(np.isin(leaves, window), exact, 0.0))
-        np.testing.assert_array_equal(sim.evaluate(G, leaves[::-1]),
-                                      np.where(np.isin(leaves, window), exact, 0.0)[::-1])
-        roots = np.arange(nodes_in_layer(grid.tree, 1))
-        np.testing.assert_array_equal(sim.evaluate(1, roots), ev.evaluate(1, roots))
+        assert np.any(ev.evaluate(G, leaves) != 0.0)
+        np.testing.assert_array_equal(sim.evaluate(G, leaves), np.zeros(leaves.size))
+        assert sim.nodes == 2 * sum(nodes_in_layer(grid.tree, layer) for layer in range(1, G))
 
     def test_kernel_sees_no_leaf_outside_the_window(self, state, monkeypatch):
         calls = []
@@ -511,10 +560,14 @@ class TestSimLeafWork:
             assert evaluated == sum(idx.size for _, idx in calls) < observed
 
             calls.clear()
-            _, _, (evaluated, _) = evaluation._power_sim((0, seed, 0.85), state)
-            leaf_calls = [idx for layer, idx in calls if layer == G]
-            assert len(leaf_calls) == 1 and windows[-1].size
-            np.testing.assert_array_equal(np.sort(leaf_calls[0]), np.sort(windows[-1]))
+            _, _, evaluated = evaluation._power_sim((0, seed, 0.85), state)
+            window = windows[-1]
+            layers = [layer for layer, _ in calls]
+            # at most one call per layer, the leaf layer's for the sweep hit
+            assert window.size and len(set(layers)) == len(layers) and G in layers
+            for layer, idx in calls:
+                ancestors = np.unique(window // descendant_count(state["grid"].tree, layer, G))
+                np.testing.assert_array_equal(np.sort(idx), ancestors)
             assert evaluated == sum(idx.size for _, idx in calls)
 
 
