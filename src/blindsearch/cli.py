@@ -31,8 +31,8 @@ from .engine import (PulsarEvaluator, PulsarGrid, GridSpec, default_q_reject,
                      naive_search, run_search, write_detections_csv,
                      write_layer_summary_csv, write_observed_csv)
 from .evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD, REFERENCE_SPAN,
-                         TradeoffConfig, estimate_tradeoff, exact_dp_oracle,
-                         fitted_payoff_estimate, write_tradeoff_csv)
+                         TradeoffConfig, desk_scale_config, estimate_tradeoff,
+                         exact_dp_oracle, fitted_payoff_estimate, write_tradeoff_csv)
 from .fit import (FORMAT_VERSION, FitConfig, fit_strategy, load_strategy,
                   sample_paths, save_strategy)
 from .models import GaussianChainModel, PulsarNullModel
@@ -45,14 +45,15 @@ USAGE_ERROR = 2
 DATA_ERROR = 3
 DEGENERATE_FIT = 4
 
+_DESK = desk_scale_config()
 _GRID_DEFAULTS = {
-    "omega_min": 1.0,
-    "omega_max": 5.0,
-    "omegadot_min": -5e-11,
-    "omegadot_max": 0.0,
-    "layers": 9,
-    "oversampling": 3,
-    "span": REFERENCE_SPAN / 32.0,
+    "omega_min": _DESK.grid.omega_min,
+    "omega_max": _DESK.grid.omega_max,
+    "omegadot_min": _DESK.grid.omegadot_min,
+    "omegadot_max": _DESK.grid.omegadot_max,
+    "layers": _DESK.grid.num_layers,
+    "oversampling": _DESK.grid.oversampling,
+    "span": _DESK.span,
 }
 
 DEFAULTS = {
@@ -91,9 +92,9 @@ DEFAULTS = {
         "lambdas": ",".join(repr(l) for l in DESK_LAMBDAS),
         "thetas": ",".join(repr(t) for t in DESK_THETAS),
         "sims": 200,
-        "paths": 100_000,
-        "qtrain_quantile": 0.99,
-        "photons": 1072,
+        "paths": _DESK.num_paths,
+        "qtrain_quantile": _DESK.qtrain_quantile,
+        "photons": _DESK.num_photons,
         "alpha": 0.05,
         "n_effective": None,
         "qreject": None,
@@ -461,9 +462,7 @@ def cmd_evaluate(args) -> int:
     q_reject = _resolve_q_reject(cfg, PulsarGrid(spec, cfg["span"]).tree)
     tc = TradeoffConfig(grid=spec, span=cfg["span"],
                         num_photons=int(cfg["photons"]), num_paths=int(cfg["paths"]),
-                        qtrain_quantile=cfg["qtrain_quantile"],
-                        alpha=cfg["alpha"], n_effective=cfg["n_effective"],
-                        q_reject=q_reject)
+                        qtrain_quantile=cfg["qtrain_quantile"], q_reject=q_reject)
     curves = estimate_tradeoff(lambdas, thetas, tc, int(cfg["sims"]), int(cfg["seed"]),
                                workers=cfg["workers"])
     for theta, points in zip(thetas, curves):

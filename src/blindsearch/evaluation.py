@@ -41,6 +41,7 @@ _log = logging.getLogger(__name__)
 REFERENCE_FD = FreqDrift(omega=9.761175993, omegadot=-8.827879e-12)
 REFERENCE_SPAN = 1205197.0
 REFERENCE_PHOTONS = 1072
+_ORACLE_SPAN = 8.0  # the oracle's state cells cover at least [-8, 8] standard deviations
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,16 @@ class TradeoffPoint:
 
 @dataclass(frozen=True)
 class TradeoffConfig:
-    """Everything estimate_tradeoff needs besides the lambda and theta grids."""
+    """Everything estimate_tradeoff needs besides the lambda and theta grids.
+
+    Without ``q_reject`` the threshold is ``default_q_reject`` of the grid's tree.
+    """
 
     grid: GridSpec
     span: float
     num_photons: int
     num_paths: int
     qtrain_quantile: float
-    alpha: float = 0.05
-    n_effective: float | None = None
     q_reject: float | None = None
 
     def __post_init__(self):
@@ -86,9 +88,7 @@ DESK_LAMBDAS = (0.0, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
 DESK_THETAS = (0.24, 0.34, 0.5)
 
 
-def desk_scale_config(num_layers: int = DESK_NUM_LAYERS,
-                      num_paths: int = 100_000, qtrain_quantile: float = 0.99,
-                      ) -> TradeoffConfig:
+def desk_scale_config() -> TradeoffConfig:
     """Scaled-down benchmark: same photon budget, 1/32 of the span.
 
     Frequencies 1..5 Hz and a drift range that sits inside one leaf drift
@@ -96,9 +96,9 @@ def desk_scale_config(num_layers: int = DESK_NUM_LAYERS,
     exhaustive sweep is still computable as ground truth.
     """
     grid = GridSpec(omega_min=1.0, omega_max=5.0, omegadot_min=-5e-11, omegadot_max=0.0,
-                    num_layers=num_layers, oversampling=3)
+                    num_layers=DESK_NUM_LAYERS, oversampling=3)
     return TradeoffConfig(grid=grid, span=DESK_SPAN, num_photons=REFERENCE_PHOTONS,
-                          num_paths=num_paths, qtrain_quantile=qtrain_quantile)
+                          num_paths=100_000, qtrain_quantile=0.99)
 
 
 def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
@@ -277,7 +277,7 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     tree = grid.tree
     q_reject = cfg.q_reject
     if q_reject is None:
-        q_reject = default_q_reject(tree, cfg.alpha, cfg.n_effective)
+        q_reject = default_q_reject(tree)
     q_train = chi2_2_quantile(cfg.qtrain_quantile)
     model = PulsarNullModel(grid, cfg.num_photons)
     paths = sample_paths(model, cfg.num_paths, subseed(seed, 0))
@@ -367,7 +367,7 @@ class OracleResult:
 
 
 def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
-                    n_grid: int = 200, span: float = 8.0) -> OracleResult:
+                    n_grid: int = 200) -> OracleResult:
     """Optimal value function by backward induction on a discretized state.
 
     Restricted to small reference trees (at most 4 layers, 256 leaves,
@@ -386,9 +386,9 @@ def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
         raise ValueError("n_grid must lie in 2..200")
     if not lam >= 0:
         raise ValueError("lam must be >= 0")
-    h = 2.0 * span / n_grid
-    k_down = math.ceil((q + span) / h)
-    k_up = max(1, math.ceil((span - q) / h))
+    h = 2.0 * _ORACLE_SPAN / n_grid
+    k_down = math.ceil((q + _ORACLE_SPAN) / h)
+    k_up = max(1, math.ceil((_ORACLE_SPAN - q) / h))
     edges = q + h * np.arange(-k_down, k_up + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
 

@@ -62,6 +62,9 @@ class PulsarNullModel:
     Every path gets its own freshly simulated uniform photon series of
     fixed size; the path's statistics are the blocked powers the layers
     of a search would compute at the visited (omega, omegadot) nodes.
+    The grid places those nodes: their parameters are its ``node_params``
+    bit for bit, as the evaluator's are, and each step's offsets are
+    differences of its ``node_coords``.
 
     Only the leaf phasors come from the phase itself. A child sits half
     a child spacing times an odd integer from its parent in each split
@@ -93,30 +96,20 @@ class PulsarNullModel:
         """The nodes of n uniform random paths.
 
         Returns (omega, omegadot, e_omega, e_omegadot): the visited node
-        parameters, shape (n, G), and the exponents of each child's
-        offset from its parent, shape (n, G - 1), in units of half the
-        child layer's spacing (0 where a dimension does not split).
+        parameters, shape (n, G), as ``PulsarGrid.node_params`` gives them,
+        and the exponents of each child's offset from its parent, shape
+        (n, G - 1), in units of half the child layer's spacing: the
+        child's ``node_coords`` less twice the parent's in frequency and
+        four times in drift (0 where a dimension does not split).
         """
         g = self.grid
-        G = g.spec.num_layers
-        omega = np.empty((n, G))
-        omegadot = np.empty((n, G))
-        e_omega = np.empty((n, G - 1), dtype=np.int64)
-        e_omegadot = np.empty((n, G - 1), dtype=np.int64)
-        roots = rng.integers(0, g.tree.root_count, n)
-        rw, rd = np.divmod(roots, g.n1_omegadot)
-        omega[:, 0] = g.omega_start + (rw + 0.5) * g.d_omega[0]
-        omegadot[:, 0] = g.omegadot_start + (rd + 0.5) * g.d_omegadot[0]
-        for j in range(1, G):
-            c = rng.integers(0, g.tree.branching[j - 1], n)
-            fd = g.drift_factor[j - 1]
-            fw = g.freq_factor[j - 1]
-            iw, idot = np.divmod(c, fd)
-            e_omega[:, j - 1] = 2 * iw - (fw - 1)
-            e_omegadot[:, j - 1] = 2 * idot - (fd - 1)
-            omega[:, j] = omega[:, j - 1] + 0.5 * e_omega[:, j - 1] * g.d_omega[j]
-            omegadot[:, j] = omegadot[:, j - 1] + 0.5 * e_omegadot[:, j - 1] * g.d_omegadot[j]
-        return omega, omegadot, e_omega, e_omegadot
+        idx = [rng.integers(0, g.tree.root_count, n)]
+        for b in g.tree.branching:
+            idx.append(idx[-1] * b + rng.integers(0, b, n))
+        layers = range(1, len(idx) + 1)
+        omega, omegadot = (np.stack(p, axis=1) for p in zip(*map(g.node_params, layers, idx)))
+        kw, kd = (np.stack(k, axis=1) for k in zip(*map(g.node_coords, layers, idx)))
+        return omega, omegadot, kw[:, 1:] - 2 * kw[:, :-1], kd[:, 1:] - 4 * kd[:, :-1]
 
     def _times(self, n: int, rng, out=None) -> np.ndarray:
         """Uniform photon times for n paths, shape (n, m), sorted per path.

@@ -355,6 +355,14 @@ class TestConfigResolution:
         assert rc == cli.DATA_ERROR
         assert "thtea" in capsys.readouterr().err
 
+    def test_evaluate_defaults_are_the_desk_config(self):
+        args = cli.build_parser().parse_args(["evaluate", "--out", "curve.csv"])
+        cfg = cli._resolve(args, "evaluate")
+        desk = evaluation.desk_scale_config()
+        assert cli._grid_from_cfg(cfg) == desk.grid
+        assert ((cfg["span"], cfg["photons"], cfg["paths"], cfg["qtrain_quantile"])
+                == (desk.span, desk.num_photons, desk.num_paths, desk.qtrain_quantile))
+
     def test_version_banner(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])

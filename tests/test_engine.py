@@ -238,17 +238,16 @@ class TestAnchoredKernel:
         for layer in ev.tree.layers():
             assert ev.evaluate(layer, np.empty(0, dtype=np.int64)).shape == (0,)
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRIDS) + ["desk"])
     def test_node_coords_twin_node_params(self, name):
-        g = kernel_case(name).grid
+        g = PulsarGrid(DESK_SPEC, DESK_SPAN) if name == "desk" else PulsarGrid(*KERNEL_GRIDS[name])
         for layer in g.tree.layers():
             idx = np.arange(nodes_in_layer(g.tree, layer))
             om, od = g.node_params(layer, idx)
             kw, kd = g.node_coords(layer, idx)
-            assert np.allclose(g.omega_start + kw * 0.5 * g.d_omega[layer - 1], om,
-                               rtol=1e-14, atol=0)
-            assert np.allclose(g.omegadot_start + kd * 0.5 * g.d_omegadot[layer - 1], od,
-                               rtol=0, atol=1e-9 * g.d_omegadot[layer - 1])
+            # bit for bit at every depth: no per-digit sum to round
+            assert np.array_equal(g.omega_start + kw * (0.5 * g.d_omega[layer - 1]), om)
+            assert np.array_equal(g.omegadot_start + kd * (0.5 * g.d_omegadot[layer - 1]), od)
             for k in (kw, kd):
                 pos = np.unique(k)
                 if pos.size > 1:

@@ -4,6 +4,7 @@ from scipy import stats as sps
 
 from blindsearch import engine
 from blindsearch.engine import GridSpec, PulsarEvaluator, PulsarGrid
+from blindsearch.evaluation import DESK_SPAN
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import (FreqDrift, PhotonSeries, SignalSpec, blocked_power,
                                simulate_photons)
@@ -164,6 +165,45 @@ def test_path_values_match_blocked_power_on_own_photons(spec, span, m, branching
     # tiles group whole rows, so tiles of one to three rows give the same bits
     monkeypatch.setattr(engine, "_TILE_ELEMENTS", 3 * m)
     assert np.array_equal(model.sample_path_values_batch(n, np.random.default_rng(11)), got)
+
+
+@pytest.mark.parametrize("spec, span", [
+    (GridSpec(1.0, 2.0, -1e-6, 0.0, num_layers=4, oversampling=3), 500.0),
+    (GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3), 80.0),
+    (GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5, oversampling=3), 100.0),
+    (GridSpec(1.0, 5.0, -5e-11, 0.0, num_layers=9, oversampling=3), DESK_SPAN),
+], ids=["drift-box", "eight-ary", "mixed", "desk"])
+def test_path_nodes_are_the_grid_nodes(spec, span):
+    """Replay one draw's nodes: the sampler places them where the grid does.
+
+    Roots and child digits come off the stream in that order; a path's
+    parameters are ``node_params`` bit for bit, and its offset exponents
+    are differences of ``node_coords``.
+    """
+    grid = PulsarGrid(spec, span)
+    n = 300
+    omega, omegadot, e_omega, e_omegadot = PulsarNullModel(grid, 10)._path_params(
+        n, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    idx = rng.integers(0, grid.tree.root_count, n)
+    parent = None
+    for layer in grid.tree.layers():
+        if layer > 1:
+            b = grid.tree.branching[layer - 2]
+            idx = idx * b + rng.integers(0, b, n)
+        om, od = grid.node_params(layer, idx)
+        assert np.array_equal(omega[:, layer - 1], om)
+        assert np.array_equal(omegadot[:, layer - 1], od)
+        kw, kd = grid.node_coords(layer, idx)
+        if parent is not None:
+            ew, ed = e_omega[:, layer - 2], e_omegadot[:, layer - 2]
+            assert np.array_equal(ew, kw - 2 * parent[0])
+            assert np.array_equal(ed, kd - 4 * parent[1])
+            split_w = grid.freq_factor[layer - 2] > 1
+            split_d = grid.drift_factor[layer - 2] > 1
+            assert set(np.unique(ew)) <= ({-1, 1} if split_w else {0})
+            assert set(np.unique(ed)) <= ({-3, -1, 1, 3} if split_d else {0})
+        parent = kw, kd
 
 
 def test_models_expose_num_layers():
