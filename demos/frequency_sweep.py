@@ -26,7 +26,7 @@ print(f"grid: {grid.tree.root_count} roots -> {leaves} leaves, "
 
 model = PulsarNullModel(grid, num_photons=M)
 paths = sample_paths(model, 20_000, seed=7)
-strategy = fit_strategy(paths, FitConfig(grid.tree, lam=1e-2, q_train=13.8, num_paths=20_000))
+strategy = fit_strategy(paths, FitConfig(grid.tree, lam=1e-2, q_train=13.8))
 
 photons = simulate_photons(SignalSpec(TRUE, theta=0.5, num_photons=M, span=SPAN), seed=8)
 ev = PulsarEvaluator(photons, grid)

@@ -22,7 +22,7 @@ print(f"{'lambda':>8} {'exact':>9} {'fitted':>9} {'se':>7} {'ratio':>7}")
 paths = sample_paths(model, N_PATHS, seed=100)
 for lam in (0.0, 0.02, 0.05, 0.1, 0.2):
     oracle = exact_dp_oracle(model, lam, Q)
-    strat = fit_strategy(paths, FitConfig(tree, lam, Q, N_PATHS))
+    strat = fit_strategy(paths, FitConfig(tree, lam, Q))
     mean, se = fitted_payoff_estimate(strat, model, Q, N_SIMS, seed=200)
     ratio = mean / oracle.total_payoff if oracle.total_payoff > 0 else float("nan")
     print(f"{lam:8.3f} {oracle.total_payoff:9.4f} {mean:9.4f} {se:7.4f} {ratio:7.3f}")

@@ -30,8 +30,8 @@ from . import __version__
 from .engine import (PulsarEvaluator, PulsarGrid, GridSpec, default_q_reject,
                      naive_search, run_search, write_detections_csv,
                      write_layer_summary_csv, write_observed_csv)
-from .evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD, REFERENCE_SPAN,
-                         TradeoffConfig, desk_scale_config, estimate_tradeoff,
+from .evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD, REFERENCE_PHOTONS,
+                         REFERENCE_SPAN, TradeoffConfig, desk_scale_config, estimate_tradeoff,
                          exact_dp_oracle, fitted_payoff_estimate, write_tradeoff_csv)
 from .fit import (FORMAT_VERSION, FitConfig, fit_strategy, load_strategy,
                   sample_paths, save_strategy)
@@ -59,7 +59,7 @@ _GRID_DEFAULTS = {
 DEFAULTS = {
     "simulate": {
         "theta": 0.34,
-        "photons": 1072,
+        "photons": REFERENCE_PHOTONS,
         "span": REFERENCE_SPAN,
         "omega": REFERENCE_FD.omega,
         "omegadot": REFERENCE_FD.omegadot,
@@ -68,9 +68,9 @@ DEFAULTS = {
     "fit": {
         **_GRID_DEFAULTS,
         "lam": None,
-        "paths": 100_000,
+        "paths": _DESK.num_paths,
         "qtrain_quantile": 0.999,
-        "photons": 1072,
+        "photons": REFERENCE_PHOTONS,
         "seed": 0,
     },
     "search": {
@@ -327,7 +327,7 @@ def cmd_fit(args) -> int:
         if not ok:
             raise ValueError(message)
     grid = PulsarGrid(_grid_from_cfg(cfg), cfg["span"])
-    fit_cfg = FitConfig(grid.tree, float(cfg["lam"]), chi2_2_quantile(quantile), num_paths)
+    fit_cfg = FitConfig(grid.tree, float(cfg["lam"]), chi2_2_quantile(quantile))
     model = PulsarNullModel(grid, int(cfg["photons"]))
     seed = int(cfg["seed"])
     start = time.perf_counter()
@@ -497,7 +497,7 @@ def cmd_oracle(args) -> int:
     oracle = exact_dp_oracle(model, lam, q, n_grid=int(cfg["grid_cells"]))
     seed = int(cfg["seed"])
     paths = sample_paths(model, int(cfg["paths"]), subseed(seed, 0))
-    strategy = fit_strategy(paths, FitConfig(tree, lam, q, int(cfg["paths"])), seed=seed)
+    strategy = fit_strategy(paths, FitConfig(tree, lam, q), seed=seed)
     payoff, se = fitted_payoff_estimate(strategy, model, q, int(cfg["sims"]), seed)
 
     print(f"tree: {tree.num_layers} layers, branching {cfg['branching']}, "

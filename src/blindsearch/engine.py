@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import TWO_PI, PhotonSeries, block_edges
+from .stats import TWO_PI, PhotonSeries, block_edges, chi2_2_isf
 from .tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
 
 _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such limit
@@ -806,7 +806,6 @@ def default_q_reject(tree: TreeConfig, alpha: float = 0.05, n_effective=None) ->
     of a null sweep reaches the alpha = 0.05 threshold in 0.283 +- 0.026
     of sweeps, not 0.05.
     """
-    from .stats import chi2_2_isf
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if n_effective is None:

@@ -27,12 +27,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .engine import (GridSpec, PulsarGrid, PulsarEvaluator, default_q_reject, run_search)
 from .fit import FitConfig, fit_strategy, sample_paths
 from .models import GaussianChainModel, PulsarNullModel
-from .stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
+from .stats import FreqDrift, SignalSpec, chi2_2_quantile, rayleigh_power, simulate_photons
 from .tree import descendant_count, nodes_in_layer
 from .util import resolve_workers, subseed
 
@@ -282,7 +281,7 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     model = PulsarNullModel(grid, cfg.num_photons)
     paths = sample_paths(model, cfg.num_paths, subseed(seed, 0))
     naive_cost = nodes_in_layer(tree, tree.num_layers) * tree.cost(tree.num_layers)
-    strategies = [fit_strategy(paths, FitConfig(tree, lam, q_train, cfg.num_paths))
+    strategies = [fit_strategy(paths, FitConfig(tree, lam, q_train))
                   for lam in lambdas]
     state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
              "q_reject": q_reject}
@@ -340,7 +339,6 @@ def naive_power_check(theta: float, num_photons: int, q_reject: float, n_sims: i
     at the exact true parameters; a statistic at or above ``q_reject``
     is a detection. Returns (power, standard error).
     """
-    from .stats import rayleigh_power
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
     spec = SignalSpec(fd, theta, num_photons, span)
@@ -364,6 +362,11 @@ class OracleResult:
     total_payoff: float
     lam: float
     q: float
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array, elementwise: 0.5 * erfc(-x / sqrt(2)) by ``math.erfc``."""
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(x * -math.sqrt(0.5)).astype(float)
 
 
 def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
@@ -399,7 +402,7 @@ def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
         targets = list(range(layer + 1, G + 1))
         for s in targets:
             a, sd = model.transition(layer, s)
-            cdf = ndtr((edges[None, :] - a * centers[:, None]) / sd)
+            cdf = _ndtr((edges[None, :] - a * centers[:, None]) / sd)
             trans = np.diff(cdf, axis=1)
             b = descendant_count(tree, layer, s)
             qs.append(b * (trans @ values[s] - lam * tree.cost(s)))
@@ -412,7 +415,7 @@ def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
         values[layer] = np.maximum(best, 0.0)
         actions[layer] = act
 
-    weights = np.diff(ndtr(edges))
+    weights = np.diff(_ndtr(edges))
     expected = float(weights @ values[1])
     return OracleResult(centers=centers,
                         layer_values=[values[l] for l in range(1, G + 1)],

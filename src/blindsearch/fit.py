@@ -32,15 +32,12 @@ class FitConfig:
     tree: TreeConfig
     lam: float
     q_train: float
-    num_paths: int
 
     def __post_init__(self):
         if not self.lam >= 0 or not math.isfinite(self.lam):
             raise ValueError("lam must be finite and >= 0")
         if not math.isfinite(self.q_train):
             raise ValueError("q_train must be finite")
-        if self.num_paths < 2:
-            raise ValueError("num_paths must be >= 2")
 
 
 def _build_regions(fns: dict, lam: float):

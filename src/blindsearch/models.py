@@ -62,9 +62,9 @@ class PulsarNullModel:
     Every path gets its own freshly simulated uniform photon series of
     fixed size; the path's statistics are the blocked powers the layers
     of a search would compute at the visited (omega, omegadot) nodes.
-    The grid places those nodes: their parameters are its ``node_params``
-    bit for bit, as the evaluator's are, and each step's offsets are
-    differences of its ``node_coords``.
+    The grid places those nodes: a path's leaf parameters are its
+    ``node_params`` bit for bit, as the evaluator's are, and each step's
+    offsets are differences of its ``node_coords``.
 
     Only the leaf phasors come from the phase itself. A child sits half
     a child spacing times an odd integer from its parent in each split
@@ -95,8 +95,8 @@ class PulsarNullModel:
     def _path_params(self, n: int, rng):
         """The nodes of n uniform random paths.
 
-        Returns (omega, omegadot, e_omega, e_omegadot): the visited node
-        parameters, shape (n, G), as ``PulsarGrid.node_params`` gives them,
+        Returns (omega, omegadot, e_omega, e_omegadot): the leaf
+        parameters, shape (n,), as ``PulsarGrid.node_params`` gives them,
         and the exponents of each child's offset from its parent, shape
         (n, G - 1), in units of half the child layer's spacing: the
         child's ``node_coords`` less twice the parent's in frequency and
@@ -107,7 +107,7 @@ class PulsarNullModel:
         for b in g.tree.branching:
             idx.append(idx[-1] * b + rng.integers(0, b, n))
         layers = range(1, len(idx) + 1)
-        omega, omegadot = (np.stack(p, axis=1) for p in zip(*map(g.node_params, layers, idx)))
+        omega, omegadot = g.node_params(layers[-1], idx[-1])
         kw, kd = (np.stack(k, axis=1) for k in zip(*map(g.node_coords, layers, idx)))
         return omega, omegadot, kw[:, 1:] - 2 * kw[:, :-1], kd[:, 1:] - 4 * kd[:, :-1]
 
@@ -141,8 +141,8 @@ class PulsarNullModel:
         index += nb * np.arange(rows)[:, None]
         ends = np.bincount(index.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
         # leaf phase in cycles: (omega + omegadot t / 2) t
-        np.multiply(t, 0.5 * omegadot[:, G - 1, None], out=c)
-        c += omega[:, G - 1, None]
+        np.multiply(t, 0.5 * omegadot[:, None], out=c)
+        c += omega[:, None]
         c *= t
         _unit_phasors(c, z, index, w)
         split_w, split_d = 2 in g.freq_factor, 4 in g.drift_factor

@@ -90,7 +90,7 @@ def test_free_search_recovers_exactly_the_naive_detections():
     grid = PulsarGrid(spec, 60.0)
     model = PulsarNullModel(grid, num_photons=150)
     paths = sample_paths(model, 10_000, seed=30)
-    strat = fit_strategy(paths, FitConfig(grid.tree, 0.0, 9.21, 10_000))
+    strat = fit_strategy(paths, FitConfig(grid.tree, 0.0, 9.21))
     q = 16.0
     rng = np.random.default_rng(31)
     mismatches = 0
@@ -122,7 +122,7 @@ def test_fitted_strategy_near_exact_optimum():
     lam, q = 0.05, 1.5
     oracle = exact_dp_oracle(model, lam, q)
     paths = sample_paths(model, 100_000, seed=40)
-    strat = fit_strategy(paths, FitConfig(tree, lam, q, 100_000))
+    strat = fit_strategy(paths, FitConfig(tree, lam, q))
     mean, se = fitted_payoff_estimate(strat, model, q, n_sims=50_000, seed=41)
     ratio = mean / oracle.total_payoff
     report("fit vs exact optimum", ratio >= 0.95,
@@ -166,7 +166,7 @@ def test_path_payoff_identity():
     model = GaussianChainModel(tree, rho=0.8)
     lam, q = 0.15, 1.0
     paths = sample_paths(model, 5000, seed=50)
-    strat = fit_strategy(paths, FitConfig(tree, lam, q, 5000))
+    strat = fit_strategy(paths, FitConfig(tree, lam, q))
     rng = np.random.default_rng(51)
     worst = 0.0
     for _ in range(25):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blindsearch
 from blindsearch import cli, evaluation
 from blindsearch.engine import GridSpec, PulsarGrid, default_q_reject
 from blindsearch.fit import load_strategy
@@ -363,6 +369,15 @@ class TestConfigResolution:
         assert ((cfg["span"], cfg["photons"], cfg["paths"], cfg["qtrain_quantile"])
                 == (desk.span, desk.num_photons, desk.num_paths, desk.qtrain_quantile))
 
+    def test_fit_defaults_are_the_desk_config(self):
+        args = cli.build_parser().parse_args(["fit", "--out", "strategy.json"])
+        cfg = cli._resolve(args, "fit")
+        desk = evaluation.desk_scale_config()
+        assert cli._grid_from_cfg(cfg) == desk.grid
+        assert ((cfg["span"], cfg["photons"], cfg["paths"])
+                == (desk.span, desk.num_photons, desk.num_paths))
+        assert cli.DEFAULTS["simulate"]["photons"] == evaluation.REFERENCE_PHOTONS
+
     def test_version_banner(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])
@@ -381,3 +396,40 @@ def test_search_detects_planted_signal(tmp_path):
     assert rows, "no detections for a loud planted signal"
     omegas = np.array([float(r.split(",")[0]) for r in rows])
     assert np.min(np.abs(omegas - 1.5)) < 0.05
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """Every command runs on numpy alone: none of them loads a SciPy module.
+
+    A fresh interpreter imports the package, runs each command in-process
+    on tiny inputs and then lists what ``sys.modules`` holds; the test
+    process itself has SciPy loaded by the other tests.
+    """
+    script = textwrap.dedent("""
+        import sys
+        from blindsearch import cli
+
+        grid = ["--omega-min", "1.0", "--omega-max", "2.0", "--omegadot-min=-1e-6",
+                "--omegadot-max=0", "--layers", "3", "--span", "50"]
+        for argv in (
+            ["simulate", "--theta", "0.8", "--photons", "80", "--span", "50",
+             "--omega", "1.5", "--omegadot=0", "--seed", "1", "--out", "photons.txt"],
+            ["fit", *grid, "--photons", "80", "--lambda", "0.01", "--paths", "400",
+             "--qtrain-quantile", "0.9", "--seed", "1", "--out", "strategy.json"],
+            ["search", "--strategy", "strategy.json", "--photons-file", "photons.txt",
+             "--qreject", "12", "--out-dir", "search"],
+            ["naive", *grid, "--photons-file", "photons.txt", "--qreject", "12",
+             "--out-dir", "sweep"],
+            ["evaluate", *grid, "--photons", "80", "--lambdas", "0.0,0.01", "--thetas", "0.8",
+             "--sims", "2", "--paths", "400", "--qtrain-quantile", "0.9", "--qreject", "12",
+             "--workers", "1", "--seed", "1", "--out", "curve.csv"],
+            ["oracle", "--layers", "2", "--paths", "400", "--sims", "400"],
+        ):
+            assert cli.run(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(blindsearch.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

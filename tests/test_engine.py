@@ -16,7 +16,7 @@ from blindsearch.tree import NodeId, TreeConfig, descendant_count, nodes_in_laye
 def fitted_strategy(tree, lam, q_train=4.0, seed=0, n=80):
     rng = np.random.default_rng(seed)
     paths = rng.chisquare(2, size=(n, tree.num_layers))
-    return fit_strategy(paths, FitConfig(tree, lam, q_train, n))
+    return fit_strategy(paths, FitConfig(tree, lam, q_train))
 
 
 def reference_search(strategy, tree, values, q):

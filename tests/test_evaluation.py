@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special
 from scipy import stats as sps
 
 from blindsearch import evaluation
@@ -94,9 +95,27 @@ class TestExactOracle:
         assert res.total_payoff >= straight - 1e-3
         # the fitted strategy cannot beat the optimum
         paths = sample_paths(model, 4000, seed=0)
-        strat = fit_strategy(paths, FitConfig(tree, lam, q, 4000))
+        strat = fit_strategy(paths, FitConfig(tree, lam, q))
         mean, se = fitted_payoff_estimate(strat, model, q, n_sims=4000, seed=1)
         assert mean <= res.total_payoff + 4 * se
+
+    def test_normal_cdf_matches_scipy(self):
+        """The oracle's own normal CDF agrees with ``scipy.special.ndtr``.
+
+        Both round the argument x / sqrt(2) once, which moves the CDF by
+        up to about x^2 ulp relative in the lower tail, and near the
+        centre SciPy sums 0.5 + 0.5 erf, which rounds at 0.5's scale. So
+        the bound is 4 eps (1 + x^2) relative, or 1e-300 where both
+        underflow.
+        """
+        x = np.concatenate([[0.0, 1e-300, -1e-300, 1.0, -1.0, 8.0, -8.0, 37.0, -37.0,
+                             40.0, -40.0], np.linspace(-10.0, 10.0, 20001)])
+        got = evaluation._ndtr(x)
+        ref = special.ndtr(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        tol = np.maximum(4 * np.finfo(float).eps * (1 + x * x) * ref, 1e-300)
+        assert np.all(np.abs(got - ref) <= tol)
+        assert evaluation._ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -468,7 +487,7 @@ class TestSimLeafWork:
         grid = PulsarGrid(cfg.grid, cfg.span)
         paths = sample_paths(PulsarNullModel(grid, cfg.num_photons), cfg.num_paths, 11)
         q_train = chi2_2_quantile(cfg.qtrain_quantile)
-        strategies = [fit_strategy(paths, FitConfig(grid.tree, lam, q_train, cfg.num_paths))
+        strategies = [fit_strategy(paths, FitConfig(grid.tree, lam, q_train))
                       for lam in (0.0, 0.3, 50.0)]
         return {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
                 "q_reject": cfg.q_reject}
@@ -612,7 +631,7 @@ class TestFittedPayoffEstimate:
         tree = chain_tree(2)
         model = GaussianChainModel(tree, rho=0.5)
         paths = sample_paths(model, 500, seed=0)
-        strat = fit_strategy(paths, FitConfig(tree, 0.1, 1.0, 500))
+        strat = fit_strategy(paths, FitConfig(tree, 0.1, 1.0))
         a = fitted_payoff_estimate(strat, model, 1.0, 300, seed=6)
         assert a == fitted_payoff_estimate(strat, model, 1.0, 300, seed=6)
 

@@ -32,7 +32,7 @@ def test_two_layer_fit_by_hand():
     # targets: 3 * (leaf exceedance - lam); pava pools the first two points
     tree = chain_tree(2, branch=3)
     paths = np.array([[1.0, 6.0], [2.0, 4.0], [3.0, 7.0]])
-    strat = fit_strategy(paths, FitConfig(tree, lam=0.1, q_train=5.0, num_paths=3))
+    strat = fit_strategy(paths, FitConfig(tree, lam=0.1, q_train=5.0))
     fn = strat.continuation[1][2]
     assert fn.breakpoints.tolist() == [1.0, 3.0]
     assert fn.levels == pytest.approx([3 * (0.5 - 0.1), 3 * (1.0 - 0.1)], rel=1e-12)
@@ -44,7 +44,7 @@ def test_lambda_zero_never_stops():
     tree = chain_tree(3)
     rng = np.random.default_rng(0)
     paths = rng.uniform(0, 1, (50, 3))  # no path reaches q_train = 2
-    strat = fit_strategy(paths, FitConfig(tree, lam=0.0, q_train=2.0, num_paths=50))
+    strat = fit_strategy(paths, FitConfig(tree, lam=0.0, q_train=2.0))
     for layer in (1, 2):
         for x in (-1.0, 0.2, 0.9, 50.0):
             # every target ties at zero; free search continues as deep as it can
@@ -55,7 +55,7 @@ def test_positive_lambda_stops_when_hopeless():
     tree = chain_tree(3)
     rng = np.random.default_rng(0)
     paths = rng.uniform(0, 1, (50, 3))
-    strat = fit_strategy(paths, FitConfig(tree, lam=0.2, q_train=2.0, num_paths=50))
+    strat = fit_strategy(paths, FitConfig(tree, lam=0.2, q_train=2.0))
     for layer in (1, 2):
         assert strat.decide(layer, 0.5) == 0
 
@@ -96,7 +96,7 @@ def test_degenerate_layer_warns():
     tree = chain_tree(2)
     paths = np.array([[1.0, 0.5], [1.0, 3.0], [1.0, 0.2]])
     with pytest.warns(UserWarning, match="identical"):
-        fit_strategy(paths, FitConfig(tree, lam=0.1, q_train=2.0, num_paths=3))
+        fit_strategy(paths, FitConfig(tree, lam=0.1, q_train=2.0))
 
 
 def test_path_payoff_by_hand():
@@ -158,7 +158,7 @@ def test_mean_path_payoff_equals_executed_payoff(seed):
     lam = float(rng.choice([0.0, 0.05, 0.3]))
     q = 1.0
     train = rng.normal(size=(40, 3)) + np.linspace(0, 1, 3)
-    strat = fit_strategy(train, FitConfig(tree, lam, q_train=q, num_paths=40))
+    strat = fit_strategy(train, FitConfig(tree, lam, q_train=q))
     layer_values = [rng.normal(size=nodes_in_layer(tree, l)) + 0.5 * l
                     for l in tree.layers()]
     paths = enumerate_lineage_paths(tree, layer_values)
@@ -172,7 +172,7 @@ def test_serialization_roundtrip(tmp_path):
                       costs=(1.0, 0.5, 0.25, 0.125))
     rng = np.random.default_rng(3)
     paths = rng.chisquare(2, size=(200, 4))
-    strat = fit_strategy(paths, FitConfig(tree, lam=0.01, q_train=9.0, num_paths=200),
+    strat = fit_strategy(paths, FitConfig(tree, lam=0.01, q_train=9.0),
                          seed=3)
     strat.grid = {"omega_min": 1.0, "omega_max": 2.0, "omegadot_min": 0.0,
                   "omegadot_max": 0.0, "num_layers": 4, "oversampling": 3,
@@ -216,13 +216,13 @@ def test_from_dict_rejects_bad_documents():
 def test_fit_config_validation():
     tree = chain_tree(2)
     with pytest.raises(ValueError):
-        FitConfig(tree, lam=-0.1, q_train=1.0, num_paths=10)
+        FitConfig(tree, lam=-0.1, q_train=1.0)
     with pytest.raises(ValueError):
-        FitConfig(tree, lam=0.0, q_train=float("nan"), num_paths=10)
+        FitConfig(tree, lam=0.0, q_train=float("nan"))
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        fit_strategy(np.zeros((1, 2)), FitConfig(tree, lam=0.0, q_train=1.0))
     with pytest.raises(ValueError):
-        FitConfig(tree, lam=0.0, q_train=1.0, num_paths=1)
-    with pytest.raises(ValueError):
-        fit_strategy(np.zeros((2, 3)), FitConfig(chain_tree(2), 0.0, 1.0, 2))
+        fit_strategy(np.zeros((2, 3)), FitConfig(chain_tree(2), 0.0, 1.0))
 
 
 @settings(deadline=None, max_examples=40)
@@ -231,7 +231,7 @@ def test_fitted_continuation_curves_are_monotone(seed, lam):
     rng = np.random.default_rng(seed)
     tree = chain_tree(4, branch=2)
     paths = rng.chisquare(2, size=(60, 4))
-    strat = fit_strategy(paths, FitConfig(tree, lam, q_train=4.0, num_paths=60))
+    strat = fit_strategy(paths, FitConfig(tree, lam, q_train=4.0))
     for layer, fns in strat.continuation.items():
         assert set(fns) == set(range(layer + 1, 5))
         for fn in fns.values():

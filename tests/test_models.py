@@ -154,12 +154,16 @@ def test_path_values_match_blocked_power_on_own_photons(spec, span, m, branching
     n = 40  # within one draw batch: nodes first, then every path's photons
     got = model.sample_path_values_batch(n, np.random.default_rng(11))
     rng = np.random.default_rng(11)
-    omega, omegadot, _, _ = model._path_params(n, rng)
+    idx = [rng.integers(0, grid.tree.root_count, n)]
+    for b in grid.tree.branching:
+        idx.append(idx[-1] * b + rng.integers(0, b, n))
+    params = [grid.node_params(layer, i) for layer, i in zip(grid.tree.layers(), idx)]
     t = model._times(n, rng)
     for i in range(n):
         photons = PhotonSeries(t[i], span)
         for layer in grid.tree.layers():
-            fd = FreqDrift(float(omega[i, layer - 1]), float(omegadot[i, layer - 1]))
+            omega, omegadot = params[layer - 1]
+            fd = FreqDrift(float(omega[i]), float(omegadot[i]))
             ref = blocked_power(photons, fd, grid.kappa(layer))
             assert abs(got[i, layer - 1] - ref) <= 1e-9 * max(1.0, abs(ref)), (i, layer)
     # tiles group whole rows, so tiles of one to three rows give the same bits
@@ -177,8 +181,8 @@ def test_path_nodes_are_the_grid_nodes(spec, span):
     """Replay one draw's nodes: the sampler places them where the grid does.
 
     Roots and child digits come off the stream in that order; a path's
-    parameters are ``node_params`` bit for bit, and its offset exponents
-    are differences of ``node_coords``.
+    leaf parameters are ``node_params`` bit for bit, and its offset
+    exponents are differences of ``node_coords``.
     """
     grid = PulsarGrid(spec, span)
     n = 300
@@ -191,9 +195,6 @@ def test_path_nodes_are_the_grid_nodes(spec, span):
         if layer > 1:
             b = grid.tree.branching[layer - 2]
             idx = idx * b + rng.integers(0, b, n)
-        om, od = grid.node_params(layer, idx)
-        assert np.array_equal(omega[:, layer - 1], om)
-        assert np.array_equal(omegadot[:, layer - 1], od)
         kw, kd = grid.node_coords(layer, idx)
         if parent is not None:
             ew, ed = e_omega[:, layer - 2], e_omegadot[:, layer - 2]
@@ -204,6 +205,9 @@ def test_path_nodes_are_the_grid_nodes(spec, span):
             assert set(np.unique(ew)) <= ({-1, 1} if split_w else {0})
             assert set(np.unique(ed)) <= ({-3, -1, 1, 3} if split_d else {0})
         parent = kw, kd
+    om, od = grid.node_params(grid.tree.num_layers, idx)
+    assert np.array_equal(omega, om)
+    assert np.array_equal(omegadot, od)
 
 
 def test_models_expose_num_layers():
