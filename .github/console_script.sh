@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Runs every blindsearch command on tiny inputs in the current directory and
+# checks the outputs that must exist or match byte for byte.
+# Usage: cd <empty dir> && bash <repo>/.github/console_script.sh
+set -euxo pipefail
+
+blindsearch simulate --theta 0.8 --photons 200 --span 50 --omega 1.5 --omegadot=0 --seed 1 --out photons.txt
+blindsearch naive --photons-file photons.txt --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --qreject 12 --out-dir sweep
+test -f sweep/detections.csv
+test -f sweep/manifest.json
+blindsearch fit --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambda 0.01 --paths 3000 --qtrain-quantile 0.99 --seed 1 --out strategy.json
+blindsearch fit --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambda 0.01 --paths 3000 --qtrain-quantile 0.99 --seed 1 --out strategy2.json
+cmp strategy.json strategy2.json
+# a config file is read with the flags' own types, so it gives the flag run's bytes
+cat > fit.cfg <<'EOF'
+omega_min = 1.0
+omega_max = 2.0
+omegadot_min = -1e-6
+omegadot_max = 0
+layers = 3
+span = 50
+photons = 200
+lam = 0.01
+paths = 3000
+qtrain_quantile = 0.99
+seed = 1
+EOF
+blindsearch fit --config fit.cfg --out strategy_cfg.json
+cmp strategy.json strategy_cfg.json
+blindsearch search --strategy strategy.json --photons-file photons.txt --qreject 12 --out-dir search
+test -f strategy.json
+test -f strategy.json.manifest.json
+test -f search/detections.csv
+blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 2 --seed 1 --out curve.csv
+test -f curve.csv
+test "$(wc -l < curve.csv)" -eq 4
+test -f curve.csv.manifest.json
+blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve1.csv
+cmp curve.csv curve1.csv
+blindsearch oracle --rho 0.8 --layers 3 --branching 2 --lambda 0.05 --q 1.0 --paths 2000 --sims 2000 --seed 0
+blindsearch simulate --theta 0.8 --photons 200 --span 100 --omega 1.01 --omegadot=-5e-4 --seed 2 --out photons_mixed.txt
+blindsearch naive --photons-file photons_mixed.txt --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --qreject 12 --out-dir sweep_mixed
+grep -q '"method": "screen"' sweep_mixed/manifest.json
+blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 2 --seed 1 --out curve_mixed.csv
+test "$(wc -l < curve_mixed.csv)" -eq 4
+blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed1.csv
+cmp curve_mixed.csv curve_mixed1.csv

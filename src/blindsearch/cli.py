@@ -46,89 +46,26 @@ DATA_ERROR = 3
 DEGENERATE_FIT = 4
 
 _DESK = desk_scale_config()
-_GRID_DEFAULTS = {
-    "omega_min": _DESK.grid.omega_min,
-    "omega_max": _DESK.grid.omega_max,
-    "omegadot_min": _DESK.grid.omegadot_min,
-    "omegadot_max": _DESK.grid.omegadot_max,
-    "layers": _DESK.grid.num_layers,
-    "oversampling": _DESK.grid.oversampling,
-    "span": _DESK.span,
-}
-
-DEFAULTS = {
-    "simulate": {
-        "theta": 0.34,
-        "photons": REFERENCE_PHOTONS,
-        "span": REFERENCE_SPAN,
-        "omega": REFERENCE_FD.omega,
-        "omegadot": REFERENCE_FD.omegadot,
-        "seed": 0,
-    },
-    "fit": {
-        **_GRID_DEFAULTS,
-        "lam": None,
-        "paths": _DESK.num_paths,
-        "qtrain_quantile": 0.999,
-        "photons": REFERENCE_PHOTONS,
-        "seed": 0,
-    },
-    "search": {
-        "span": None,
-        "qreject": None,
-        "alpha": 0.05,
-        "n_effective": None,
-        "emit_observed": False,
-    },
-    "naive": {
-        **_GRID_DEFAULTS,
-        "span": None,
-        "qreject": None,
-        "alpha": 0.05,
-        "n_effective": None,
-    },
-    "evaluate": {
-        **_GRID_DEFAULTS,
-        "lambdas": ",".join(repr(l) for l in DESK_LAMBDAS),
-        "thetas": ",".join(repr(t) for t in DESK_THETAS),
-        "sims": 200,
-        "paths": _DESK.num_paths,
-        "qtrain_quantile": _DESK.qtrain_quantile,
-        "photons": _DESK.num_photons,
-        "alpha": 0.05,
-        "n_effective": None,
-        "qreject": None,
-        "workers": None,
-        "seed": 0,
-    },
-    "oracle": {
-        "rho": 0.9,
-        "layers": 3,
-        "branching": 2,
-        "roots": 1,
-        "lam": 0.05,
-        "q": 2.0,
-        "paths": 50_000,
-        "sims": 50_000,
-        "grid_cells": 200,
-        "seed": 0,
-    },
-}
+# flags a config file cannot set: the file itself and each run's own paths
+_RUN_FLAGS = {"help", "config", "out", "out_dir", "strategy", "photons_file"}
 
 
-def _parse_scalar(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for conv in (int, float):
-        try:
-            return conv(low)
-        except ValueError:
-            continue
-    return low
+def _configurable(parser) -> dict:
+    """The flags of one command that a config file may set, by key."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest not in _RUN_FLAGS}
 
 
-def _read_config_file(path):
+def _config_value(action, text: str):
+    """``text`` read as the flag of ``action`` reads its value."""
+    if action.nargs == 0:  # a switch such as --emit-observed
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    return text if action.type is None else action.type(text)
+
+
+def _read_config_file(path, actions: dict) -> dict:
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -137,24 +74,15 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = _parse_scalar(val)
+            key, text = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in actions:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _config_value(actions[key], text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
-
-
-def _resolve(args, command: str) -> dict:
-    """Merge defaults, config file and flags; flags win over the file."""
-    cfg = dict(DEFAULTS[command])
-    if getattr(args, "config", None):
-        for key, val in _read_config_file(args.config).items():
-            if key not in cfg:
-                raise ValueError(f"unknown config key for {command}: {key}")
-            cfg[key] = val
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
 
 
 def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs,
@@ -178,7 +106,7 @@ def _write_manifest(manifest_path, command: str, cfg: dict, inputs, outputs,
 def _grid_from_cfg(cfg: dict) -> GridSpec:
     return GridSpec(omega_min=cfg["omega_min"], omega_max=cfg["omega_max"],
                     omegadot_min=cfg["omegadot_min"], omegadot_max=cfg["omegadot_max"],
-                    num_layers=int(cfg["layers"]), oversampling=int(cfg["oversampling"]))
+                    num_layers=cfg["layers"], oversampling=cfg["oversampling"])
 
 
 def _float_list(text: str):
@@ -192,17 +120,20 @@ def _add_config_flag(p):
     p.add_argument("--config", help="key=value file; flags override it")
 
 
-def _add_grid_flags(p, span_default_none=False):
-    p.add_argument("--omega-min", type=float, dest="omega_min")
-    p.add_argument("--omega-max", type=float, dest="omega_max")
-    p.add_argument("--omegadot-min", type=float, dest="omegadot_min")
-    p.add_argument("--omegadot-max", type=float, dest="omegadot_max")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--oversampling", type=int)
+def _add_grid_flags(p, span=_DESK.span):
+    grid = _DESK.grid
+    p.add_argument("--omega-min", type=float, dest="omega_min", default=grid.omega_min)
+    p.add_argument("--omega-max", type=float, dest="omega_max", default=grid.omega_max)
+    p.add_argument("--omegadot-min", type=float, dest="omegadot_min",
+                   default=grid.omegadot_min)
+    p.add_argument("--omegadot-max", type=float, dest="omegadot_max",
+                   default=grid.omegadot_max)
+    p.add_argument("--layers", type=int, default=grid.num_layers)
+    p.add_argument("--oversampling", type=int, default=grid.oversampling)
     help_span = "observation span in seconds"
-    if span_default_none:
+    if span is None:
         help_span += " (default: the photon file header)"
-    p.add_argument("--span", type=float, help=help_span)
+    p.add_argument("--span", type=float, default=span, help=help_span)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,23 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a modulated photon arrival series")
     _add_config_flag(p)
-    p.add_argument("--theta", type=float, help="modulation amplitude in [0, 1]")
-    p.add_argument("--photons", type=int)
-    p.add_argument("--span", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--omegadot", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--theta", type=float, default=0.34,
+                   help="modulation amplitude in [0, 1]")
+    p.add_argument("--photons", type=int, default=REFERENCE_PHOTONS)
+    p.add_argument("--span", type=float, default=REFERENCE_SPAN)
+    p.add_argument("--omega", type=float, default=REFERENCE_FD.omega)
+    p.add_argument("--omegadot", type=float, default=REFERENCE_FD.omegadot)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="fit a search strategy for one cost weight")
     _add_config_flag(p)
     p.add_argument("--lambda", type=float, dest="lam", help="cost weight, >= 0")
-    p.add_argument("--paths", type=int, help="training sample paths")
-    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile",
+    p.add_argument("--paths", type=int, default=_DESK.num_paths, help="training sample paths")
+    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile", default=0.999,
                    help="null quantile defining the training threshold")
     _add_grid_flags(p)
-    p.add_argument("--photons", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--photons", type=int, default=REFERENCE_PHOTONS)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="strategy JSON path")
 
     p = sub.add_parser("search", help="run a fitted strategy over a photon series")
@@ -253,60 +185,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--photons-file", required=True, dest="photons_file")
     p.add_argument("--span", type=float)
     p.add_argument("--qreject", type=float, help="rejection threshold; overrides --alpha")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--n-effective", type=float, dest="n_effective")
     p.add_argument("--emit-observed", action="store_true", dest="emit_observed",
-                   default=None, help="also write every observed node")
+                   help="also write every observed node")
     p.add_argument("--out-dir", required=True, dest="out_dir")
 
     p = sub.add_parser("naive", help="exhaustive leaf sweep over a photon series")
     _add_config_flag(p)
     p.add_argument("--photons-file", required=True, dest="photons_file")
-    _add_grid_flags(p, span_default_none=True)
+    _add_grid_flags(p, span=None)
     p.add_argument("--qreject", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--n-effective", type=float, dest="n_effective")
     p.add_argument("--out-dir", required=True, dest="out_dir")
 
     p = sub.add_parser("evaluate", help="estimate the power/cost tradeoff curve")
     _add_config_flag(p)
-    p.add_argument("--lambdas", help="comma separated cost weights")
-    p.add_argument("--thetas", help="comma separated signal amplitudes")
-    p.add_argument("--sims", type=int,
+    p.add_argument("--lambdas", default=",".join(repr(l) for l in DESK_LAMBDAS),
+                   help="comma separated cost weights")
+    p.add_argument("--thetas", default=",".join(repr(t) for t in DESK_THETAS),
+                   help="comma separated signal amplitudes")
+    p.add_argument("--sims", type=int, default=200,
                    help="simulated datasets per theta, shared by every lambda")
-    p.add_argument("--paths", type=int)
-    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile")
+    p.add_argument("--paths", type=int, default=_DESK.num_paths)
+    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile",
+                   default=_DESK.qtrain_quantile)
     _add_grid_flags(p)
-    p.add_argument("--photons", type=int)
+    p.add_argument("--photons", type=int, default=_DESK.num_photons)
     p.add_argument("--qreject", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--n-effective", type=float, dest="n_effective")
     p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="tradeoff CSV path")
 
     p = sub.add_parser("oracle",
                        help="compare the fitter against the exact small-tree optimum")
     _add_config_flag(p)
-    p.add_argument("--rho", type=float, help="layer-to-layer correlation in [0, 1)")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--branching", type=int)
-    p.add_argument("--roots", type=int)
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--q", type=float, help="detection threshold")
-    p.add_argument("--paths", type=int)
-    p.add_argument("--sims", type=int)
-    p.add_argument("--grid-cells", type=int, dest="grid_cells")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--rho", type=float, default=0.9,
+                   help="layer-to-layer correlation in [0, 1)")
+    p.add_argument("--layers", type=int, default=3)
+    p.add_argument("--branching", type=int, default=2)
+    p.add_argument("--roots", type=int, default=1)
+    p.add_argument("--lambda", type=float, dest="lam", default=0.05)
+    p.add_argument("--q", type=float, default=2.0, help="detection threshold")
+    p.add_argument("--paths", type=int, default=50_000)
+    p.add_argument("--sims", type=int, default=50_000)
+    p.add_argument("--grid-cells", type=int, dest="grid_cells", default=200)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args, "simulate")
+def cmd_simulate(args, cfg) -> int:
     spec = SignalSpec(FreqDrift(cfg["omega"], cfg["omegadot"]), cfg["theta"],
-                      int(cfg["photons"]), cfg["span"])
-    photons = simulate_photons(spec, subseed(int(cfg["seed"]), 0))
+                      cfg["photons"], cfg["span"])
+    photons = simulate_photons(spec, subseed(cfg["seed"], 0))
     out = Path(args.out)
     write_photons(out, photons)
     _write_manifest(out.with_name(out.name + ".manifest.json"), "simulate", cfg, [], [out])
@@ -314,22 +249,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    cfg = _resolve(args, "fit")
+def cmd_fit(args, cfg) -> int:
     if cfg["lam"] is None:
         print("fit: --lambda is required", file=sys.stderr)
         return USAGE_ERROR
-    num_paths, quantile = int(cfg["paths"]), float(cfg["qtrain_quantile"])
-    for message, ok in (("--lambda must be finite and >= 0", 0.0 <= float(cfg["lam"]) < math.inf),
+    num_paths, quantile = cfg["paths"], cfg["qtrain_quantile"]
+    for message, ok in (("--lambda must be finite and >= 0", 0.0 <= cfg["lam"] < math.inf),
                         ("--paths must be >= 2", num_paths >= 2),
-                        ("--photons must be >= 1", int(cfg["photons"]) >= 1),
+                        ("--photons must be >= 1", cfg["photons"] >= 1),
                         ("--qtrain-quantile must lie in (0, 1)", 0.0 < quantile < 1.0)):
         if not ok:
             raise ValueError(message)
     grid = PulsarGrid(_grid_from_cfg(cfg), cfg["span"])
-    fit_cfg = FitConfig(grid.tree, float(cfg["lam"]), chi2_2_quantile(quantile))
-    model = PulsarNullModel(grid, int(cfg["photons"]))
-    seed = int(cfg["seed"])
+    fit_cfg = FitConfig(grid.tree, cfg["lam"], chi2_2_quantile(quantile))
+    model = PulsarNullModel(grid, cfg["photons"])
+    seed = cfg["seed"]
     start = time.perf_counter()
     paths = sample_paths(model, num_paths, subseed(seed, 0))
     sampled = time.perf_counter()
@@ -357,21 +291,22 @@ def cmd_fit(args) -> int:
 
 
 def _load_search_inputs(cfg, strategy_path, photons_path):
-    strategy = load_strategy(strategy_path)
-    if strategy.grid is None:
-        raise ValueError(f"{strategy_path}: strategy has no embedded grid; "
-                         "refit it with the fit subcommand")
-    grid = PulsarGrid.from_dict(strategy.grid, costs=strategy.tree.costs)
-    if grid.tree != strategy.tree:
-        raise ValueError(f"{strategy_path}: embedded grid does not match the "
-                         "strategy tree")
-    photons = read_photons(photons_path, span=cfg.get("span"))
+    try:
+        strategy = load_strategy(strategy_path)
+        if strategy.grid is None:
+            raise ValueError("strategy has no embedded grid; refit it with the fit subcommand")
+        grid = PulsarGrid.from_dict(strategy.grid, costs=strategy.tree.costs)
+        if grid.tree != strategy.tree:
+            raise ValueError("embedded grid does not match the strategy tree")
+    except ValueError as exc:
+        raise ValueError(f"{strategy_path}: {exc}") from exc
+    photons = read_photons(photons_path, span=cfg["span"])
     return strategy, grid, photons
 
 
 def _resolve_q_reject(cfg, tree: TreeConfig) -> float:
-    if cfg.get("qreject") is not None:
-        return float(cfg["qreject"])
+    if cfg["qreject"] is not None:
+        return cfg["qreject"]
     return default_q_reject(tree, alpha=cfg["alpha"], n_effective=cfg["n_effective"])
 
 
@@ -415,12 +350,11 @@ def _print_layers(outcome) -> None:
             print(line)
 
 
-def cmd_search(args) -> int:
-    cfg = _resolve(args, "search")
+def cmd_search(args, cfg) -> int:
     strategy, grid, photons = _load_search_inputs(cfg, args.strategy, args.photons_file)
     q_reject = _resolve_q_reject(cfg, strategy.tree)
     evaluator = PulsarEvaluator(photons, grid)
-    emit = bool(cfg["emit_observed"])
+    emit = cfg["emit_observed"]
     outcome = run_search(strategy, evaluator, q_reject, emit_observed=emit)
     out_dir = Path(args.out_dir)
     cfg["resolved_qreject"] = q_reject
@@ -435,9 +369,8 @@ def cmd_search(args) -> int:
     return 0
 
 
-def cmd_naive(args) -> int:
-    cfg = _resolve(args, "naive")
-    photons = read_photons(args.photons_file, span=cfg.get("span"))
+def cmd_naive(args, cfg) -> int:
+    photons = read_photons(args.photons_file, span=cfg["span"])
     grid = PulsarGrid(_grid_from_cfg(cfg), photons.span)
     q_reject = _resolve_q_reject(cfg, grid.tree)
     evaluator = PulsarEvaluator(photons, grid)
@@ -452,8 +385,7 @@ def cmd_naive(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, "evaluate")
+def cmd_evaluate(args, cfg) -> int:
     lambdas = _float_list(cfg["lambdas"])
     thetas = _float_list(cfg["thetas"])
     out = Path(args.out)
@@ -461,9 +393,9 @@ def cmd_evaluate(args) -> int:
     spec = _grid_from_cfg(cfg)
     q_reject = _resolve_q_reject(cfg, PulsarGrid(spec, cfg["span"]).tree)
     tc = TradeoffConfig(grid=spec, span=cfg["span"],
-                        num_photons=int(cfg["photons"]), num_paths=int(cfg["paths"]),
+                        num_photons=cfg["photons"], num_paths=cfg["paths"],
                         qtrain_quantile=cfg["qtrain_quantile"], q_reject=q_reject)
-    curves = estimate_tradeoff(lambdas, thetas, tc, int(cfg["sims"]), int(cfg["seed"]),
+    curves = estimate_tradeoff(lambdas, thetas, tc, cfg["sims"], cfg["seed"],
                                workers=cfg["workers"])
     for theta, points in zip(thetas, curves):
         if len(thetas) == 1:
@@ -487,24 +419,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = _resolve(args, "oracle")
-    tree = TreeConfig(num_layers=int(cfg["layers"]), root_count=int(cfg["roots"]),
-                      branching=(int(cfg["branching"]),) * (int(cfg["layers"]) - 1),
-                      costs=(1.0,) * int(cfg["layers"]))
+def cmd_oracle(args, cfg) -> int:
+    layers = cfg["layers"]
+    tree = TreeConfig(num_layers=layers, root_count=cfg["roots"],
+                      branching=(cfg["branching"],) * (layers - 1), costs=(1.0,) * layers)
     model = GaussianChainModel(tree, cfg["rho"])
-    lam, q = float(cfg["lam"]), float(cfg["q"])
-    oracle = exact_dp_oracle(model, lam, q, n_grid=int(cfg["grid_cells"]))
-    seed = int(cfg["seed"])
-    paths = sample_paths(model, int(cfg["paths"]), subseed(seed, 0))
+    lam, q = cfg["lam"], cfg["q"]
+    oracle = exact_dp_oracle(model, lam, q, n_grid=cfg["grid_cells"])
+    seed = cfg["seed"]
+    paths = sample_paths(model, cfg["paths"], subseed(seed, 0))
     strategy = fit_strategy(paths, FitConfig(tree, lam, q), seed=seed)
-    payoff, se = fitted_payoff_estimate(strategy, model, q, int(cfg["sims"]), seed)
+    payoff, se = fitted_payoff_estimate(strategy, model, q, cfg["sims"], seed)
 
     print(f"tree: {tree.num_layers} layers, branching {cfg['branching']}, "
           f"{tree.root_count} roots; rho={cfg['rho']!r} lambda={lam!r} q={q!r}")
     print(f"exact optimal expected payoff : {oracle.total_payoff:.6f}")
     print(f"fitted strategy payoff        : {payoff:.6f} +- {se:.6f} "
-          f"({int(cfg['sims'])} fresh simulations)")
+          f"({cfg['sims']} fresh simulations)")
     if oracle.total_payoff > 0:
         print(f"ratio fitted/exact            : {payoff / oracle.total_payoff:.4f}")
     for layer in range(1, tree.num_layers):
@@ -533,6 +464,9 @@ def run(argv=None) -> int:
     """Run one command; its progress log lines go to stderr at INFO."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = commands.choices[args.command]
+    keys = _configurable(command)
     logger = logging.getLogger("blindsearch")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(f"{args.command}: %(message)s"))
@@ -540,7 +474,10 @@ def run(argv=None) -> int:
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:
-        return _COMMANDS[args.command](args)
+        if args.config:
+            command.set_defaults(**_read_config_file(args.config, keys))
+            args = parser.parse_args(argv)  # flags win over the file
+        return _COMMANDS[args.command](args, {key: getattr(args, key) for key in keys})
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR

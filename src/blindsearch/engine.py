@@ -316,10 +316,17 @@ class PulsarGrid:
 
     @classmethod
     def from_dict(cls, doc: dict, costs=None) -> "PulsarGrid":
-        spec = GridSpec(omega_min=doc["omega_min"], omega_max=doc["omega_max"],
-                        omegadot_min=doc["omegadot_min"], omegadot_max=doc["omegadot_max"],
-                        num_layers=int(doc["num_layers"]), oversampling=int(doc["oversampling"]))
-        return cls(spec, doc["span"], costs=costs)
+        if not isinstance(doc, dict):
+            raise ValueError(f"grid must be a JSON object, not {type(doc).__name__}")
+        try:
+            spec = GridSpec(omega_min=doc["omega_min"], omega_max=doc["omega_max"],
+                            omegadot_min=doc["omegadot_min"], omegadot_max=doc["omegadot_max"],
+                            num_layers=int(doc["num_layers"]),
+                            oversampling=int(doc["oversampling"]))
+            span = doc["span"]
+        except KeyError as exc:
+            raise ValueError(f"grid lacks {exc}") from exc
+        return cls(spec, span, costs=costs)
 
 
 def _gridded_sums(u: np.ndarray, c: np.ndarray, modes: int) -> np.ndarray:
@@ -653,7 +660,7 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
     several strategies observe is evaluated once, and each strategy gets
     the values of its own nodes. Leaves reaching ``q_reject`` are
     detections; the ordered groups and sorted ranges emit them in
-    leaf-index order. One strategy walks its own ranges with no merge.
+    leaf-index order.
 
     Returns one SearchOutcome per decide function. Each strategy keeps
     its own observed counts, cost, detections and log, equal to those of
@@ -679,7 +686,7 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
             parts = [(t, r) for t in tracks if (r := t.take(layer)) is not None]
             if not parts:
                 continue
-            lo, hi = parts[0][1] if len(parts) == 1 else _union([r for _, r in parts])
+            lo, hi = _union([r for _, r in parts])
             ends = np.cumsum(hi - lo)
             shift = hi - ends  # node index minus queue position, per range
             for pos_lo in range(0, int(ends[-1]), chunk_size):
@@ -689,15 +696,12 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
                 if not np.all(np.isfinite(vals)):
                     raise ValueError("evaluator produced non-finite statistics")
                 calls[layer - 1] += 1
-                if len(parts) == 1:
-                    parts[0][0].step(layer, idx, vals)
-                else:
-                    for t, (t_lo, t_hi) in parts:
-                        # the nodes of this call in one of the strategy's ranges
-                        j = np.searchsorted(t_lo, idx, side="right") - 1
-                        mine = (j >= 0) & (idx < t_hi[j])
-                        if mine.any():
-                            t.step(layer, idx[mine], vals[mine])
+                for t, (t_lo, t_hi) in parts:
+                    # the nodes of this call in one of the strategy's ranges
+                    j = np.searchsorted(t_lo, idx, side="right") - 1
+                    mine = (j >= 0) & (idx < t_hi[j])
+                    if mine.any():
+                        t.step(layer, idx[mine], vals[mine])
                 peak = max(peak, idx.size + sum(t.queued + len(t.detections) + t.logged
                                                 for t in tracks))
             for t, (t_lo, _) in parts:
@@ -724,8 +728,9 @@ def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False
     log of every observed node. Given a list of strategies on one tree,
     it walks them in lockstep, evaluates each node that any of them
     observes once, and returns one SearchOutcome per strategy, each equal
-    to that strategy's own run apart from the timings and
-    ``peak_tracked``, which describe the shared walk.
+    to that strategy's own run apart from ``evaluate_calls``, the timings
+    and ``peak_tracked``, which describe the shared walk. One strategy
+    takes the same walk as a list of one.
     """
     several = isinstance(strategy, (list, tuple))
     strategies = list(strategy) if several else [strategy]

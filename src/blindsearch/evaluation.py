@@ -408,10 +408,15 @@ def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
             qs.append(b * (trans @ values[s] - lam * tree.cost(s)))
         qs = np.vstack(qs)
         best = qs.max(axis=0)
-        act = np.zeros(centers.size, dtype=np.int64)
-        cont = (best > 0.0) | ((best == 0.0) & (lam == 0.0))
-        for i, s in enumerate(targets):
-            act[cont & (qs[i] == best)] = s
+        if lam == 0.0:
+            # with no cost every target is worth the expected detections
+            # below the node: a tie that rounding would break, so the deepest
+            # target takes it
+            act = np.full(centers.size, G, dtype=np.int64)
+        else:
+            act = np.zeros(centers.size, dtype=np.int64)
+            for i, s in enumerate(targets):
+                act[(best > 0.0) & (qs[i] == best)] = s
         values[layer] = np.maximum(best, 0.0)
         actions[layer] = act
 

@@ -256,26 +256,32 @@ def strategy_to_dict(strategy: Strategy) -> dict:
 
 
 def strategy_from_dict(doc: dict) -> Strategy:
+    if not isinstance(doc, dict):
+        raise ValueError(f"strategy must be a JSON object, not {type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported strategy format_version: {doc.get('format_version')!r}")
-    t = doc["tree"]
-    tree = TreeConfig(num_layers=int(t["G"]), root_count=int(t["n1"]),
-                      branching=tuple(t["branching"]), costs=tuple(t["costs"]))
-    continuation = {}
-    for entry in doc["layers"]:
-        layer = int(entry["layer"])
-        fns = {}
-        for act in entry["actions"]:
-            fns[int(act["s"])] = MonotoneFn(np.asarray(act["breakpoints"], dtype=float),
-                                            np.asarray(act["levels"], dtype=float))
-        continuation[layer] = fns
+    try:
+        t = doc["tree"]
+        tree = TreeConfig(num_layers=int(t["G"]), root_count=int(t["n1"]),
+                          branching=tuple(t["branching"]), costs=tuple(t["costs"]))
+        continuation = {}
+        for entry in doc["layers"]:
+            layer = int(entry["layer"])
+            fns = {}
+            for act in entry["actions"]:
+                fns[int(act["s"])] = MonotoneFn(np.asarray(act["breakpoints"], dtype=float),
+                                                np.asarray(act["levels"], dtype=float))
+            continuation[layer] = fns
+        lam, q_train = float(doc["lambda"]), float(doc["q_train"])
+    except KeyError as exc:
+        raise ValueError(f"strategy lacks {exc}") from exc
     expected = set(range(1, tree.num_layers))
     if set(continuation) != expected:
         raise ValueError("strategy file must define layers 1..G-1")
     for layer, fns in continuation.items():
         if set(fns) != set(range(layer + 1, tree.num_layers + 1)):
             raise ValueError(f"layer {layer} must define actions for every deeper layer")
-    return Strategy(tree=tree, lam=float(doc["lambda"]), q_train=float(doc["q_train"]),
+    return Strategy(tree=tree, lam=lam, q_train=q_train,
                     continuation=continuation, seed=doc.get("seed"),
                     num_paths=doc.get("num_paths"), grid=doc.get("grid"))
 

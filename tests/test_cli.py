@@ -213,6 +213,25 @@ class TestSearch:
         assert rc == cli.DATA_ERROR
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("malform", ["no_tree", "grid_without_span", "list"])
+    def test_malformed_strategy_is_data_error(self, tmp_path, capsys, malform):
+        doc = json.loads(fit(tmp_path).read_text())
+        if malform == "no_tree":
+            del doc["tree"]
+        elif malform == "grid_without_span":
+            del doc["grid"]["span"]
+        else:
+            doc = [doc]
+        bad = tmp_path / f"{malform}.json"
+        bad.write_text(json.dumps(doc))
+        photons = simulate(tmp_path)
+        rc = cli.run(["search", "--strategy", str(bad), "--photons-file",
+                      str(photons), "--out-dir", str(tmp_path / "y")])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert bad.name in err
+        assert "Traceback" not in err
+
 
 class TestNaive:
     def test_matches_leaf_sweep_format(self, tmp_path):
@@ -361,22 +380,67 @@ class TestConfigResolution:
         assert rc == cli.DATA_ERROR
         assert "thtea" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line, key", [
+        ("fit", "layers = 3.5", "layers"),
+        ("fit", "span = abc", "span"),
+        ("simulate", "seed = 1.5", "seed"),
+        ("search", "emit_observed = no", "emit_observed"),
+    ])
+    def test_value_its_flag_rejects_is_data_error(self, tmp_path, capsys, command, line, key):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"# read as the flag reads it\n{line}\n")
+        paths = {"fit": ["--out", str(tmp_path / "s.json")],
+                 "simulate": ["--out", str(tmp_path / "p.txt")],
+                 "search": ["--strategy", str(tmp_path / "s.json"), "--photons-file",
+                            str(tmp_path / "p.txt"), "--out-dir", str(tmp_path / "run")]}
+        rc = cli.run([command, "--config", str(cfgfile), *paths[command]])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert f"{cfgfile}:2" in err and key in err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_config_file_writes_the_flag_runs_bytes(self, tmp_path):
+        by_flags = fit(tmp_path, name="flags.json")
+        cfgfile = tmp_path / "fit.cfg"
+        cfgfile.write_text("omega_min = 1.0\nomega_max = 2.0\nomegadot_min = -1e-6\n"
+                           "omegadot_max = 0\nlayers = 3\noversampling = 3\nspan = 50\n"
+                           "lam = 0.0\npaths = 800\nqtrain_quantile = 0.9\nphotons = 80\n"
+                           "seed = 3\n")
+        by_file = tmp_path / "file.json"
+        run_ok(["fit", "--config", str(cfgfile), "--out", str(by_file)])
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        configs = [json.loads(Path(f"{p}.manifest.json").read_text())["config"]
+                   for p in (by_flags, by_file)]
+        assert configs[0] == configs[1]
+
+    @pytest.mark.parametrize("value, written", [("false", False), ("true", True)])
+    def test_config_switch(self, tmp_path, value, written):
+        strat = fit(tmp_path)
+        photons = simulate(tmp_path)
+        cfgfile = tmp_path / "search.cfg"
+        cfgfile.write_text(f"emit_observed = {value}\n")
+        out_dir = tmp_path / "run"
+        run_ok(["search", "--config", str(cfgfile), "--strategy", str(strat),
+                "--photons-file", str(photons), "--out-dir", str(out_dir)])
+        assert (out_dir / "observed.csv").exists() == written
+
     def test_evaluate_defaults_are_the_desk_config(self):
         args = cli.build_parser().parse_args(["evaluate", "--out", "curve.csv"])
-        cfg = cli._resolve(args, "evaluate")
+        cfg = vars(args)
         desk = evaluation.desk_scale_config()
         assert cli._grid_from_cfg(cfg) == desk.grid
         assert ((cfg["span"], cfg["photons"], cfg["paths"], cfg["qtrain_quantile"])
                 == (desk.span, desk.num_photons, desk.num_paths, desk.qtrain_quantile))
 
     def test_fit_defaults_are_the_desk_config(self):
-        args = cli.build_parser().parse_args(["fit", "--out", "strategy.json"])
-        cfg = cli._resolve(args, "fit")
+        parser = cli.build_parser()
+        cfg = vars(parser.parse_args(["fit", "--out", "strategy.json"]))
         desk = evaluation.desk_scale_config()
         assert cli._grid_from_cfg(cfg) == desk.grid
         assert ((cfg["span"], cfg["photons"], cfg["paths"])
                 == (desk.span, desk.num_photons, desk.num_paths))
-        assert cli.DEFAULTS["simulate"]["photons"] == evaluation.REFERENCE_PHOTONS
+        simulate_args = parser.parse_args(["simulate", "--out", "photons.txt"])
+        assert simulate_args.photons == evaluation.REFERENCE_PHOTONS
 
     def test_version_banner(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,17 @@ class TestExactOracle:
         for act in res.layer_actions:
             assert np.all(act > 0)
 
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+    def test_free_search_jumps_to_the_leaves(self, rho):
+        """At lambda = 0 every jump target ties; the deepest one takes every cell."""
+        for layers in (2, 3, 4):
+            for branch in (2, 4):
+                for q in (-6.0, 1.0, 2.5):
+                    model = GaussianChainModel(chain_tree(layers, branch), rho)
+                    res = exact_dp_oracle(model, lam=0.0, q=q)
+                    assert all(np.all(act == layers) for act in res.layer_actions), \
+                        (layers, branch, q)
+
     def test_prohibitive_cost_stops_at_the_roots(self):
         model = GaussianChainModel(chain_tree(3), rho=0.8)
         res = exact_dp_oracle(model, lam=1e6, q=1.0)
