@@ -45,3 +45,12 @@ blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --ome
 test "$(wc -l < curve_mixed.csv)" -eq 4
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed1.csv
 cmp curve_mixed.csv curve_mixed1.csv
+# malformed input exits 3: a list value that is not numbers, and a strategy whose tree is a list
+printf 'lambdas = abc\n' > bad_lambdas.cfg
+rc=0
+blindsearch evaluate --config bad_lambdas.cfg --out bad_curve.csv || rc=$?
+test "$rc" -eq 3
+python -c 'import json; d = json.load(open("strategy.json")); d["tree"] = list(d["tree"].values()); json.dump(d, open("bad_tree.json", "w"))'
+rc=0
+blindsearch search --strategy bad_tree.json --photons-file photons.txt --qreject 12 --out-dir bad_search || rc=$?
+test "$rc" -eq 3

@@ -116,6 +116,12 @@ def _float_list(text: str):
     return vals
 
 
+def _float_list_text(text: str) -> str:
+    """``text`` unchanged once it reads as a list of numbers: the manifest records the text."""
+    _float_list(text)
+    return text
+
+
 def _add_config_flag(p):
     p.add_argument("--config", help="key=value file; flags override it")
 
@@ -202,9 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="estimate the power/cost tradeoff curve")
     _add_config_flag(p)
-    p.add_argument("--lambdas", default=",".join(repr(l) for l in DESK_LAMBDAS),
+    p.add_argument("--lambdas", type=_float_list_text,
+                   default=",".join(repr(l) for l in DESK_LAMBDAS),
                    help="comma separated cost weights")
-    p.add_argument("--thetas", default=",".join(repr(t) for t in DESK_THETAS),
+    p.add_argument("--thetas", type=_float_list_text,
+                   default=",".join(repr(t) for t in DESK_THETAS),
                    help="comma separated signal amplitudes")
     p.add_argument("--sims", type=int, default=200,
                    help="simulated datasets per theta, shared by every lambda")

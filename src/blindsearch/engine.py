@@ -323,10 +323,11 @@ class PulsarGrid:
                             omegadot_min=doc["omegadot_min"], omegadot_max=doc["omegadot_max"],
                             num_layers=int(doc["num_layers"]),
                             oversampling=int(doc["oversampling"]))
-            span = doc["span"]
+            return cls(spec, doc["span"], costs=costs)
         except KeyError as exc:
             raise ValueError(f"grid lacks {exc}") from exc
-        return cls(spec, span, costs=costs)
+        except TypeError as exc:  # a field of the wrong JSON type, such as a list for "span"
+            raise ValueError(f"grid has a malformed field: {exc}") from exc
 
 
 def _gridded_sums(u: np.ndarray, c: np.ndarray, modes: int) -> np.ndarray:

@@ -171,12 +171,15 @@ def fit_strategy(paths, cfg: FitConfig, seed=None) -> Strategy:
         xs = x[:, layer - 1]
         if np.all(xs == xs[0]):
             warnings.warn(f"layer {layer}: all sampled statistics identical, fit is constant")
+        # one sort per layer serves every jump target's regression
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
         fns = {}
         scaled = {}
         for s in range(layer + 1, G + 1):
             b = float(descendant_count(tree, layer, s))
             target = b * (payoff[s] - cfg.lam * tree.cost(s))
-            fns[s] = pava(xs, target)
+            fns[s] = pava(xs_sorted, target[order])
             scaled[s] = target
         bounds, actions = _build_regions(fns, cfg.lam)
         regions[layer] = bounds, actions
@@ -275,6 +278,8 @@ def strategy_from_dict(doc: dict) -> Strategy:
         lam, q_train = float(doc["lambda"]), float(doc["q_train"])
     except KeyError as exc:
         raise ValueError(f"strategy lacks {exc}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type, such as a list for "tree"
+        raise ValueError(f"strategy has a malformed field: {exc}") from exc
     expected = set(range(1, tree.num_layers))
     if set(continuation) != expected:
         raise ValueError("strategy file must define layers 1..G-1")

@@ -48,16 +48,41 @@ class MonotoneFn:
         return out
 
 
-def _merge_ties(xs, ys, ws):
-    # Points sharing an abscissa must share a fitted value; replace each
-    # tie group by its weighted mean before pooling.
-    ux, inverse = np.unique(xs, return_inverse=True)
-    if ux.size == xs.size:
-        order = np.argsort(xs, kind="stable")
-        return xs[order], ys[order], ws[order]
-    w = np.bincount(inverse, weights=ws, minlength=ux.size)
-    wy = np.bincount(inverse, weights=ws * ys, minlength=ux.size)
-    return ux, wy / w, w
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices at which a run of equal values begins in ``a``."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+
+
+def _pava_sorted(xs, ys, ws) -> MonotoneFn:
+    """Pool adjacent violators over strictly increasing ``xs``.
+
+    A run of equal targets never violates itself, so each run enters the
+    stack as one point carrying the run's total weight. Regression
+    targets often take few distinct values, which makes the runs much
+    fewer than the points. Python floats run the scalar loop several
+    times faster than numpy scalar indexing, with the same double
+    arithmetic.
+    """
+    starts = _run_starts(ys)
+    mean = []    # weighted mean of each pool on the stack
+    weight = []  # its total weight
+    first = []   # the index of its first point
+    for i, y, w in zip(starts.tolist(), ys[starts].tolist(),
+                       np.add.reduceat(ws, starts).tolist()):
+        while mean and y < mean[-1]:
+            pw = weight.pop()
+            tw = pw + w
+            y = (pw * mean.pop() + w * y) / tw
+            w = tw
+            i = first.pop()
+        mean.append(y)
+        weight.append(w)
+        first.append(i)
+    bps = xs[first]
+    lvs = np.array(mean)
+    # Coincidentally equal neighbor pools evaluate identically; drop them.
+    keep = np.concatenate(([True], lvs[1:] != lvs[:-1]))
+    return MonotoneFn(bps[keep], lvs[keep])
 
 
 def pava(xs, ys, weights=None) -> MonotoneFn:
@@ -80,7 +105,9 @@ def pava(xs, ys, weights=None) -> MonotoneFn:
     -----
     Points with exactly equal abscissae are merged (weighted) before
     pooling, so the result is a well-defined function of x. Runs of equal
-    fitted levels are compressed to a single breakpoint.
+    fitted levels are compressed to a single breakpoint. Sorting is
+    skipped when ``xs`` is already strictly increasing, so callers that
+    fit many targets against one abscissa can sort it once.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -99,34 +126,12 @@ def pava(xs, ys, weights=None) -> MonotoneFn:
     if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
         raise ValueError("xs and ys must be finite")
 
-    xs, ys, ws = _merge_ties(xs, ys, ws)
-
-    # Pool adjacent violators: maintain a stack of pools, each carrying its
-    # weighted mean, total weight, and point count. Python floats run this
-    # scalar loop several times faster than numpy scalar indexing, with the
-    # same double arithmetic.
-    mean = []
-    weight = []
-    count = []
-    for y, w in zip(ys.tolist(), ws.tolist()):
-        c = 1
-        while mean and y < mean[-1]:
-            pw = weight.pop()
-            tw = pw + w
-            y = (pw * mean.pop() + w * y) / tw
-            w = tw
-            c += count.pop()
-        mean.append(y)
-        weight.append(w)
-        count.append(c)
-
-    starts = np.concatenate(([0], np.cumsum(count)))[:-1]
-    bps = xs[starts]
-    lvs = np.array(mean)
-    npools = lvs.size
-
-    # Coincidentally equal neighbor pools evaluate identically; drop them.
-    if npools > 1:
-        keep = np.concatenate(([True], lvs[1:] != lvs[:-1]))
-        bps, lvs = bps[keep], lvs[keep]
-    return MonotoneFn(bps, lvs)
+    if not np.all(xs[1:] > xs[:-1]):
+        order = np.argsort(xs, kind="stable")
+        xs, ys, ws = xs[order], ys[order], ws[order]
+        ties = _run_starts(xs)
+        if ties.size < xs.size:
+            # points sharing an abscissa must share a fitted value: pool them first
+            w = np.add.reduceat(ws, ties)
+            xs, ys, ws = xs[ties], np.add.reduceat(ws * ys, ties) / w, w
+    return _pava_sorted(xs, ys, ws)

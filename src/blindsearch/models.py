@@ -155,21 +155,30 @@ class PulsarNullModel:
             _unit_phasors(c, v, index, w)
         out = np.empty((rows, G))
         out[:, G - 1] = _block_power(z, ends[:, -1:])
+        # conj marks the rows of z that hold the conjugate of their phasors.
+        # A conjugated row has the same block powers, and conj(conj(z) * u)
+        # is z * conj(u) bit for bit, so no step builds a conjugated copy of
+        # u or v.
+        conj = np.zeros((rows, 1), dtype=bool)
         for layer in range(G - 1, 0, -1):
-            # child (layer + 1) -> parent: times u^-e_omega * v^-e_omegadot;
-            # a negative power is the conjugate, a unit phasor's inverse
+            # child (layer + 1) -> parent: times u^-e_omega * v^-e_omegadot.
+            # A negative power is the conjugate, a unit phasor's inverse, so a
+            # row whose exponent is positive is held conjugated through the step.
             if g.freq_factor[layer - 1] > 1:
-                np.copyto(w, u)
-                w.imag *= -e_omega[:, layer - 1, None]
-                z *= w
+                want = e_omega[:, layer - 1, None] > 0
+                np.conjugate(z, out=z, where=want != conj)
+                conj = want
+                z *= u
             if g.drift_factor[layer - 1] > 1:
                 e = e_omegadot[:, layer - 1, None]
-                np.copyto(w, v)
+                want = e > 0
+                np.conjugate(z, out=z, where=want != conj)
+                conj = want
                 cube = np.abs(e) == 3
+                np.multiply(v, v, out=w, where=cube)
                 np.multiply(w, v, out=w, where=cube)
-                np.multiply(w, v, out=w, where=cube)
-                w.imag *= -np.sign(e)
-                z *= w
+                np.multiply(z, w, out=z, where=cube)
+                np.multiply(z, v, out=z, where=~cube)
             step = 1 << (layer - 1)
             out[:, layer - 1] = _block_power(z, ends[:, step - 1::step])
             if split_w:

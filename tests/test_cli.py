@@ -213,15 +213,27 @@ class TestSearch:
         assert rc == cli.DATA_ERROR
         assert "grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("malform", ["no_tree", "grid_without_span", "list"])
+    @pytest.mark.parametrize("malform", ["no_tree", "grid_without_span", "list", "tree_list",
+                                         "layer_not_object", "actions_number",
+                                         "grid_span_list", "grid_omega_text"])
     def test_malformed_strategy_is_data_error(self, tmp_path, capsys, malform):
         doc = json.loads(fit(tmp_path).read_text())
         if malform == "no_tree":
             del doc["tree"]
         elif malform == "grid_without_span":
             del doc["grid"]["span"]
-        else:
+        elif malform == "list":
             doc = [doc]
+        elif malform == "tree_list":
+            doc["tree"] = list(doc["tree"].values())
+        elif malform == "layer_not_object":
+            doc["layers"][0] = 1
+        elif malform == "actions_number":
+            doc["layers"][0]["actions"] = 2
+        elif malform == "grid_span_list":
+            doc["grid"]["span"] = [doc["grid"]["span"]]
+        else:
+            doc["grid"]["omega_min"] = "1.0"
         bad = tmp_path / f"{malform}.json"
         bad.write_text(json.dumps(doc))
         photons = simulate(tmp_path)
@@ -398,6 +410,28 @@ class TestConfigResolution:
         assert rc == cli.DATA_ERROR
         assert f"{cfgfile}:2" in err and key in err
         assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("key", ["lambdas", "thetas"])
+    def test_bad_number_list_is_data_error(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"sims = 2\n{key} = abc\n")
+        rc = cli.run(["evaluate", "--config", str(cfgfile), "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert f"{cfgfile}:2" in err and key in err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_number_lists_are_recorded_as_written(self, tmp_path):
+        cfgfile = tmp_path / "curve.cfg"
+        cfgfile.write_text("lambdas = 0.0, 1e-1\nthetas = 0.5\n")
+        out = tmp_path / "curve.csv"
+        run_ok(["evaluate", "--config", str(cfgfile), *GRID_FLAGS, "--sims", "2",
+                "--paths", "500", "--photons", "40", "--qreject", "12", "--workers", "1",
+                "--out", str(out)])
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert (config["lambdas"], config["thetas"]) == ("0.0, 1e-1", "0.5")
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "0.1"]
 
     def test_config_file_writes_the_flag_runs_bytes(self, tmp_path):
         by_flags = fit(tmp_path, name="flags.json")

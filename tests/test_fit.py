@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindsearch.fit import (FitConfig, Strategy, fit_strategy, load_strategy,
-                             path_payoff, save_strategy, strategy_from_dict,
+from blindsearch.engine import GridSpec, PulsarGrid
+from blindsearch.fit import (FitConfig, Strategy, _apply_regions, _build_regions, fit_strategy,
+                             load_strategy, path_payoff, save_strategy, strategy_from_dict,
                              strategy_to_dict)
 from blindsearch.isotonic import MonotoneFn
+from blindsearch.models import PulsarNullModel
+from blindsearch.stats import chi2_2_quantile
 from blindsearch.tree import NodeId, TreeConfig, ancestor_index, descendant_count, nodes_in_layer
+from test_isotonic import reference_pava
 
 
 def chain_tree(layers, branch=2, roots=1, cost=1.0):
@@ -236,3 +240,58 @@ def test_fitted_continuation_curves_are_monotone(seed, lam):
         assert set(fns) == set(range(layer + 1, 5))
         for fn in fns.values():
             assert np.all(np.diff(fn.levels) > 0) or fn.levels.size == 1
+
+
+def reference_fit(paths, cfg: FitConfig) -> Strategy:
+    """Backward induction with one point-by-point PAVA per (layer, jump target)."""
+    tree, G = cfg.tree, cfg.tree.num_layers
+    payoff = {G: (paths[:, G - 1] >= cfg.q_train).astype(float)}
+    continuation = {}
+    for layer in range(G - 1, 0, -1):
+        xs = paths[:, layer - 1]
+        scaled = {s: float(descendant_count(tree, layer, s)) * (payoff[s] - cfg.lam * tree.cost(s))
+                  for s in range(layer + 1, G + 1)}
+        continuation[layer] = {s: reference_pava(xs, target) for s, target in scaled.items()}
+        act = _apply_regions(*_build_regions(continuation[layer], cfg.lam), xs)
+        payoff[layer] = np.zeros(len(xs))
+        for s, target in scaled.items():
+            payoff[layer][act == s] = target[act == s]
+    return Strategy(tree=tree, lam=cfg.lam, q_train=cfg.q_train, continuation=continuation)
+
+
+@pytest.mark.parametrize("spec, span, m", [
+    (GridSpec(1.0, 2.0, -1e-6, 0.0, num_layers=6, oversampling=3), 500.0, 100),
+    (GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3), 80.0, 150),
+    (GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5, oversampling=3), 100.0, 200),
+], ids=["drift-box", "eight-ary", "mixed"])
+def test_decisions_match_point_by_point_reference_fit(spec, span, m):
+    """Held-out decisions agree with a fit by the reference PAVA, up to near-ties.
+
+    Regression targets take few values, so two actions' curves can be
+    equal in exact arithmetic and differ in rounding. A decision may
+    differ only where the curves of the two actions (0 for stopping)
+    agree to 1e-12 relative. Layers are compared from the leaves up; a
+    training decision flipped at such a tie changes the payoffs of every
+    layer above it, so the comparison of that fit stops there.
+    """
+    grid = PulsarGrid(spec, span)
+    model = PulsarNullModel(grid, m)
+    train = model.sample_path_values_batch(4000, np.random.default_rng(1))
+    held = model.sample_path_values_batch(4000, np.random.default_rng(2))
+    compared = total = 0
+    for lam in (0.0, 0.01, 0.05, 0.2):
+        for quantile in (0.9, 0.99):
+            cfg = FitConfig(grid.tree, lam, chi2_2_quantile(quantile))
+            fitted, ref = fit_strategy(train, cfg), reference_fit(train, cfg)
+            total += grid.tree.num_layers - 1
+            for layer in range(grid.tree.num_layers - 1, 0, -1):
+                fns = fitted.continuation[layer]
+                for xs in (held[:, layer - 1], train[:, layer - 1]):
+                    got, want = fitted.decide_batch(layer, xs), ref.decide_batch(layer, xs)
+                    for x, a, b in zip(xs[got != want], got[got != want], want[got != want]):
+                        va, vb = (fns[s](x) if s else 0.0 for s in (a, b))
+                        assert abs(va - vb) <= 1e-12 * max(1.0, abs(va), abs(vb)), (lam, layer, x)
+                compared += 1
+                if np.any(got != want):  # the training paths' decisions
+                    break
+    assert compared >= 0.8 * total

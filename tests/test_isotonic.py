@@ -45,6 +45,45 @@ def best_partition_sse(xs, ys, ws):
     return best
 
 
+def reference_pava(xs, ys, ws=None) -> MonotoneFn:
+    """Pool adjacent violators one point at a time, after merging x-ties.
+
+    The straightforward form of the algorithm, kept as the reference that
+    ``pava``, which pools whole runs of equal targets, must agree with.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    ws = np.ones_like(xs) if ws is None else np.asarray(ws, dtype=float)
+    ux, inverse = np.unique(xs, return_inverse=True)
+    w = np.bincount(inverse, weights=ws, minlength=ux.size)
+    ys, ws = np.bincount(inverse, weights=ws * ys, minlength=ux.size) / w, w
+    mean, weight, count = [], [], []
+    for y, w in zip(ys.tolist(), ws.tolist()):
+        c = 1
+        while mean and y < mean[-1]:
+            pw = weight.pop()
+            tw = pw + w
+            y = (pw * mean.pop() + w * y) / tw
+            w = tw
+            c += count.pop()
+        mean.append(y)
+        weight.append(w)
+        count.append(c)
+    starts = np.concatenate(([0], np.cumsum(count)))[:-1]
+    lvs = np.array(mean)
+    keep = np.concatenate(([True], lvs[1:] != lvs[:-1]))
+    return MonotoneFn(ux[starts][keep], lvs[keep])
+
+
+def discrete_sample(rng, n):
+    """Targets from a few values in long runs, tied abscissae, uneven weights."""
+    values = rng.choice([-1.5, 0.0, 0.25, 1.0, 4.0], size=rng.integers(1, 6), replace=False)
+    runs = rng.integers(1, 40, size=n)
+    ys = np.repeat(rng.choice(values, size=n), runs)[:n]
+    xs = np.sort(np.round(rng.uniform(-3, 3, n), 2)) + np.where(rng.random(n) < 0.1, 0.5, 0.0)
+    ws = rng.uniform(0.5, 3.0, n) if rng.random() < 0.5 else np.ones(n)
+    return xs, ys, ws
+
+
 def test_three_point_frozen():
     fn = pava(np.array([0.0, 1.0, 2.0]), np.array([3.0, 1.0, 2.0]))
     assert np.allclose(fn(np.array([-1.0, 0.5, 5.0])), 2.0)
@@ -125,6 +164,27 @@ def test_matches_exhaustive_partition_minimum(seed, n):
     ws = rng.uniform(0.5, 2.0, n)
     fn = pava(xs, ys, ws)
     got = sse(fn, xs, ys, ws)
+    want = best_partition_sse(xs, ys, ws)
+    assert got <= want * (1 + 1e-9) + 1e-12
+    assert got >= want * (1 - 1e-9) - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_runs_of_equal_targets_match_point_by_point(seed):
+    rng = np.random.default_rng(seed)
+    xs, ys, ws = discrete_sample(rng, int(rng.integers(1, 3000)))
+    fn, ref = pava(xs, ys, ws), reference_pava(xs, ys, ws)
+    at = np.concatenate((xs, fn.breakpoints, ref.breakpoints))
+    got, want = fn(at), ref(at)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10_000), st.integers(1, 8))
+def test_discrete_targets_reach_exhaustive_partition_minimum(seed, n):
+    rng = np.random.default_rng(seed)
+    xs, ys, ws = discrete_sample(rng, n)
+    got = sse(pava(xs, ys, ws), xs, ys, ws)
     want = best_partition_sse(xs, ys, ws)
     assert got <= want * (1 + 1e-9) + 1e-12
     assert got >= want * (1 - 1e-9) - 1e-12

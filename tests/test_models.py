@@ -210,6 +210,68 @@ def test_path_nodes_are_the_grid_nodes(spec, span):
     assert np.array_equal(omegadot, od)
 
 
+class CopyRotationModel(PulsarNullModel):
+    """The sampler with each layer's rotation built as a fresh factor.
+
+    Every step copies u (or v, cubed where the offset is 3), flips the
+    sign of its imaginary part where the exponent is positive, and
+    multiplies it in: the plain form of the conjugated-row rotation.
+    """
+
+    def _powers(self, omega, omegadot, e_omega, e_omegadot, t, work):
+        g = self.grid
+        G = g.spec.num_layers
+        rows = t.shape[0]
+        c, z, u, v, w, index = (work[k][:rows] for k in ("c", "z", "u", "v", "w", "index"))
+        nb = 1 << g.kappa(1)
+        np.multiply(t, nb / g.span, out=c)
+        np.copyto(index, c, casting="unsafe")
+        np.minimum(index, nb - 1, out=index)
+        index += nb * np.arange(rows)[:, None]
+        ends = np.bincount(index.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
+        np.multiply(t, 0.5 * omegadot[:, None], out=c)
+        c += omega[:, None]
+        c *= t
+        engine._unit_phasors(c, z, index, w)
+        np.multiply(t, 0.5 * g.d_omega[G - 1], out=c)
+        engine._unit_phasors(c, u, index, w)
+        np.multiply(t, t, out=c)
+        c *= 0.25 * g.d_omegadot[G - 1]
+        engine._unit_phasors(c, v, index, w)
+        out = np.empty((rows, G))
+        out[:, G - 1] = engine._block_power(z, ends[:, -1:])
+        for layer in range(G - 1, 0, -1):
+            if g.freq_factor[layer - 1] > 1:
+                w = u.copy()
+                w.imag *= -e_omega[:, layer - 1, None]
+                z *= w
+            if g.drift_factor[layer - 1] > 1:
+                e = e_omegadot[:, layer - 1, None]
+                w = np.where(np.abs(e) == 3, (v * v) * v, v)
+                w.imag *= -np.sign(e)
+                z *= w
+            step = 1 << (layer - 1)
+            out[:, layer - 1] = engine._block_power(z, ends[:, step - 1::step])
+            u *= u
+            v *= v
+            v *= v
+        return out
+
+
+@pytest.mark.parametrize("spec, span, m", [
+    (GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3), 80.0, 150),
+    (GridSpec(1.0, 1.02, -1e-3, 0.0, num_layers=5, oversampling=3), 100.0, 60),
+], ids=["eight-ary", "mixed"])
+def test_rotation_equals_copy_and_sign_flip_bit_for_bit(spec, span, m):
+    grid = PulsarGrid(spec, span)
+    model = PulsarNullModel(grid, m)
+    e_omegadot = model._path_params(700, np.random.default_rng(13))[3]
+    assert set(np.unique(e_omegadot)) >= {-3, -1, 1, 3}
+    got = model.sample_path_values_batch(700, np.random.default_rng(13))
+    want = CopyRotationModel(grid, m).sample_path_values_batch(700, np.random.default_rng(13))
+    assert np.array_equal(got, want)
+
+
 def test_models_expose_num_layers():
     tree = chain_tree(3)
     assert GaussianChainModel(tree, 0.5).tree.num_layers == 3
