@@ -330,37 +330,74 @@ class PulsarGrid:
             raise ValueError(f"grid has a malformed field: {exc}") from exc
 
 
-def _gridded_sums(u: np.ndarray, c: np.ndarray, modes: int) -> np.ndarray:
-    """sum_j c_j exp(2 pi i k u_j) for k in [-(modes // 2), modes - modes // 2).
+class _GriddingPlan:
+    """Gaussian gridding of one set of points u_j in [0, 1) for a window of modes.
+
+    Built once per screen sweep and reused by every ``_gridded_sums``
+    call on it. The grid has n points, the least power of two >= 2 *
+    modes, so a point's slots wrap by ``& (n - 1)``; R = n / modes and tau
+    = pi * _SPREAD / (modes^2 R (R - 1/2)). The plan keeps, for the first
+    ``rows`` = ``_tile_rows(2 * _SPREAD)`` points, the 2 * _SPREAD
+    weights exp(-(2 pi (u_j - i / n))^2 / (4 tau)) of each and their
+    slots in the grid's (real, imaginary) float pairs: 24 bytes per
+    weight, at most 768 KiB whatever the point count. It also keeps the mode
+    indices ``k`` and the Gaussian's inverse transform at them. Later
+    tiles are spread again by ``spread`` on every call, so memory stays
+    bounded.
+    """
+
+    def __init__(self, u: np.ndarray, modes: int):
+        self.u = u
+        self.n = 2 << (modes - 1).bit_length()
+        ratio = self.n / modes
+        tau = math.pi * _SPREAD / (modes * modes * ratio * (ratio - 0.5))
+        self.offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+        self.scale = -((TWO_PI / self.n) ** 2) / (4.0 * tau)  # the exponent per squared grid step
+        self.rows = _tile_rows(self.offsets.size)
+        self.weights, self.slots = self.spread(0)
+        self.k = np.arange(-(modes // 2), modes - modes // 2)
+        self.deconvolve = math.sqrt(math.pi / tau) * np.exp(tau * self.k * self.k)
+
+    def spread(self, lo: int):
+        """(weights, slots) of the tile of points that starts at ``lo``.
+
+        Weights have shape (points, 2 * _SPREAD). Slots index the grid's
+        float view, real part then imaginary part of each weight's grid
+        point, in the order of the weights.
+        """
+        pos = self.u[lo:lo + self.rows] * self.n
+        near = np.floor(pos)
+        dist = (pos - near)[:, None] - self.offsets
+        w = np.exp(self.scale * dist * dist)
+        at = (near.astype(np.int64)[:, None] + self.offsets) & (self.n - 1)
+        return w, (2 * at[:, :, None] + np.arange(2)).ravel()
+
+
+def _gridded_sums(plan: _GriddingPlan, c: np.ndarray) -> np.ndarray:
+    """sum_j c_j exp(2 pi i k u_j) for the plan's modes k in [-(modes // 2), modes - modes // 2).
 
     A type-1 nonuniform FFT by Gaussian gridding (Greengard & Lee 2004,
-    SIAM Rev. 46(3):443). Each c_j is spread onto the 2 * _SPREAD points
-    of a periodic grid of n points nearest to u_j in [0, 1), with weights
-    exp(-(2 pi (u_j - i / n))^2 / (4 tau)); n is the least power of two
-    >= 2 * modes, R = n / modes and tau = pi * _SPREAD / (modes^2 R (R -
-    1/2)). One inverse FFT of the grid, divided by the Gaussian's
-    transform, gives the sums. Photons are spread in tiles of at most
-    ``_TILE_ELEMENTS`` weights.
+    SIAM Rev. 46(3):443). Each c_j is spread with the plan's weights onto
+    the 2 * _SPREAD points of the periodic grid nearest to u_j, real and
+    imaginary parts by one ``np.bincount`` into the grid's float view;
+    one inverse FFT of the grid, divided by the Gaussian's transform,
+    gives the sums. ``screen_leaves`` builds one plan per sweep and
+    calls this once per segment, a row's last, shorter segment included,
+    as it takes a full window too. The plan's first tile of weights is
+    reused; later tiles of at most ``plan.rows`` points are spread again
+    here, so memory stays within the plan's 768 KiB and one tile's
+    temporaries whatever the point count.
     """
-    n = 2 << (modes - 1).bit_length()
-    ratio = n / modes
-    tau = math.pi * _SPREAD / (modes * modes * ratio * (ratio - 0.5))
-    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
-    scale = -((TWO_PI / n) ** 2) / (4.0 * tau)  # the exponent per squared grid step
-    re = np.zeros(n)
-    im = np.zeros(n)
-    rows = _tile_rows(offsets.size)
-    for lo in range(0, u.size, rows):
-        pos = u[lo:lo + rows] * n
-        near = np.floor(pos)
-        dist = (pos - near)[:, None] - offsets
-        w = np.exp(scale * dist * dist)
-        at = ((near.astype(np.int64)[:, None] + offsets) % n).ravel()
-        cs = c[lo:lo + rows, None]
-        re += np.bincount(at, (w * cs.real).ravel(), n)
-        im += np.bincount(at, (w * cs.imag).ravel(), n)
-    k = np.arange(-(modes // 2), modes - modes // 2)
-    return np.fft.ifft(re + 1j * im)[k] * (math.sqrt(math.pi / tau) * np.exp(tau * k * k))
+    grid = np.zeros(2 * plan.n)
+    for lo in range(0, c.size, plan.rows):
+        w, at = (plan.weights, plan.slots) if lo == 0 else plan.spread(lo)
+        cs = c[lo:lo + plan.rows, None]
+        terms = np.empty(w.shape + (2,))
+        np.multiply(w, cs.real, out=terms[:, :, 0])
+        np.multiply(w, cs.imag, out=terms[:, :, 1])
+        grid += np.bincount(at, terms.ravel(), grid.size)
+        del w, at, terms  # the next tile's spread need not hold this one's
+    return np.fft.ifft(grid.view(complex))[plan.k] * plan.deconvolve
 
 
 class PulsarEvaluator:
@@ -432,12 +469,20 @@ class PulsarEvaluator:
         spacing s_j to photon j's phase, s_j being t_j for frequency and
         t_j^2 / 2 for drift, so the row's statistics are (2/m) |sum_j c_j
         exp(2 pi i p u_j)|^2 with u_j = frac(spacing s_j): one type-1
-        nonuniform FFT. A row is cut into segments of at most
-        ``_SCREEN_MODES`` positions, each one ``_gridded_sums`` with its
-        modes centred on the segment; the weights c_j are the phasors that
-        ``_unit_phasors`` makes of the cycle phase at the centre. The
-        values are within about 1e-9 of max(1, value) of ``evaluate``: a
-        screen, not a result.
+        nonuniform FFT. A row is cut into segments of modes =
+        min(``_SCREEN_MODES``, positions in the row) positions, each one
+        ``_gridded_sums`` with its modes centred on the segment; the
+        weights c_j are the phasors that ``_unit_phasors`` makes of the
+        cycle phase at the centre. Every segment of every row transforms
+        the same u_j over the same window, so one ``_GriddingPlan`` serves
+        the whole call: its spreading weights and grid slots are computed
+        once, not once per segment. A row's last segment, when shorter,
+        transforms a full window starting at its first position and keeps
+        the values the row holds. The plan keeps the weights of one tile
+        of ``_tile_rows(2 * _SPREAD)`` photons (at most 768 KiB), so the call's
+        memory grows with the photon count by its m-length arrays only,
+        about 64 bytes a photon. The values are within about 1e-9 of
+        max(1, value) of ``evaluate``: a screen, not a result.
 
         Yields (axis, row, lo, values): ``values`` at positions lo, lo + 1,
         ... along dimension ``axis``, at position ``row`` of the other.
@@ -454,14 +499,17 @@ class PulsarEvaluator:
         z = np.empty(m, dtype=complex)
         index = np.empty(m, dtype=np.int64)
         work = np.empty(m, dtype=complex)
+        modes = min(_SCREEN_MODES, count)
+        plan = _GriddingPlan(u, modes)
+        # the other dimension's term borrows work's memory until _unit_phasors takes it over
+        fixed = work.view(np.float64)[:m]
         for row in range(rows):
-            fixed = (row_first + row * row_spacing) * s[1 - axis]
-            for lo in range(0, count, _SCREEN_MODES):
-                modes = min(_SCREEN_MODES, count - lo)
+            for lo in range(0, count, modes):
                 centre = first + (lo + modes // 2) * spacing
+                np.multiply(row_first + row * row_spacing, s[1 - axis], out=fixed)
                 np.multiply(centre, s[axis], out=cycles)
                 cycles += fixed
-                f = _gridded_sums(u, _unit_phasors(cycles, z, index, work), modes)
+                f = _gridded_sums(plan, _unit_phasors(cycles, z, index, work))[:count - lo]
                 yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
 
 
@@ -747,7 +795,11 @@ def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOu
 
     A ``PulsarEvaluator`` is swept in two steps. The screen
     (``PulsarEvaluator.screen_leaves``) scores each row of the grid's
-    leaf lattice with nonuniform FFTs, one segment at a time. Every leaf
+    leaf lattice with nonuniform FFTs, one segment at a time, from one
+    gridding plan built for the sweep; a row's last, shorter segment is
+    cut from a full window. The plan keeps the spreading weights of one
+    tile of photons, so the screen's memory grows with the photon count
+    by its m-length arrays only. Every leaf
     whose screened value reaches q_reject - 1e-6 * max(1, q_reject), a
     margin far above the screen's rounding, is then confirmed by
     ``evaluate`` in calls of at most ``chunk_size`` leaves, segment by

@@ -181,6 +181,8 @@ class PulsarNullModel:
                 np.multiply(z, v, out=z, where=~cube)
             step = 1 << (layer - 1)
             out[:, layer - 1] = _block_power(z, ends[:, step - 1::step])
+            if layer == 1:
+                break
             if split_w:
                 u *= u
             if split_d:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -787,6 +789,133 @@ class TestScreen:
         ev = sweep_case(SWEEP_SPEC, DESK_SPAN, 5000, 0.2, 15)
         screened, exact = screened_and_exact(ev)
         assert screen_error(screened, exact) <= SCREEN_RTOL
+
+
+def reference_gridded_sums(u, c, modes):
+    """The gridding that each screen segment once rebuilt for itself: spread, transform, deconvolve."""
+    n = 2 << (modes - 1).bit_length()
+    ratio = n / modes
+    tau = np.pi * engine._SPREAD / (modes * modes * ratio * (ratio - 0.5))
+    offsets = np.arange(1 - engine._SPREAD, engine._SPREAD + 1)
+    scale = -((TWO_PI / n) ** 2) / (4.0 * tau)
+    re = np.zeros(n)
+    im = np.zeros(n)
+    rows = engine._tile_rows(offsets.size)
+    for lo in range(0, u.size, rows):
+        pos = u[lo:lo + rows] * n
+        near = np.floor(pos)
+        dist = (pos - near)[:, None] - offsets
+        w = np.exp(scale * dist * dist)
+        at = ((near.astype(np.int64)[:, None] + offsets) % n).ravel()
+        cs = c[lo:lo + rows, None]
+        re += np.bincount(at, (w * cs.real).ravel(), n)
+        im += np.bincount(at, (w * cs.imag).ravel(), n)
+    k = np.arange(-(modes // 2), modes - modes // 2)
+    return np.fft.ifft(re + 1j * im)[k] * (np.sqrt(np.pi / tau) * np.exp(tau * k * k))
+
+
+def reference_screen(ev, full_window):
+    """``screen_leaves`` with its gridding rebuilt segment by segment.
+
+    With ``full_window`` a row's last, shorter segment keeps the first
+    values of a full window; without it, it transforms a window of its
+    own length.
+    """
+    g = ev.grid
+    lattice = (g.leaf_lattice(0), g.leaf_lattice(1))
+    axis = 0 if lattice[0][0] >= lattice[1][0] else 1
+    count, first, spacing = lattice[axis]
+    rows, row_first, row_spacing = lattice[1 - axis]
+    t = ev.photons.times
+    s = (t, 0.5 * t ** 2)
+    u = np.mod(spacing * s[axis], 1.0)
+    m = t.size
+    for row in range(rows):
+        fixed = (row_first + row * row_spacing) * s[1 - axis]
+        for lo in range(0, count, engine._SCREEN_MODES):
+            modes = min(engine._SCREEN_MODES, count if full_window else count - lo)
+            cycles = (first + (lo + modes // 2) * spacing) * s[axis]
+            cycles += fixed
+            c = engine._unit_phasors(cycles, np.empty(m, complex), np.empty(m, np.int64),
+                                     np.empty(m, complex))
+            f = reference_gridded_sums(u, c, modes)[:count - lo]
+            yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
+
+
+class TestGriddingPlan:
+    @pytest.mark.parametrize("box", ["sweep", "mixed"])
+    def test_one_plan_per_call(self, box, sweep_box, mixed_box, monkeypatch):
+        ev = sweep_box if box == "sweep" else mixed_box
+        built = []
+
+        class Counted(engine._GriddingPlan):
+            def __init__(self, u, modes):
+                built.append(modes)
+                super().__init__(u, modes)
+
+        monkeypatch.setattr(engine, "_GriddingPlan", Counted)
+        segments = list(ev.screen_leaves())
+        assert built == [min(engine._SCREEN_MODES, ev.grid.leaf_lattice(segments[0][0])[0])]
+        assert len(segments) > 1
+        list(ev.screen_leaves())
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("box", ["sweep", "mixed"])
+    def test_segments_equal_the_per_segment_loop(self, box, sweep_box, mixed_box):
+        ev = sweep_box if box == "sweep" else mixed_box
+        segments = list(ev.screen_leaves())
+        own = list(reference_screen(ev, full_window=False))
+        cut = list(reference_screen(ev, full_window=True))
+        assert [s[:3] for s in segments] == [s[:3] for s in own] == [s[:3] for s in cut]
+        short = 0
+        for (*_, vals), (*_, own_vals), (*_, cut_vals) in zip(segments, own, cut):
+            # every segment, a short last one too, is the full-window transform bit for bit
+            assert vals.tobytes() == cut_vals.tobytes()
+            if vals.size == min(engine._SCREEN_MODES, ev.grid.leaf_lattice(segments[0][0])[0]):
+                assert vals.tobytes() == own_vals.tobytes()
+            else:
+                short += 1
+                assert screen_error(vals, own_vals) <= SCREEN_RTOL
+        # the sweep box's one row ends in a short segment; the mixed box's rows are one segment
+        assert short == (1 if box == "sweep" else 0)
+
+
+TILE_PHOTONS = engine._tile_rows(2 * engine._SPREAD)  # photons whose weights a plan keeps
+
+
+class TestScreenOverSeveralTiles:
+    @pytest.mark.parametrize("name", ["eight_ary", "mixed"])
+    def test_screen_and_sweep(self, name):
+        ev = kernel_case(name, count=3000, seed=23)
+        assert ev.photons.count > 2 * TILE_PHOTONS
+        screened, exact = screened_and_exact(ev)
+        assert screened.size == nodes_in_layer(ev.tree, ev.tree.num_layers)
+        assert screen_error(screened, exact) <= SCREEN_RTOL
+        q = float(np.sort(exact)[-6])  # the six largest leaves are detections
+        out = naive_search(ev, q, chunk_size=500)
+        ref = walked(ev, q, 500)
+        assert len(out.detections) == 6 and out.detections == ref.detections
+        assert out.sweep["method"] == "screen"
+
+    @pytest.mark.parametrize("name", ["eight_ary", "mixed"])
+    def test_memory_grows_by_the_photon_arrays_only(self, name):
+        def screen_peak(count):
+            ev = kernel_case(name, count=count, seed=24)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in ev.screen_leaves():
+                    pass
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # whole tiles on both sides, so the last tile spread is a full one in each
+        few, many = 2 * TILE_PHOTONS, 6 * TILE_PHOTONS
+        screen_peak(few)  # one-time allocations of a process's first screen come before
+        # u, cycles, z, index, work and t^2 / 2: 64 bytes a photon, and a few
+        # KiB of Python objects; a plan keeping every tile would add 384 a photon
+        assert screen_peak(many) - screen_peak(few) <= 64 * (many - few) + 4096
 
 
 def walked(ev, q, chunk_size=8192):
