@@ -45,6 +45,22 @@ grep -q '"method": "screen"' sweep_mixed/manifest.json
 blindsearch naive --photons-file photons_mixed.txt --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --qreject 12 --out-dir sweep_mixed2
 cmp sweep_mixed/detections.csv sweep_mixed2/detections.csv
 cmp sweep_mixed/layers.csv sweep_mixed2/layers.csv
+# 16 drift rows of 9000 frequency positions: two screen segments a row, and the
+# screen's batches of transforms cross rows; a config file gives the flag run's bytes
+blindsearch simulate --theta 0.3 --photons 200 --span 1000 --omega 2.5 --omegadot=-5e-7 --seed 3 --out photons_long.txt
+blindsearch naive --photons-file photons_long.txt --omega-min 1.0 --omega-max 4.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --qreject 12 --out-dir sweep_long
+grep -q '"segments": 32' sweep_long/manifest.json
+cat > naive.cfg <<'EOF'
+omega_min = 1.0
+omega_max = 4.0
+omegadot_min = -1e-6
+omegadot_max = 0
+layers = 3
+qreject = 12
+EOF
+blindsearch naive --config naive.cfg --photons-file photons_long.txt --out-dir sweep_long_cfg
+cmp sweep_long/detections.csv sweep_long_cfg/detections.csv
+cmp sweep_long/layers.csv sweep_long_cfg/layers.csv
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 2 --seed 1 --out curve_mixed.csv
 test "$(wc -l < curve_mixed.csv)" -eq 4
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed1.csv

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage, 3 malformed input data, 4 degenerate fit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -468,13 +469,27 @@ _COMMANDS = {
 }
 
 
-def run(argv=None) -> int:
-    """Run one command; its progress log lines go to stderr at INFO."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once; nothing may change it."""
+    return build_parser()
+
+
+def _subcommand(parser, name: str) -> argparse.ArgumentParser:
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = commands.choices[args.command]
-    keys = _configurable(command)
+    return commands.choices[name]
+
+
+def run(argv=None) -> int:
+    """Run one command; its progress log lines go to stderr at INFO.
+
+    Every call parses with one parser built per process. A ``--config``
+    run sets the file's values as defaults on a parser of its own, so
+    they never outlive the call.
+    """
+    parser = _shared_parser()
+    args = parser.parse_args(argv)
+    keys = _configurable(_subcommand(parser, args.command))
     logger = logging.getLogger("blindsearch")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(f"{args.command}: %(message)s"))
@@ -483,7 +498,9 @@ def run(argv=None) -> int:
     logger.setLevel(logging.INFO)
     try:
         if args.config:
-            command.set_defaults(**_read_config_file(args.config, keys))
+            parser = build_parser()  # set_defaults changes its parser: never the shared one
+            _subcommand(parser, args.command).set_defaults(
+                **_read_config_file(args.config, keys))
             args = parser.parse_args(argv)  # flags win over the file
         return _COMMANDS[args.command](args, {key: getattr(args, key) for key in keys})
     except (ValueError, OSError) as exc:

@@ -17,7 +17,8 @@ the evaluator put every node at the same floats.
 The leaves of every pulsar grid form a uniform lattice, and one row of
 leaf statistics along a lattice dimension is one type-1 nonuniform FFT
 of the photons. So ``naive_search`` screens a pulsar grid's leaves by
-FFT segment by segment, re-evaluates with the exact kernel only the
+FFT, in segments whose transforms run in batches across rows, and
+re-evaluates with the exact kernel only the
 leaves whose screened value comes within a margin of 1e-6 *
 max(1, q_reject) below the threshold, and reports only exact values, so
 its detections equal those of evaluating every leaf. Every other
@@ -46,6 +47,7 @@ _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such 
 
 _TILE_ELEMENTS = 1 << 15  # bounds every (rows x photons) temporary of the statistic
 _SCREEN_MODES = _TILE_ELEMENTS // 4  # leaf positions per screen segment
+_SCREEN_BATCH = 1 << 17  # complex grid points per batched screen transform: 8 grids at 8192 modes
 _SPREAD = 12  # Gaussian gridding half-width in grid points; 8 is off by up to about 2e-7
 
 
@@ -341,9 +343,11 @@ class _GriddingPlan:
     weights exp(-(2 pi (u_j - i / n))^2 / (4 tau)) of each and their
     slots in the grid's (real, imaginary) float pairs: 24 bytes per
     weight, at most 768 KiB whatever the point count. It also keeps the mode
-    indices ``k`` and the Gaussian's inverse transform at them. Later
-    tiles are spread again by ``spread`` on every call, so memory stays
-    bounded.
+    indices ``k``, the Gaussian's inverse transform at them, and
+    ``grids``: the float view of ``batch`` = ``_SCREEN_BATCH // n`` grids
+    (at least one), 2 MiB in all, which every call fills and transforms
+    in place. Later tiles are spread again by ``spread`` on every call, so
+    memory stays bounded.
     """
 
     def __init__(self, u: np.ndarray, modes: int):
@@ -357,6 +361,8 @@ class _GriddingPlan:
         self.weights, self.slots = self.spread(0)
         self.k = np.arange(-(modes // 2), modes - modes // 2)
         self.deconvolve = math.sqrt(math.pi / tau) * np.exp(tau * self.k * self.k)
+        self.batch = max(1, _SCREEN_BATCH // self.n)
+        self.grids = np.empty((self.batch, 2 * self.n))
 
     def spread(self, lo: int):
         """(weights, slots) of the tile of points that starts at ``lo``.
@@ -373,31 +379,40 @@ class _GriddingPlan:
         return w, (2 * at[:, :, None] + np.arange(2)).ravel()
 
 
-def _gridded_sums(plan: _GriddingPlan, c: np.ndarray) -> np.ndarray:
-    """sum_j c_j exp(2 pi i k u_j) for the plan's modes k in [-(modes // 2), modes - modes // 2).
+def _gridded_sums(plan: _GriddingPlan, cs):
+    """sum_j c_j exp(2 pi i k u_j) for each c of ``cs`` and the plan's modes k.
 
-    A type-1 nonuniform FFT by Gaussian gridding (Greengard & Lee 2004,
-    SIAM Rev. 46(3):443). Each c_j is spread with the plan's weights onto
-    the 2 * _SPREAD points of the periodic grid nearest to u_j, real and
-    imaginary parts by one ``np.bincount`` into the grid's float view;
-    one inverse FFT of the grid, divided by the Gaussian's transform,
-    gives the sums. ``screen_leaves`` builds one plan per sweep and
-    calls this once per segment, a row's last, shorter segment included,
-    as it takes a full window too. The plan's first tile of weights is
-    reused; later tiles of at most ``plan.rows`` points are spread again
-    here, so memory stays within the plan's 768 KiB and one tile's
+    The modes are k in [-(modes // 2), modes - modes // 2). A type-1
+    nonuniform FFT by Gaussian gridding (Greengard & Lee 2004, SIAM Rev.
+    46(3):443). ``cs`` yields at most ``plan.batch`` weight vectors c,
+    and each is spread onto its own grid of ``plan.grids`` before the
+    next is drawn, so they may share one buffer: every c_j goes with the
+    plan's weights onto the 2 * _SPREAD points of the periodic grid
+    nearest to u_j, real and imaginary parts by one ``np.bincount`` into
+    the grid's float view. One inverse FFT along the grids transforms
+    them all in place, the same bytes as one transform per grid; divided
+    by the Gaussian's transform, each gives its sums. Yields one array of
+    sums per c, in order, each a new array. The plan's first tile of
+    weights is reused; later tiles of at most ``plan.rows`` points are
+    spread again here, so memory stays within the plan and one tile's
     temporaries whatever the point count.
     """
-    grid = np.zeros(2 * plan.n)
-    for lo in range(0, c.size, plan.rows):
-        w, at = (plan.weights, plan.slots) if lo == 0 else plan.spread(lo)
-        cs = c[lo:lo + plan.rows, None]
-        terms = np.empty(w.shape + (2,))
-        np.multiply(w, cs.real, out=terms[:, :, 0])
-        np.multiply(w, cs.imag, out=terms[:, :, 1])
-        grid += np.bincount(at, terms.ravel(), grid.size)
-        del w, at, terms  # the next tile's spread need not hold this one's
-    return np.fft.ifft(grid.view(complex))[plan.k] * plan.deconvolve
+    filled = 0
+    for grid, c in zip(plan.grids, cs):  # zip draws no c once the grids run out
+        grid.fill(0.0)
+        for lo in range(0, c.size, plan.rows):
+            w, at = (plan.weights, plan.slots) if lo == 0 else plan.spread(lo)
+            tile = c[lo:lo + plan.rows, None]
+            terms = np.empty(w.shape + (2,))
+            np.multiply(w, tile.real, out=terms[:, :, 0])
+            np.multiply(w, tile.imag, out=terms[:, :, 1])
+            grid += np.bincount(at, terms.ravel(), grid.size)
+            del w, at, terms  # the next tile's spread need not hold this one's
+        filled += 1
+    spectra = plan.grids[:filled].view(complex)
+    np.fft.ifft(spectra, axis=1, out=spectra)  # in place; out= is numpy >= 2.0
+    for spectrum in spectra:
+        yield spectrum[plan.k] * plan.deconvolve
 
 
 class PulsarEvaluator:
@@ -460,7 +475,7 @@ class PulsarEvaluator:
         return 2.0 * out / m
 
     def screen_leaves(self):
-        """Leaf statistics by nonuniform FFT, one lattice segment at a time.
+        """Leaf statistics by nonuniform FFT, segment by segment in batches.
 
         The lattice is the grid's ``PulsarGrid.leaf_lattice``. Rows run
         along the dimension with more leaf positions: frequency, one row
@@ -471,21 +486,26 @@ class PulsarEvaluator:
         exp(2 pi i p u_j)|^2 with u_j = frac(spacing s_j): one type-1
         nonuniform FFT. A row is cut into segments of modes =
         min(``_SCREEN_MODES``, positions in the row) positions, each one
-        ``_gridded_sums`` with its modes centred on the segment; the
-        weights c_j are the phasors that ``_unit_phasors`` makes of the
-        cycle phase at the centre. Every segment of every row transforms
-        the same u_j over the same window, so one ``_GriddingPlan`` serves
-        the whole call: its spreading weights and grid slots are computed
-        once, not once per segment. A row's last segment, when shorter,
-        transforms a full window starting at its first position and keeps
-        the values the row holds. The plan keeps the weights of one tile
-        of ``_tile_rows(2 * _SPREAD)`` photons (at most 768 KiB), so the call's
-        memory grows with the photon count by its m-length arrays only,
-        about 64 bytes a photon. The values are within about 1e-9 of
-        max(1, value) of ``evaluate``: a screen, not a result.
+        window of ``_gridded_sums`` with its modes centred on the segment;
+        the weights c_j are the phasors that ``_unit_phasors`` makes of
+        the cycle phase at the centre. Every segment of every row
+        transforms the same u_j over the same window, so one
+        ``_GriddingPlan`` serves the whole call: its spreading weights and
+        grid slots are computed once, not once per segment. The segments
+        are numbered row by row and taken ``plan.batch`` at a time, across
+        rows, so one ``_gridded_sums`` call spreads and transforms a whole
+        batch. A row's last segment, when shorter, transforms a full
+        window starting at its first position and keeps the values the
+        row holds. The plan keeps the weights of one tile of
+        ``_tile_rows(2 * _SPREAD)`` photons (at most 768 KiB) and one
+        batch of grids (2 MiB), so the call's memory grows with the photon
+        count by its m-length arrays only, about 64 bytes a photon, and
+        not with the number of segments. The values are within about 1e-9
+        of max(1, value) of ``evaluate``: a screen, not a result.
 
         Yields (axis, row, lo, values): ``values`` at positions lo, lo + 1,
-        ... along dimension ``axis``, at position ``row`` of the other.
+        ... along dimension ``axis``, at position ``row`` of the other, in
+        (row, lo) order.
         """
         g = self.grid
         lattice = (g.leaf_lattice(0), g.leaf_lattice(1))
@@ -501,15 +521,24 @@ class PulsarEvaluator:
         work = np.empty(m, dtype=complex)
         modes = min(_SCREEN_MODES, count)
         plan = _GriddingPlan(u, modes)
+        per_row = -(-count // modes)
         # the other dimension's term borrows work's memory until _unit_phasors takes it over
         fixed = work.view(np.float64)[:m]
-        for row in range(rows):
-            for lo in range(0, count, modes):
-                centre = first + (lo + modes // 2) * spacing
-                np.multiply(row_first + row * row_spacing, s[1 - axis], out=fixed)
-                np.multiply(centre, s[axis], out=cycles)
-                cycles += fixed
-                f = _gridded_sums(plan, _unit_phasors(cycles, z, index, work))[:count - lo]
+
+        def phasors(segment):
+            row, part = divmod(segment, per_row)
+            np.multiply(row_first + row * row_spacing, s[1 - axis], out=fixed)
+            np.multiply(first + (part * modes + modes // 2) * spacing, s[axis], out=cycles)
+            np.add(cycles, fixed, out=cycles)
+            return _unit_phasors(cycles, z, index, work)
+
+        segments = rows * per_row
+        for start in range(0, segments, plan.batch):
+            batch = range(start, min(start + plan.batch, segments))
+            for segment, f in zip(batch, _gridded_sums(plan, map(phasors, batch))):
+                row, part = divmod(segment, per_row)
+                lo = part * modes
+                f = f[:count - lo]
                 yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
 
 
@@ -795,11 +824,13 @@ def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOu
 
     A ``PulsarEvaluator`` is swept in two steps. The screen
     (``PulsarEvaluator.screen_leaves``) scores each row of the grid's
-    leaf lattice with nonuniform FFTs, one segment at a time, from one
-    gridding plan built for the sweep; a row's last, shorter segment is
-    cut from a full window. The plan keeps the spreading weights of one
-    tile of photons, so the screen's memory grows with the photon count
-    by its m-length arrays only. Every leaf
+    leaf lattice with nonuniform FFTs in segments, from one gridding plan
+    built for the sweep, and transforms the segments in batches of a
+    fixed element budget that run across rows; a row's last, shorter
+    segment is cut from a full window. The plan keeps the spreading
+    weights of one tile of photons and one batch of grids, so the
+    screen's memory grows with the photon count by its m-length arrays
+    only, and not with the number of segments. Every leaf
     whose screened value reaches q_reject - 1e-6 * max(1, q_reject), a
     margin far above the screen's rounding, is then confirmed by
     ``evaluate`` in calls of at most ``chunk_size`` leaves, segment by
@@ -819,7 +850,7 @@ def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOu
 
 def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float,
                     chunk_size: int) -> SearchOutcome:
-    """``naive_search`` by screen and confirm, one screen segment at a time."""
+    """``naive_search`` by screen and confirm, confirming segment by segment."""
     began = time.perf_counter()
     grid = evaluator.grid
     tree = evaluator.tree
@@ -828,19 +859,21 @@ def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float,
     detections = []
     segments = calls = confirmed = peak = 0
     for axis, row, lo, screened in evaluator.screen_leaves():
-        along = lo + np.flatnonzero(screened >= cut)
-        across = np.full(along.size, row)
-        idx = grid.leaf_index(*((along, across) if axis == 0 else (across, along)))
-        for first in range(0, idx.size, chunk_size):
-            part = idx[first:first + chunk_size]
-            vals = evaluator.evaluate(G, part)
-            hit = vals >= q_reject
-            detections += [(NodeId(G, i), v)
-                           for i, v in zip(part[hit].tolist(), vals[hit].tolist())]
-            calls += 1
+        along = np.flatnonzero(screened >= cut)
+        if along.size:  # most segments of a sweep have nothing to confirm
+            along += lo
+            across = np.full(along.size, row)
+            idx = grid.leaf_index(*((along, across) if axis == 0 else (across, along)))
+            for first in range(0, idx.size, chunk_size):
+                part = idx[first:first + chunk_size]
+                vals = evaluator.evaluate(G, part)
+                hit = vals >= q_reject
+                detections += [(NodeId(G, i), v)
+                               for i, v in zip(part[hit].tolist(), vals[hit].tolist())]
+                calls += 1
         segments += 1
-        confirmed += idx.size
-        peak = max(peak, screened.size + idx.size + len(detections))
+        confirmed += along.size
+        peak = max(peak, screened.size + along.size + len(detections))
     detections.sort(key=lambda d: d[0].index)
     observed = np.zeros(G, dtype=np.int64)
     observed[-1] = nodes_in_layer(tree, G)

@@ -447,6 +447,18 @@ class TestConfigResolution:
                    for p in (by_flags, by_file)]
         assert configs[0] == configs[1]
 
+    def test_config_values_end_with_their_run(self, tmp_path):
+        cfgfile = tmp_path / "fit.cfg"
+        cfgfile.write_text("seed = 7\n")
+        flags = ["fit", *GRID_FLAGS, "--lambda", "0.0", "--paths", "800",
+                 "--qtrain-quantile", "0.9", "--photons", "80"]
+        by_file, by_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        run_ok([*flags, "--config", str(cfgfile), "--out", str(by_file)])
+        run_ok([*flags, "--out", str(by_flags)])  # in the same process, without the file
+        configs = [json.loads(Path(f"{p}.manifest.json").read_text())["config"]
+                   for p in (by_file, by_flags)]
+        assert (configs[0]["seed"], configs[1]["seed"]) == (7, 0)  # 0 is the flag's default
+
     @pytest.mark.parametrize("value, written", [("false", False), ("true", True)])
     def test_config_switch(self, tmp_path, value, written):
         strat = fit(tmp_path)

@@ -880,6 +880,55 @@ class TestGriddingPlan:
         assert short == (1 if box == "sweep" else 0)
 
 
+class TestScreenBatches:
+    # small segments, so a batch of five grids holds segments of several rows and a
+    # row falls in two batches: 32 rows of 3 segments (8-ary), 8 rows of 6 (mixed);
+    # None keeps the default budget, one batch for every segment
+    @pytest.mark.parametrize("name, modes", [("eight_ary", 16), ("mixed", 48)])
+    @pytest.mark.parametrize("batch", [5, None])
+    def test_segments_equal_the_full_window_loop(self, name, modes, batch, monkeypatch):
+        ev = kernel_case(name)
+        monkeypatch.setattr(engine, "_SCREEN_MODES", modes)
+        if batch:
+            monkeypatch.setattr(engine, "_SCREEN_BATCH", batch * (2 << (modes - 1).bit_length()))
+        segments = list(ev.screen_leaves())
+        cut = list(reference_screen(ev, full_window=True))
+        assert [s[:3] for s in segments] == [s[:3] for s in cut]
+        for (*_, vals), (*_, cut_vals) in zip(segments, cut):
+            assert vals.tobytes() == cut_vals.tobytes()
+        rows = [row for _, row, _, _ in segments]
+        per_row = rows.count(0)
+        assert per_row > 1 and len(rows) > 2 * per_row
+        if batch:
+            rows_of_batch = [set(rows[i:i + batch]) for i in range(0, len(rows), batch)]
+            batches_of_row = [{i // batch for i, r in enumerate(rows) if r == row}
+                              for row in set(rows)]
+            assert any(len(b) > 1 for b in rows_of_batch)
+            assert any(len(b) > 1 for b in batches_of_row)
+            assert len(segments) % batch  # the last batch is a partial one
+
+    def test_memory_does_not_grow_with_the_segments(self, monkeypatch):
+        photons = kernel_case("eight_ary").photons
+        monkeypatch.setattr(engine, "_SCREEN_MODES", 16)
+
+        def screen_peak(omegadot_min):
+            spec = GridSpec(1.0, 1.3, omegadot_min, 0.0, num_layers=3, oversampling=3)
+            ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                segments = sum(1 for _ in ev.screen_leaves())
+                return segments, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        screen_peak(-2e-3)  # one-time allocations of a process's first screen come before
+        (few, few_peak), (many, many_peak) = screen_peak(-2e-3), screen_peak(-3.2e-2)
+        assert (few, many) == (96, 1160)
+        # the same photons, plan and batch of grids, 12 times the segments
+        assert many_peak <= few_peak + 4096
+
+
 TILE_PHOTONS = engine._tile_rows(2 * engine._SPREAD)  # photons whose weights a plan keeps
 
 
