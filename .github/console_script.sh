@@ -74,3 +74,9 @@ python -c 'import json; d = json.load(open("strategy.json")); d["tree"] = list(d
 rc=0
 blindsearch search --strategy bad_tree.json --photons-file photons.txt --qreject 12 --out-dir bad_search || rc=$?
 test "$rc" -eq 3
+# a photon file with a time beyond its span exits 3 and names the file
+printf '# T=50\n10.0\n60.0\n' > late_photons.txt
+rc=0
+blindsearch search --strategy strategy.json --photons-file late_photons.txt --qreject 12 --out-dir late_search 2> late_search.err || rc=$?
+test "$rc" -eq 3
+grep -q 'late_photons.txt' late_search.err

@@ -143,6 +143,12 @@ def _add_grid_flags(p, span=_DESK.span):
     p.add_argument("--span", type=float, default=span, help=help_span)
 
 
+def _add_threshold_flags(p):
+    p.add_argument("--qreject", type=float, help="rejection threshold; overrides --alpha")
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--n-effective", type=float, dest="n_effective")
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that takes exponent-form negatives such as -1e-11 as values.
 
@@ -191,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True, help="strategy JSON from fit")
     p.add_argument("--photons-file", required=True, dest="photons_file")
     p.add_argument("--span", type=float)
-    p.add_argument("--qreject", type=float, help="rejection threshold; overrides --alpha")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n-effective", type=float, dest="n_effective")
+    _add_threshold_flags(p)
     p.add_argument("--emit-observed", action="store_true", dest="emit_observed",
                    help="also write every observed node")
     p.add_argument("--out-dir", required=True, dest="out_dir")
@@ -202,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.add_argument("--photons-file", required=True, dest="photons_file")
     _add_grid_flags(p, span=None)
-    p.add_argument("--qreject", type=float)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n-effective", type=float, dest="n_effective")
+    _add_threshold_flags(p)
     p.add_argument("--out-dir", required=True, dest="out_dir")
 
     p = sub.add_parser("evaluate", help="estimate the power/cost tradeoff curve")
@@ -222,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_DESK.qtrain_quantile)
     _add_grid_flags(p)
     p.add_argument("--photons", type=int, default=_DESK.num_photons)
-    p.add_argument("--qreject", type=float)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n-effective", type=float, dest="n_effective")
+    _add_threshold_flags(p)
     p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="tradeoff CSV path")

@@ -638,11 +638,13 @@ class SearchOutcome:
     sweep: dict | None = None
 
 
-def _check_search_args(q_reject: float, chunk_size: int) -> None:
+_SEARCH_CHUNK = 4096  # run_search: layer-1 nodes walked together, and nodes per evaluate call
+_SWEEP_CHUNK = 8192  # naive_search: leaves per evaluate call
+
+
+def _check_search_args(q_reject: float) -> None:
     if math.isnan(q_reject):
         raise ValueError("q_reject must not be NaN")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
 
 
 def _total_cost(tree: TreeConfig, observed: np.ndarray) -> float:
@@ -745,7 +747,7 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
     walking it alone; ``evaluate_calls``, ``seconds`` and
     ``peak_tracked`` describe the shared walk.
     """
-    _check_search_args(q_reject, chunk_size)
+    _check_search_args(q_reject)
     tree = evaluator.tree
     G = tree.num_layers
     n = nodes_in_layer(tree, start)
@@ -792,15 +794,14 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
             for t in tracks]
 
 
-def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False,
-               chunk_size: int = 4096):
+def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False):
     """Execute a fitted strategy, or a list of them, over an evaluator's tree.
 
     Layer 1 is observed completely; every node given a nonzero action has
     its jump-target descendants observed in turn. Observed leaves whose
     statistic reaches ``q_reject`` become detections, in leaf-index
-    order. ``chunk_size`` bounds both the layer-1 nodes walked together
-    and the nodes per ``evaluate`` call.
+    order. At most 4096 layer-1 nodes are walked together, and at most
+    4096 nodes go to one ``evaluate`` call.
 
     Returns a SearchOutcome; with ``emit_observed`` it also carries the
     log of every observed node. Given a list of strategies on one tree,
@@ -815,11 +816,11 @@ def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False
     if any(evaluator.tree != s.tree for s in strategies):
         raise ValueError("strategy and evaluator disagree on the tree shape")
     outcomes = _walk(evaluator, [s.decide_batch for s in strategies], 1, q_reject,
-                     chunk_size, emit_observed)
+                     _SEARCH_CHUNK, emit_observed)
     return outcomes if several else outcomes[0]
 
 
-def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOutcome:
+def naive_search(evaluator, q_reject: float) -> SearchOutcome:
     """Sweep every leaf; the benchmark the hierarchy is measured against.
 
     A ``PulsarEvaluator`` is swept in two steps. The screen
@@ -833,23 +834,22 @@ def naive_search(evaluator, q_reject: float, chunk_size: int = 8192) -> SearchOu
     only, and not with the number of segments. Every leaf
     whose screened value reaches q_reject - 1e-6 * max(1, q_reject), a
     margin far above the screen's rounding, is then confirmed by
-    ``evaluate`` in calls of at most ``chunk_size`` leaves, segment by
+    ``evaluate`` in calls of at most 8192 leaves, segment by
     segment. Only confirmed values are reported, and a leaf's value does
     not depend on the call, so the detections are those of evaluating
     every leaf. Every other evaluator takes the walker, which evaluates
-    every leaf in calls of ``chunk_size``. Either way the leaf layer
+    every leaf in calls of 8192. Either way the leaf layer
     counts as fully observed, and detections come in leaf-index order.
     """
-    _check_search_args(q_reject, chunk_size)
+    _check_search_args(q_reject)
     if isinstance(evaluator, PulsarEvaluator):
-        return _screened_sweep(evaluator, q_reject, chunk_size)
-    [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, chunk_size)
+        return _screened_sweep(evaluator, q_reject)
+    [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, _SWEEP_CHUNK)
     out.sweep = {"method": "walk", "segments": 0, "confirmed": 0}
     return out
 
 
-def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float,
-                    chunk_size: int) -> SearchOutcome:
+def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float) -> SearchOutcome:
     """``naive_search`` by screen and confirm, confirming segment by segment."""
     began = time.perf_counter()
     grid = evaluator.grid
@@ -864,8 +864,8 @@ def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float,
             along += lo
             across = np.full(along.size, row)
             idx = grid.leaf_index(*((along, across) if axis == 0 else (across, along)))
-            for first in range(0, idx.size, chunk_size):
-                part = idx[first:first + chunk_size]
+            for first in range(0, idx.size, _SWEEP_CHUNK):
+                part = idx[first:first + _SWEEP_CHUNK]
                 vals = evaluator.evaluate(G, part)
                 hit = vals >= q_reject
                 detections += [(NodeId(G, i), v)

@@ -21,6 +21,7 @@ Monte-Carlo fitter is validated against it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +60,8 @@ class TradeoffPoint:
 class TradeoffConfig:
     """Everything estimate_tradeoff needs besides the lambda and theta grids.
 
-    Without ``q_reject`` the threshold is ``default_q_reject`` of the grid's tree.
+    Without ``q_reject`` the threshold is ``default_q_reject`` of the grid's tree;
+    a NaN threshold is rejected here, before any path is sampled.
     """
 
     grid: GridSpec
@@ -76,6 +78,8 @@ class TradeoffConfig:
             raise ValueError("qtrain_quantile must lie in (0, 1)")
         if self.num_paths < 2:
             raise ValueError("num_paths must be >= 2")
+        if self.q_reject is not None and math.isnan(self.q_reject):
+            raise ValueError("q_reject must not be NaN")
 
 
 DESK_NUM_LAYERS = 9
@@ -120,9 +124,6 @@ def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
     return idx[keep]
 
 
-_WORKER = None
-
-
 class _SimEvaluator:
     """A null dataset's evaluator as a cost sim reads it, counting the nodes it computes.
 
@@ -143,30 +144,24 @@ class _SimEvaluator:
         return np.zeros(len(indices))
 
 
-def _init_worker(state):
-    global _WORKER
-    _WORKER = state
-
-
-def _cost_sim(task, state=None):
+def _cost_sim(task, state):
     """(search cost per lambda, node counts) on one global-null dataset.
 
     Every lambda's strategy walks the dataset in one shared
     ``run_search`` on a ``_SimEvaluator``, which computes no leaf. The
     counts are (nodes computed, nodes the strategies observed in all).
     """
-    st = state if state is not None else _WORKER
     i, seed = task
-    grid = st["grid"]
+    grid = state["grid"]
     photons = simulate_photons(
-        SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
+        SignalSpec(REFERENCE_FD, 0.0, state["num_photons"], grid.span), subseed(seed, 1, i))
     ev = _SimEvaluator(PulsarEvaluator(photons, grid))
-    outcomes = run_search(st["strategies"], ev, st["q_reject"])
+    outcomes = run_search(state["strategies"], ev, state["q_reject"])
     return ([o.total_cost for o in outcomes],
             (ev.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes)))
 
 
-def _power_sim(task, state=None):
+def _power_sim(task, state):
     """(hit per lambda, sweep hit, nodes computed) on one injection at pulsed fraction theta.
 
     A hit is a detected leaf in the success window around the truth; the
@@ -179,18 +174,17 @@ def _power_sim(task, state=None):
     action 0 stops it, action s moves it to the layer-s ancestor. No
     tree is walked. An empty window computes nothing and hits nothing.
     """
-    st = state if state is not None else _WORKER
     i, seed, theta = task
-    grid = st["grid"]
+    grid = state["grid"]
     spec = grid.spec
     tree = grid.tree
     G = tree.num_layers
-    strategies = st["strategies"]
+    strategies = state["strategies"]
     rng = np.random.default_rng(subseed(seed, 2, i))
     fd = FreqDrift(omega=rng.uniform(spec.omega_min, spec.omega_max),
                    omegadot=rng.uniform(spec.omegadot_min, spec.omegadot_max))
     photons = simulate_photons(
-        SignalSpec(fd, theta, st["num_photons"], grid.span), subseed(seed, 3, i))
+        SignalSpec(fd, theta, state["num_photons"], grid.span), subseed(seed, 3, i))
     window = leaf_window(grid, fd, 1.0 / grid.span, 1.0 / grid.span ** 2)
     if not window.size:
         return [False] * len(strategies), False, 0
@@ -205,7 +199,7 @@ def _power_sim(task, state=None):
             raise ValueError("evaluator produced non-finite statistics")
         nodes += ancestors.size
         chains.append(vals[of_leaf])
-    detected = chains[-1] >= st["q_reject"]
+    detected = chains[-1] >= state["q_reject"]
     hits = []
     for strategy in strategies:
         at = np.ones(window.size, dtype=np.int64)  # the layer each chain has reached, 0 stopped
@@ -217,7 +211,7 @@ def _power_sim(task, state=None):
     return hits, bool(detected.any()), nodes
 
 
-def _map_sims(fn, tasks, state, workers, phase: str):
+def _map_sims(fn, tasks, workers, phase: str):
     """Results of ``fn`` over ``tasks`` in order, logging progress about every tenth."""
     step = max(1, len(tasks) // 10)
 
@@ -230,9 +224,8 @@ def _map_sims(fn, tasks, state, workers, phase: str):
         return done
 
     if workers <= 1 or len(tasks) < 2:
-        return logged(fn(t, state) for t in tasks)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(state,)) as pool:
+        return logged(fn(t) for t in tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return logged(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
@@ -286,15 +279,16 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
              "q_reject": q_reject}
 
-    cost_sims = _map_sims(_cost_sim, [(i, seed) for i in range(n_sims)], state, workers,
-                          "cost")
+    cost_sims = _map_sims(functools.partial(_cost_sim, state=state),
+                          [(i, seed) for i in range(n_sims)], workers, "cost")
     evaluated = sum(n for _, (n, _) in cost_sims)
     observed = sum(n for _, (_, n) in cost_sims)
     _log.info("cost sims: %d nodes evaluated for %d observed by the strategies (%.3f)",
               evaluated, observed, evaluated / observed)
     null_costs = [np.array([c[k] for c, _ in cost_sims]) for k in range(len(lambdas))]
-    sims = _map_sims(_power_sim, [(i, seed, theta) for theta in thetas for i in range(n_sims)],
-                     state, workers, "power")
+    sims = _map_sims(functools.partial(_power_sim, state=state),
+                     [(i, seed, theta) for theta in thetas for i in range(n_sims)],
+                     workers, "power")
     _log.info("power sims: %d nodes evaluated", sum(n for _, _, n in sims))
     curves = []
     for t in range(len(thetas)):

@@ -247,4 +247,7 @@ def read_photons(path, span=None) -> PhotonSeries:
         raise ValueError(f"{path}: no span given and no '# T=' header present")
     if not times:
         raise ValueError(f"{path}: no arrival times")
-    return PhotonSeries(np.sort(np.asarray(times, dtype=float)), span)
+    try:
+        return PhotonSeries(np.sort(np.asarray(times, dtype=float)), span)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -2,7 +2,10 @@
 
 A tree has layers 1..G. Layer 1 holds ``root_count`` nodes; every node in
 layer l has ``branching[l-1]`` children in layer l+1. Nodes never store
-links: a node is a (layer, index) pair and all ancestry is positional.
+links: a node is a (layer, index) pair and all ancestry is positional:
+with b = descendant_count(cfg, l, s), node i of layer l has the layer-s
+descendants [i * b, (i + 1) * b), and node j of layer s has the layer-l
+ancestor j // b.
 Indices are zero-based within a layer and are plain Python integers, so
 trees far beyond 2**63 leaves are representable without overflow.
 """
@@ -89,37 +92,3 @@ def descendant_count(cfg: TreeConfig, layer: int, target: int) -> int:
     for b in cfg.branching[layer - 1 : target - 1]:
         n *= b
     return n
-
-
-def descendant_range(cfg: TreeConfig, node: NodeId, target: int) -> tuple:
-    """Half-open index range [lo, hi) of a node's descendants in a deeper layer.
-
-    Parameters
-    ----------
-    node : NodeId
-        Ancestor node; its index must be valid for its layer.
-    target : int
-        Layer of the descendants, > node.layer.
-
-    Returns
-    -------
-    (int, int)
-        Contiguous half-open range; its length is the descendant count.
-    """
-    layer, index = node
-    if not 1 <= layer < target <= cfg.num_layers:
-        raise ValueError(f"need 1 <= {layer} < {target} <= {cfg.num_layers}")
-    if not 0 <= index < nodes_in_layer(cfg, layer):
-        raise ValueError(f"index {index} invalid for layer {layer}")
-    block = descendant_count(cfg, layer, target)
-    return index * block, (index + 1) * block
-
-
-def ancestor_index(cfg: TreeConfig, node: NodeId, target: int) -> int:
-    """Index of the unique ancestor of ``node`` in a shallower layer."""
-    layer, index = node
-    if not 1 <= target < layer <= cfg.num_layers:
-        raise ValueError(f"need 1 <= {target} < {layer} <= {cfg.num_layers}")
-    if not 0 <= index < nodes_in_layer(cfg, layer):
-        raise ValueError(f"index {index} invalid for layer {layer}")
-    return index // descendant_count(cfg, target, layer)

@@ -23,8 +23,9 @@ from blindsearch.isotonic import MonotoneFn, pava
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import (FreqDrift, SignalSpec, chi2_2_isf, rayleigh_power,
                                simulate_photons)
-from blindsearch.tree import TreeConfig, descendant_count, nodes_in_layer
+from blindsearch.tree import TreeConfig, nodes_in_layer
 from blindsearch import cli
+from reference import lineages, walk_payoff
 
 
 def report(name, ok, detail):
@@ -133,32 +134,6 @@ def test_fitted_strategy_near_exact_optimum():
 # 5 ------------------------------------------------------------------
 
 
-def lineage_paths(tree):
-    """(layer-1 index, ..., leaf index) for every root-to-leaf chain."""
-    chains = [[i] for i in range(nodes_in_layer(tree, 1))]
-    for layer in range(2, tree.num_layers + 1):
-        b = tree.branching[layer - 2]
-        chains = [c + [c[-1] * b + j] for c in chains for j in range(b)]
-    return chains
-
-
-def executed_payoff(strategy, vals, q):
-    """Frontier walk over one realized tree; payoff net of sub-root cost."""
-    tree = strategy.tree
-    G = tree.num_layers
-    observed = {l: set() for l in range(1, G + 1)}
-    observed[1] = set(range(nodes_in_layer(tree, 1)))
-    for layer in range(1, G):
-        for idx in observed[layer]:
-            s = strategy.decide(layer, float(vals[layer - 1][idx]))
-            if s:
-                b = descendant_count(tree, layer, s)
-                observed[s].update(range(idx * b, (idx + 1) * b))
-    cost = sum(tree.cost(l) * len(observed[l]) for l in range(2, G + 1))
-    det = sum(1 for i in observed[G] if vals[G - 1][i] >= q)
-    return det - strategy.lam * cost
-
-
 def test_path_payoff_identity():
     """Mean lineage payoff equals the executed payoff, to 1e-12."""
     tree = TreeConfig(num_layers=3, root_count=2, branching=(3, 2),
@@ -171,11 +146,11 @@ def test_path_payoff_identity():
     worst = 0.0
     for _ in range(25):
         vals = [v[0] for v in model.sample_tree_batch(1, rng)]
-        total = executed_payoff(strat, vals, q)
+        total, _, _ = walk_payoff(strat, vals, q)
         per_path = [
             path_payoff(np.array([vals[l - 1][c[l - 1]] for l in range(1, 4)]),
                         strat, lam, q, start_layer=1)
-            for c in lineage_paths(tree)]
+            for c in lineages(tree)]
         worst = max(worst, abs(np.mean(per_path) * nodes_in_layer(tree, 1) - total))
     report("path payoff identity", worst < 1e-12,
            f"max |mean lineage payoff - executed payoff| = {worst:.2e} "

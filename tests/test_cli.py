@@ -201,6 +201,19 @@ class TestSearch:
                       str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path / "x")])
         assert rc == cli.DATA_ERROR
 
+    @pytest.mark.parametrize("text, reason", [("# T=50\n10.0\n60.0\n", "[0, span]"),
+                                              ("# T=-5\n1.0\n", "span must be positive")],
+                             ids=["late_time", "negative_span"])
+    def test_invalid_photon_series_names_the_file(self, tmp_path, capsys, text, reason):
+        strat = fit(tmp_path)
+        photons = tmp_path / "bad_photons.txt"
+        photons.write_text(text)
+        rc = cli.run(["search", "--strategy", str(strat), "--photons-file", str(photons),
+                      "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert f"{photons}: " in err and reason in err
+
     def test_strategy_without_grid_is_data_error(self, tmp_path, capsys):
         path = fit(tmp_path)
         doc = json.loads(path.read_text())
@@ -337,13 +350,15 @@ class TestEvaluate:
         assert (tmp_path / "curve_theta0.85.csv").exists()
 
     @pytest.mark.parametrize("curve", [["--lambdas", "0.1", "--thetas", "0.5,1.5"],
-                                       ["--lambdas", "0.1,-1", "--thetas", "0.5"]])
+                                       ["--lambdas", "0.1,-1", "--thetas", "0.5"],
+                                       ["--lambdas", "0.1", "--thetas", "0.5",
+                                        "--qreject", "nan"]])
     def test_bad_grid_rejected_before_any_work(self, tmp_path, monkeypatch, curve):
         def unexpected(*args, **kwargs):
             raise AssertionError("sample_paths called")
         monkeypatch.setattr(evaluation, "sample_paths", unexpected)
-        rc = cli.run(["evaluate", *GRID_FLAGS, *curve, "--sims", "2", "--paths", "500",
-                      "--photons", "40", "--qreject", "12", "--workers", "1",
+        rc = cli.run(["evaluate", *GRID_FLAGS, "--sims", "2", "--paths", "500",
+                      "--photons", "40", "--qreject", "12", "--workers", "1", *curve,
                       "--out", str(tmp_path / "curve.csv")])
         assert rc == 3
         assert not list(tmp_path.glob("*.csv"))

@@ -13,30 +13,13 @@ from blindsearch.fit import FitConfig, fit_strategy
 from blindsearch.evaluation import DESK_SPAN, REFERENCE_SPAN
 from blindsearch.stats import TWO_PI, FreqDrift, SignalSpec, blocked_power, simulate_photons
 from blindsearch.tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
+from reference import set_walk
 
 
 def fitted_strategy(tree, lam, q_train=4.0, seed=0, n=80):
     rng = np.random.default_rng(seed)
     paths = rng.chisquare(2, size=(n, tree.num_layers))
     return fit_strategy(paths, FitConfig(tree, lam, q_train))
-
-
-def reference_search(strategy, tree, values, q):
-    """Spec semantics by direct set bookkeeping over materialized layers."""
-    G = tree.num_layers
-    observed = {1: set(range(nodes_in_layer(tree, 1)))}
-    for l in range(2, G + 1):
-        observed[l] = set()
-    for l in range(1, G):
-        for i in sorted(observed[l]):
-            s = strategy.decide(l, float(values[l - 1][i]))
-            if s:
-                b = descendant_count(tree, l, s)
-                observed[s].update(range(i * b, (i + 1) * b))
-    detections = {i for i in observed[G] if values[G - 1][i] >= q}
-    cost = sum(len(observed[l]) * tree.cost(l) for l in range(1, G + 1))
-    counts = [len(observed[l]) for l in range(1, G + 1)]
-    return detections, counts, cost
 
 
 class TestGridGeometry:
@@ -402,9 +385,15 @@ def test_run_search_matches_reference(inst, chunk):
               for l in tree.layers()]
     ev = ArrayEvaluator(tree, values)
     q = 6.0
-    out = run_search(strat, ev, q, emit_observed=True, chunk_size=chunk)
-    want_dets, want_counts, want_cost = reference_search(strat, tree, values, q)
-    assert {n.index for n, _ in out.detections} == want_dets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_SEARCH_CHUNK", chunk)
+        out = run_search(strat, ev, q, emit_observed=True)
+    observed = set_walk(strat, values)
+    want_counts = [len(observed[l]) for l in tree.layers()]
+    want_cost = sum(len(observed[l]) * tree.cost(l) for l in tree.layers())
+    G = tree.num_layers
+    assert {n.index for n, _ in out.detections} == {i for i in observed[G]
+                                                    if values[G - 1][i] >= q}
     assert out.per_layer_observed.tolist() == want_counts
     assert out.total_cost == pytest.approx(want_cost, rel=1e-12)
     # the log holds exactly the observed nodes, each once
@@ -481,18 +470,6 @@ def test_peak_tracked_stays_small_on_pruned_tree():
     assert planted
 
 
-def test_bad_chunk_size_rejected():
-    tree = TreeConfig(num_layers=5, root_count=16, branching=(8,) * 4,
-                      costs=(1.0,) * 5)
-    ev = SparsePeakEvaluator(tree, peak_leaf=nodes_in_layer(tree, 5) // 2, height=80.0, seed=3)
-    strat = threshold_strategy(tree, cut=8.0)
-    for size in (0, -1):
-        with pytest.raises(ValueError, match="chunk_size"):
-            naive_search(ev, 25.0, chunk_size=size)
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_search(strat, ev, 25.0, chunk_size=size)
-
-
 class CountingEvaluator:
     """Records every (layer, index) it is asked to evaluate."""
 
@@ -532,11 +509,13 @@ class TestSharedWalk:
             ev = ArrayEvaluator(tree, [rng.chisquare(2, size=nodes_in_layer(tree, l)) + 0.3 * l
                                        for l in tree.layers()])
         counted = CountingEvaluator(ev)
-        shared = run_search(strats, counted, 6.0, emit_observed=True, chunk_size=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_SEARCH_CHUNK", chunk)
+            shared = run_search(strats, counted, 6.0, emit_observed=True)
+            solo = [run_search(strat, ev, 6.0, emit_observed=True) for strat in strats]
         assert len(shared) == len(strats)
         union = set()
-        for strat, out in zip(strats, shared):
-            alone = run_search(strat, ev, 6.0, emit_observed=True, chunk_size=chunk)
+        for out, alone in zip(shared, solo):
             assert out.detections == alone.detections
             assert out.per_layer_observed.tolist() == alone.per_layer_observed.tolist()
             assert out.total_cost == alone.total_cost
@@ -547,27 +526,29 @@ class TestSharedWalk:
         assert len(counted.seen) == len(set(counted.seen))
         assert set(counted.seen) == union
 
-    def test_one_strategy_in_a_list(self):
+    def test_one_strategy_in_a_list(self, monkeypatch):
         tree = TreeConfig(num_layers=3, root_count=2, branching=(3, 3), costs=(1.0, 2.0, 3.0))
         ev = SparsePeakEvaluator(tree, peak_leaf=7, height=20.0, seed=1)
         strat = threshold_strategy(tree, cut=3.0)
-        [listed] = run_search([strat], ev, 10.0, emit_observed=True, chunk_size=2)
-        alone = run_search(strat, ev, 10.0, emit_observed=True, chunk_size=2)
+        monkeypatch.setattr(engine, "_SEARCH_CHUNK", 2)
+        [listed] = run_search([strat], ev, 10.0, emit_observed=True)
+        alone = run_search(strat, ev, 10.0, emit_observed=True)
         assert listed.detections == alone.detections
         assert listed.observed_log.tobytes() == alone.observed_log.tobytes()
         assert listed.peak_tracked == alone.peak_tracked
         assert listed.evaluate_calls.tolist() == alone.evaluate_calls.tolist()
         assert run_search([], ev, 10.0) == []
 
-    def test_shared_calls_and_bounded_peak(self):
+    def test_shared_calls_and_bounded_peak(self, monkeypatch):
         tree = TreeConfig(num_layers=5, root_count=16, branching=(8,) * 4,
                           costs=(1.0,) * 5)
         leaves = nodes_in_layer(tree, 5)
         ev = SparsePeakEvaluator(tree, peak_leaf=leaves // 2, height=80.0, seed=3)
         strats = [threshold_strategy(tree, cut=cut) for cut in (6.0, 8.0, 10.0)]
         counted = CountingEvaluator(ev)
-        shared = run_search(strats, counted, q_reject=25.0, chunk_size=4)
-        alone = [run_search(s, ev, q_reject=25.0, chunk_size=4) for s in strats]
+        monkeypatch.setattr(engine, "_SEARCH_CHUNK", 4)
+        shared = run_search(strats, counted, q_reject=25.0)
+        alone = [run_search(s, ev, q_reject=25.0) for s in strats]
         # the cut-6 strategy observes every node the others do
         assert len(counted.seen) == alone[0].per_layer_observed.sum()
         assert all(out.evaluate_calls.tolist() == shared[0].evaluate_calls.tolist()
@@ -586,7 +567,7 @@ class TestSharedWalk:
             run_search([fitted_strategy(t2, 0.0), fitted_strategy(t1, 0.0)], ev, 1.0)
 
 
-def test_observed_csv_rows_follow_layer_and_index(tmp_path):
+def test_observed_csv_rows_follow_layer_and_index(tmp_path, monkeypatch):
     spec = GridSpec(1.0, 1.4, -1e-4, 0.0, num_layers=3, oversampling=3)
     photons = simulate_photons(SignalSpec(FreqDrift(1.2, -5e-5), 0.7, 60, 50.0), 8)
     ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
@@ -594,8 +575,8 @@ def test_observed_csv_rows_follow_layer_and_index(tmp_path):
     texts = []
     for size in (1, 7, 4096):
         path = tmp_path / f"o{size}.csv"
-        write_observed_csv(path, run_search(strat, ev, 8.0, emit_observed=True,
-                                            chunk_size=size), ev)
+        monkeypatch.setattr(engine, "_SEARCH_CHUNK", size)
+        write_observed_csv(path, run_search(strat, ev, 8.0, emit_observed=True), ev)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1] == texts[2]
     rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
@@ -934,14 +915,15 @@ TILE_PHOTONS = engine._tile_rows(2 * engine._SPREAD)  # photons whose weights a 
 
 class TestScreenOverSeveralTiles:
     @pytest.mark.parametrize("name", ["eight_ary", "mixed"])
-    def test_screen_and_sweep(self, name):
+    def test_screen_and_sweep(self, name, monkeypatch):
         ev = kernel_case(name, count=3000, seed=23)
         assert ev.photons.count > 2 * TILE_PHOTONS
         screened, exact = screened_and_exact(ev)
         assert screened.size == nodes_in_layer(ev.tree, ev.tree.num_layers)
         assert screen_error(screened, exact) <= SCREEN_RTOL
         q = float(np.sort(exact)[-6])  # the six largest leaves are detections
-        out = naive_search(ev, q, chunk_size=500)
+        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 500)
+        out = naive_search(ev, q)
         ref = walked(ev, q, 500)
         assert len(out.detections) == 6 and out.detections == ref.detections
         assert out.sweep["method"] == "screen"
@@ -1007,7 +989,8 @@ class TestScreenedSweep:
         evaluate = ev.evaluate
         monkeypatch.setattr(ev, "evaluate", lambda layer, idx: (
             sizes.append(len(idx)), evaluate(layer, idx))[1])
-        out = naive_search(ev, -np.inf, chunk_size=7)
+        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 7)
+        out = naive_search(ev, -np.inf)
         assert max(sizes) <= 7 and sum(sizes) == n
         assert out.sweep == {"method": "screen", "segments": out.sweep["segments"],
                              "confirmed": n}
@@ -1023,16 +1006,14 @@ class TestScreenedSweep:
             raise AssertionError("screened before checking the arguments")
 
         monkeypatch.setattr(PulsarEvaluator, "screen_leaves", no_screen)
-        for size in (0, -1):
-            with pytest.raises(ValueError, match="chunk_size"):
-                naive_search(ev, 25.0, chunk_size=size)
         with pytest.raises(ValueError, match="NaN"):
             naive_search(ev, float("nan"))
 
-    def test_mixed_grid_is_screened(self):
+    def test_mixed_grid_is_screened(self, monkeypatch):
         ev = kernel_case("mixed")
         q = 6.0
-        out = naive_search(ev, q, chunk_size=100)
+        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 100)
+        out = naive_search(ev, q)
         assert out.sweep["method"] == "screen"
         ref = walked(ev, q, 100)
         assert out.detections and out.detections == ref.detections
@@ -1043,10 +1024,11 @@ class TestScreenedSweep:
             2, nodes_in_layer(tree, layer)) for layer in tree.layers()]),
         lambda tree: SparsePeakEvaluator(tree, peak_leaf=40, height=30.0, seed=5),
     ])
-    def test_other_evaluators_take_the_walk(self, make):
+    def test_other_evaluators_take_the_walk(self, make, monkeypatch):
         tree = TreeConfig(num_layers=3, root_count=4, branching=(3, 8), costs=(1.0, 2.0, 0.5))
         ev = make(tree)
-        out = naive_search(ev, 7.0, chunk_size=10)
+        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 10)
+        out = naive_search(ev, 7.0)
         ref = walked(ev, 7.0, 10)
         assert out.sweep["method"] == "walk"
         assert out.detections and out.detections == ref.detections

@@ -16,28 +16,13 @@ from blindsearch.evaluation import (DESK_SPAN, REFERENCE_FD, REFERENCE_PHOTONS,
                                     exact_dp_oracle, fitted_payoff_estimate,
                                     leaf_window, naive_power_check,
                                     tree_payoff_batch, write_tradeoff_csv)
-from blindsearch.fit import FitConfig, Strategy, fit_strategy, sample_paths
+from blindsearch.fit import FitConfig, fit_strategy, sample_paths
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
-from blindsearch.tree import (NodeId, TreeConfig, descendant_count, descendant_range,
-                              nodes_in_layer)
+from blindsearch.tree import descendant_count, nodes_in_layer
 from blindsearch.util import resolve_workers, subseed
-
-
-def chain_tree(layers, branch=2, roots=1, costs=None):
-    return TreeConfig(num_layers=layers, root_count=roots,
-                      branching=(branch,) * (layers - 1),
-                      costs=costs or (1.0,) * layers)
-
-
-def manual_strategy(tree, lam, fns):
-    """fns: {layer: {target: MonotoneFn}} for layers 1..G-1."""
-    return Strategy(tree=tree, lam=lam, q_train=0.0, continuation=fns)
-
-
-def const_fn(c):
-    return MonotoneFn(np.array([0.0]), np.array([float(c)]))
+from reference import chain_tree, const_fn, manual_strategy, walk_payoff
 
 
 class TestExactOracle:
@@ -142,23 +127,6 @@ class TestExactOracle:
             exact_dp_oracle(model, -0.1, 1.0)
 
 
-def reference_tree_payoff(strategy, vals, q):
-    """Set-walk twin of tree_payoff_batch for a single realization."""
-    tree = strategy.tree
-    G = tree.num_layers
-    observed = {l: set() for l in range(1, G + 1)}
-    observed[1] = set(range(nodes_in_layer(tree, 1)))
-    for layer in range(1, G):
-        for idx in sorted(observed[layer]):
-            s = strategy.decide(layer, float(vals[layer - 1][idx]))
-            if s:
-                lo, hi = descendant_range(tree, NodeId(layer, idx), s)
-                observed[s].update(range(lo, hi))
-    cost = sum(tree.cost(l) * len(observed[l]) for l in range(2, G + 1))
-    det = sum(1 for idx in observed[G] if vals[G - 1][idx] >= q)
-    return det - strategy.lam * cost, cost, det
-
-
 class TestTreePayoffBatch:
     def random_strategy(self, tree, lam, rng):
         fns = {}
@@ -170,7 +138,7 @@ class TestTreePayoffBatch:
                 levels = np.sort(rng.uniform(-1.0, 1.0, nb))
                 levels += 1e-6 * np.arange(nb)  # keep strictly increasing
                 fns[layer][s] = MonotoneFn(bps, levels)
-        return manual_strategy(tree, lam, fns)
+        return manual_strategy(tree, fns, lam)
 
     def test_matches_set_walk_reference(self):
         rng = np.random.default_rng(42)
@@ -187,7 +155,7 @@ class TestTreePayoffBatch:
             pay, cost, det = tree_payoff_batch(strat, vals, q)
             for sim in range(4):
                 one = [v[sim] for v in vals]
-                rp, rc, rd = reference_tree_payoff(strat, one, q)
+                rp, rc, rd = walk_payoff(strat, one, q)
                 assert det[sim] == rd, f"trial {trial} sim {sim}"
                 assert cost[sim] == pytest.approx(rc, abs=1e-9)
                 assert pay[sim] == pytest.approx(rp, abs=1e-9)
@@ -204,7 +172,7 @@ class TestTreePayoffBatch:
         tree = chain_tree(3, branch=2, roots=2)
         fns = {1: {2: const_fn(1.0), 3: const_fn(0.5)},
                2: {3: const_fn(1.0)}}
-        strat = manual_strategy(tree, 0.0, fns)
+        strat = manual_strategy(tree, fns)
         rng = np.random.default_rng(9)
         vals = GaussianChainModel(tree, 0.5).sample_tree_batch(30, rng)
         pay, cost, det = tree_payoff_batch(strat, vals, q=0.0)
@@ -214,7 +182,7 @@ class TestTreePayoffBatch:
 
     def test_leaf_equal_to_q_counts(self):
         tree = chain_tree(2, branch=3)
-        strat = manual_strategy(tree, 0.0, {1: {2: const_fn(1.0)}})
+        strat = manual_strategy(tree, {1: {2: const_fn(1.0)}})
         vals = [np.zeros((1, 1)), np.array([[0.5, 1.0, 2.0]])]
         _, _, det = tree_payoff_batch(strat, vals, q=1.0)
         assert det.tolist() == [2]
@@ -223,7 +191,7 @@ class TestTreePayoffBatch:
         tree = chain_tree(3, branch=2, roots=2)
         fns = {1: {2: const_fn(0.5), 3: const_fn(1.0)},
                2: {3: const_fn(1.0)}}
-        strat = manual_strategy(tree, 0.0, fns)
+        strat = manual_strategy(tree, fns)
         rng = np.random.default_rng(9)
         vals = GaussianChainModel(tree, 0.5).sample_tree_batch(30, rng)
         _, cost, det = tree_payoff_batch(strat, vals, q=0.0)
@@ -475,10 +443,10 @@ def mixed_config():
 def jump_strategy(tree, jumps):
     """A strategy that takes layer l to ``jumps[l]`` whatever its value and stops elsewhere."""
     G = tree.num_layers
-    return manual_strategy(tree, 0.1, {
+    return manual_strategy(tree, {
         layer: {s: const_fn(1.0 if jumps.get(layer) == s else -1.0)
                 for s in range(layer + 1, G + 1)}
-        for layer in range(1, G)})
+        for layer in range(1, G)}, lam=0.1)
 
 
 class TestSimLeafWork:
@@ -632,7 +600,7 @@ class TestFittedPayoffEstimate:
         tree = chain_tree(3, branch=2)
         fns = {1: {2: const_fn(0.5), 3: const_fn(1.0)},
                2: {3: const_fn(1.0)}}
-        strat = manual_strategy(tree, 0.0, fns)
+        strat = manual_strategy(tree, fns)
         model = GaussianChainModel(tree, rho=0.5)
         q = 1.2
         mean, se = fitted_payoff_estimate(strat, model, q, n_sims=20_000, seed=4)
@@ -665,3 +633,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TradeoffConfig(grid, span=10.0, num_photons=10,
                            num_paths=1, qtrain_quantile=0.9)
+        with pytest.raises(ValueError, match="NaN"):
+            TradeoffConfig(grid, span=10.0, num_photons=10,
+                           num_paths=10, qtrain_quantile=0.9, q_reject=float("nan"))

@@ -11,25 +11,13 @@ from blindsearch.fit import (FitConfig, Strategy, _apply_regions, _build_regions
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import PulsarNullModel
 from blindsearch.stats import chi2_2_quantile
-from blindsearch.tree import NodeId, TreeConfig, ancestor_index, descendant_count, nodes_in_layer
+from blindsearch.tree import TreeConfig, descendant_count, nodes_in_layer
+from reference import chain_tree, const_fn, lineages, manual_strategy, walk_payoff
 from test_isotonic import reference_pava
-
-
-def chain_tree(layers, branch=2, roots=1, cost=1.0):
-    return TreeConfig(num_layers=layers, root_count=roots,
-                      branching=(branch,) * (layers - 1), costs=(cost,) * layers)
-
-
-def const_fn(level):
-    return MonotoneFn(np.array([0.0]), np.array([float(level)]))
 
 
 def step_fn(at, lo, hi):
     return MonotoneFn(np.array([0.0, float(at)]), np.array([float(lo), float(hi)]))
-
-
-def manual_strategy(tree, continuation, lam=0.0, q_train=1.0):
-    return Strategy(tree=tree, lam=lam, q_train=q_train, continuation=continuation)
 
 
 def test_two_layer_fit_by_hand():
@@ -122,36 +110,6 @@ def test_path_payoff_by_hand():
         pytest.approx(want, rel=1e-15)
 
 
-def enumerate_lineage_paths(tree, layer_values):
-    """Path values per leaf: the values of its ancestors down the lineage."""
-    G = tree.num_layers
-    out = []
-    for leaf in range(nodes_in_layer(tree, G)):
-        vals = []
-        for l in range(1, G):
-            vals.append(layer_values[l - 1][ancestor_index(tree, NodeId(G, leaf), l)])
-        vals.append(layer_values[G - 1][leaf])
-        out.append(np.array(vals))
-    return out
-
-
-def reference_payoff(tree, strategy, layer_values, lam, q):
-    """Executed payoff of one realization, by direct set bookkeeping."""
-    G = tree.num_layers
-    observed = {1: set(range(nodes_in_layer(tree, 1)))}
-    for l in range(2, G + 1):
-        observed[l] = set()
-    for l in range(1, G):
-        for i in sorted(observed[l]):
-            s = strategy.decide(l, float(layer_values[l - 1][i]))
-            if s:
-                lo = i * descendant_count(tree, l, s)
-                observed[s].update(range(lo, lo + descendant_count(tree, l, s)))
-    cost = sum(len(observed[l]) * tree.cost(l) for l in range(2, G + 1))
-    dets = sum(1 for i in observed[G] if layer_values[G - 1][i] >= q)
-    return dets - lam * cost
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10_000))
 def test_mean_path_payoff_equals_executed_payoff(seed):
@@ -165,9 +123,10 @@ def test_mean_path_payoff_equals_executed_payoff(seed):
     strat = fit_strategy(train, FitConfig(tree, lam, q_train=q))
     layer_values = [rng.normal(size=nodes_in_layer(tree, l)) + 0.5 * l
                     for l in tree.layers()]
-    paths = enumerate_lineage_paths(tree, layer_values)
+    paths = [np.array([layer_values[l][i] for l, i in enumerate(chain)])
+             for chain in lineages(tree)]
     mean = float(np.mean([path_payoff(p, strat, lam, q, 1) for p in paths]))
-    want = reference_payoff(tree, strat, layer_values, lam, q)
+    want, _, _ = walk_payoff(strat, layer_values, q)
     assert mean == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 

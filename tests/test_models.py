@@ -8,13 +8,9 @@ from blindsearch.evaluation import DESK_SPAN
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import (FreqDrift, PhotonSeries, SignalSpec, blocked_power,
                                simulate_photons)
-from blindsearch.tree import NodeId, TreeConfig, ancestor_index, nodes_in_layer
+from blindsearch.tree import descendant_count, nodes_in_layer
 from blindsearch.util import subseed
-
-
-def chain_tree(layers, branch=2):
-    return TreeConfig(num_layers=layers, root_count=1,
-                      branching=(branch,) * (layers - 1), costs=(1.0,) * layers)
+from reference import chain_tree
 
 
 class TestGaussianChain:
@@ -123,7 +119,7 @@ class TestPulsarNullModel:
             ev = PulsarEvaluator(photons, g)
             leaf = int(rng.integers(0, leaves))
             for layer in range(1, 5):
-                anc = leaf if layer == 4 else ancestor_index(g.tree, NodeId(4, leaf), layer)
+                anc = leaf // descendant_count(g.tree, layer, 4)
                 real[i, layer - 1] = ev.evaluate(layer, np.array([anc]))[0]
         for layer in range(4):
             ks = sps.ks_2samp(fitted[:, layer], real[:, layer]).statistic

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from blindsearch.tree import (NodeId, TreeConfig, ancestor_index, descendant_count,
-                              descendant_range, nodes_in_layer)
+from blindsearch.tree import TreeConfig, descendant_count, nodes_in_layer
 
 
 def tree_8ary(layers=4):
@@ -21,27 +20,11 @@ def test_descendant_count_unit_at_same_layer():
     assert descendant_count(t, 1, 4) == 8 ** 3
 
 
-def test_descendant_range_frozen():
-    # 8-ary tree: node (1, 0) spans the first 64 layer-3 indices
-    t = tree_8ary()
-    assert descendant_range(t, NodeId(1, 0), 3) == (0, 64)
-    assert descendant_range(t, NodeId(1, 1), 3) == (64, 128)
-
-
-def test_ancestor_of_descendants():
-    t = TreeConfig(num_layers=4, root_count=3, branching=(2, 3, 4),
-                   costs=(1.0, 0.5, 0.25, 0.125))
-    for node in (NodeId(2, 4), NodeId(2, 5)):
-        lo, hi = descendant_range(t, node, 4)
-        for leaf in range(lo, hi):
-            assert ancestor_index(t, NodeId(4, leaf), 2) == node.index
-
-
 def test_mixed_branching_counts():
     t = TreeConfig(num_layers=3, root_count=2, branching=(3, 5), costs=(1.0, 1.0, 1.0))
     assert nodes_in_layer(t, 3) == 30
     assert descendant_count(t, 1, 3) == 15
-    assert descendant_range(t, NodeId(2, 5), 3) == (25, 30)
+    assert descendant_count(t, 2, 3) == 5
 
 
 def test_validation_errors():
@@ -55,7 +38,7 @@ def test_validation_errors():
         TreeConfig(num_layers=2, root_count=1, branching=(2,), costs=(1.0,))
     t = tree_8ary()
     with pytest.raises(ValueError):
-        descendant_range(t, NodeId(3, 0), 2)
+        descendant_count(t, 3, 2)
     with pytest.raises(ValueError):
         nodes_in_layer(t, 5)
 
@@ -67,9 +50,8 @@ def test_huge_tree_pure_python_ints():
     n = nodes_in_layer(t, 30)
     assert n == 10 * 8 ** 29
     assert n > 2 ** 63
-    lo, hi = descendant_range(t, NodeId(1, 9), 30)
-    assert hi - lo == 8 ** 29
-    assert ancestor_index(t, NodeId(30, hi - 1), 1) == 9
+    assert descendant_count(t, 1, 30) == 8 ** 29
+    assert (n - 1) // descendant_count(t, 1, 30) == 9  # the last leaf's root
 
 
 @st.composite
@@ -83,24 +65,7 @@ def random_tree(draw):
 
 @given(random_tree(), st.data())
 def test_ranges_partition_each_layer(t, data):
+    # node i of layer src owns the layer-dst indices [i * b, (i + 1) * b)
     src = data.draw(st.integers(1, t.num_layers - 1))
     dst = data.draw(st.integers(src + 1, t.num_layers))
-    edges = []
-    for i in range(nodes_in_layer(t, src)):
-        lo, hi = descendant_range(t, NodeId(src, i), dst)
-        assert hi - lo == descendant_count(t, src, dst)
-        edges.append((lo, hi))
-    assert edges[0][0] == 0
-    assert edges[-1][1] == nodes_in_layer(t, dst)
-    for (a, b), (c, d) in zip(edges, edges[1:]):
-        assert b == c
-
-
-@given(random_tree(), st.data())
-def test_ancestor_inverts_descendants(t, data):
-    src = data.draw(st.integers(1, t.num_layers - 1))
-    dst = data.draw(st.integers(src + 1, t.num_layers))
-    i = data.draw(st.integers(0, nodes_in_layer(t, src) - 1))
-    lo, hi = descendant_range(t, NodeId(src, i), dst)
-    j = data.draw(st.integers(lo, hi - 1))
-    assert ancestor_index(t, NodeId(dst, j), src) == i
+    assert nodes_in_layer(t, src) * descendant_count(t, src, dst) == nodes_in_layer(t, dst)
