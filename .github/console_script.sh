@@ -80,3 +80,17 @@ rc=0
 blindsearch search --strategy strategy.json --photons-file late_photons.txt --qreject 12 --out-dir late_search 2> late_search.err || rc=$?
 test "$rc" -eq 3
 grep -q 'late_photons.txt' late_search.err
+# a span that is not finite exits 3 at once: simulate's sampler would never accept a photon
+rc=0
+timeout 60 blindsearch simulate --span inf --out inf_photons.txt || rc=$?
+test "$rc" -eq 3
+printf '# T=inf\n1.0\n2.0\n' > inf_span.txt
+rc=0
+blindsearch naive --photons-file inf_span.txt --qreject 12 --out-dir inf_sweep 2> inf_sweep.err || rc=$?
+test "$rc" -eq 3
+grep -q 'inf_span.txt' inf_sweep.err
+# two thetas that would write the same file exit 3 before any work, writing no CSV
+rc=0
+blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambdas 0.01 --thetas 0.5,0.5 --sims 2 --paths 2000 --qreject 12 --workers 1 --seed 1 --out dup_curve.csv || rc=$?
+test "$rc" -eq 3
+test -z "$(find . -maxdepth 1 -name 'dup_curve*.csv')"

@@ -398,7 +398,12 @@ def cmd_evaluate(args, cfg) -> int:
     lambdas = _float_list(cfg["lambdas"])
     thetas = _float_list(cfg["thetas"])
     out = Path(args.out)
-    outputs = []
+    outputs = [out] if len(thetas) == 1 else [
+        out.with_name(f"{out.stem}_theta{theta:g}{out.suffix or '.csv'}") for theta in thetas]
+    for i, path in enumerate(outputs):
+        if path in outputs[:i]:
+            raise ValueError(f"thetas {thetas[outputs.index(path)]!r} and {thetas[i]!r} "
+                             f"would both write {path}")
     spec = _grid_from_cfg(cfg)
     q_reject = _resolve_q_reject(cfg, PulsarGrid(spec, cfg["span"]).tree)
     tc = TradeoffConfig(grid=spec, span=cfg["span"],
@@ -406,13 +411,8 @@ def cmd_evaluate(args, cfg) -> int:
                         qtrain_quantile=cfg["qtrain_quantile"], q_reject=q_reject)
     curves = estimate_tradeoff(lambdas, thetas, tc, cfg["sims"], cfg["seed"],
                                workers=cfg["workers"])
-    for theta, points in zip(thetas, curves):
-        if len(thetas) == 1:
-            path = out
-        else:
-            path = out.with_name(f"{out.stem}_theta{theta:g}{out.suffix or '.csv'}")
+    for theta, points, path in zip(thetas, curves, outputs):
         write_tradeoff_csv(path, points)
-        outputs.append(path)
         good = [p for p in points if p.power_fraction >= 0.9]
         if good:
             best = min(good, key=lambda p: p.cost_fraction)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import TWO_PI, PhotonSeries, block_edges, chi2_2_isf
+from .stats import TWO_PI, PhotonSeries, chi2_2_isf
 from .tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
 
 _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such limit
@@ -115,6 +115,21 @@ def _unit_phasors(cycles: np.ndarray, out: np.ndarray, index: np.ndarray,
     return out
 
 
+def _block_ends(t: np.ndarray, blocks: int, span: float, c: np.ndarray,
+                index: np.ndarray) -> np.ndarray:
+    """(rows, blocks) exclusive end indices of the time blocks of each row of sorted ``t``.
+
+    Time t lies in block min(floor(t * (blocks / span)), blocks - 1), the one
+    block rule. ``c`` (float) and ``index`` (int64) are scratch shaped like ``t``.
+    """
+    rows = t.shape[0]
+    np.multiply(t, blocks / span, out=c)
+    np.copyto(index, c, casting="unsafe")
+    np.minimum(index, blocks - 1, out=index)
+    index += blocks * np.arange(rows)[:, None]
+    return np.bincount(index.ravel(), minlength=rows * blocks).reshape(rows, blocks).cumsum(axis=1)
+
+
 def _block_power(z: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Per row, the sum over time blocks of |sum of z over the block|^2.
 
@@ -187,8 +202,8 @@ class PulsarGrid:
     """
 
     def __init__(self, spec: GridSpec, span: float, costs=None):
-        if not span > 0:
-            raise ValueError("span must be positive")
+        if not 0 < span < math.inf:
+            raise ValueError("span must be positive and finite")
         self.spec = spec
         self.span = float(span)
         G = spec.num_layers
@@ -201,8 +216,12 @@ class PulsarGrid:
         self.freq_factor = tuple(2 if w_span > self.d_omega[l] else 1 for l in range(1, G))
         self.drift_factor = tuple(4 if d_span > self.d_omegadot[l] else 1 for l in range(1, G))
         branching = tuple(f * d for f, d in zip(self.freq_factor, self.drift_factor))
-        self.n1_omega = max(1, math.ceil(w_span / self.d_omega[0])) if w_span > 0 else 1
-        self.n1_omegadot = max(1, math.ceil(d_span / self.d_omegadot[0])) if d_span > 0 else 1
+        with np.errstate(divide="ignore", over="ignore"):  # a spacing may underflow to 0
+            roots = [width / d[0] if width > 0 else 1.0
+                     for width, d in ((w_span, self.d_omega), (d_span, self.d_omegadot))]
+        if not all(map(math.isfinite, roots)):
+            raise ValueError(f"span {span!r} gives a root count that is not finite")
+        self.n1_omega, self.n1_omegadot = (max(1, math.ceil(r)) for r in roots)
         n1 = self.n1_omega * self.n1_omegadot
         if costs is None:
             costs = (1.0,) * G
@@ -434,13 +453,10 @@ class PulsarEvaluator:
         self.grid = grid
         self.tree = grid.tree
         self._t = photons.times
-        self._ends = {}  # kappa -> end index of every block, the last one the photon count
-        for layer in range(1, grid.spec.num_layers + 1):
-            k = grid.kappa(layer)
-            if k not in self._ends:
-                inner = block_edges(photons.span, k)[1:-1]
-                self._ends[k] = np.append(np.searchsorted(self._t, inner, side="left"),
-                                          photons.count)
+        # block ends at the finest blocking (layer 1); layer l keeps every 2^(l-1)-th
+        t = self._t[None, :]
+        self._ends = _block_ends(t, 1 << grid.kappa(1), photons.span, np.empty(t.shape),
+                                 np.empty(t.shape, dtype=np.int64))[0]
 
     def node_params(self, layer: int, indices):
         return self.grid.node_params(layer, indices)
@@ -450,7 +466,8 @@ class PulsarEvaluator:
         omega, omegadot = self.grid.node_params(layer, indices)
         half = 0.5 * omegadot
         t = self._t
-        ends = self._ends[self.grid.kappa(layer)]
+        step = 1 << (layer - 1)
+        ends = self._ends[step - 1::step]
         m = self.photons.count
         out = np.empty(omega.shape)
         if not out.size:

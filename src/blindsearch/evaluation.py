@@ -170,9 +170,9 @@ def _power_sim(task, state):
     chain of ancestors, from layer 1, which is always observed, lead to
     it, so a hit reads only the window leaves and their ancestors. Each
     layer's unique ancestors of the window are computed in one
-    ``evaluate`` call, and each strategy follows every leaf's chain:
-    action 0 stops it, action s moves it to the layer-s ancestor. No
-    tree is walked. An empty window computes nothing and hits nothing.
+    ``evaluate`` call, and each strategy follows every leaf's chain with
+    ``Strategy.follow``. No tree is walked. An empty window computes
+    nothing and hits nothing.
     """
     i, seed, theta = task
     grid = state["grid"]
@@ -189,7 +189,7 @@ def _power_sim(task, state):
     if not window.size:
         return [False] * len(strategies), False, 0
     ev = PulsarEvaluator(photons, grid)
-    chains = []  # per layer, the value of each window leaf's ancestor there
+    chains = np.empty((window.size, G))  # each window leaf's ancestor values, by layer
     nodes = 0
     for layer in range(1, G + 1):
         ancestors, of_leaf = np.unique(window // descendant_count(tree, layer, G),
@@ -198,16 +198,9 @@ def _power_sim(task, state):
         if not np.all(np.isfinite(vals)):
             raise ValueError("evaluator produced non-finite statistics")
         nodes += ancestors.size
-        chains.append(vals[of_leaf])
-    detected = chains[-1] >= state["q_reject"]
-    hits = []
-    for strategy in strategies:
-        at = np.ones(window.size, dtype=np.int64)  # the layer each chain has reached, 0 stopped
-        for layer in range(1, G):
-            here = at == layer
-            if here.any():
-                at[here] = strategy.decide_batch(layer, chains[layer - 1][here])
-        hits.append(bool(np.any(detected & (at == G))))
+        chains[:, layer - 1] = vals[of_leaf]
+    detected = chains[:, -1] >= state["q_reject"]
+    hits = [bool(np.any(detected & strategy.follow(chains)[:, -1])) for strategy in strategies]
     return hits, bool(detected.any()), nodes
 
 

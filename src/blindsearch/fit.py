@@ -91,7 +91,7 @@ class Strategy:
     _regions: dict = field(default_factory=dict, repr=False)
 
     def decision_regions(self, layer: int):
-        """(bounds, actions) arrays describing decide() as a step function."""
+        """(bounds, actions) arrays describing decide_batch() as a step function."""
         if not 1 <= layer <= self.tree.num_layers:
             raise ValueError(f"layer {layer} outside 1..{self.tree.num_layers}")
         if layer == self.tree.num_layers:
@@ -100,19 +100,36 @@ class Strategy:
             self._regions[layer] = _build_regions(self.continuation[layer], self.lam)
         return self._regions[layer]
 
-    def decide(self, layer: int, x: float) -> int:
-        """Action at a layer given an observed statistic: 0 or a deeper layer."""
-        if not math.isfinite(x):
-            raise ValueError("statistic must be finite")
-        bounds, actions = self.decision_regions(layer)
-        return int(actions[np.searchsorted(bounds, x, side="right")])
-
     def decide_batch(self, layer: int, xs) -> np.ndarray:
+        """Action at a layer for each observed statistic: 0 or a deeper layer."""
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("statistics must be finite")
         bounds, actions = self.decision_regions(layer)
         return _apply_regions(bounds, actions, xs)
+
+    def follow(self, paths, start_layer: int = 1) -> np.ndarray:
+        """(n, G) bool mask of the layers each path's decisions observe.
+
+        ``paths[i, l - 1]`` is path i's statistic at layer l. The ``start_layer``
+        node is observed; an observed node with action s > 0 makes the path's
+        layer-s node observed, and action 0 ends the path. One ``decide_batch``
+        call per layer, on the rows that reach it, reads only observed statistics.
+        """
+        x = np.asarray(paths, dtype=float)
+        G = self.tree.num_layers
+        if x.ndim != 2 or x.shape[1] != G:
+            raise ValueError(f"paths must be (n, {G})")
+        if not 1 <= start_layer <= G:
+            raise ValueError(f"start_layer must lie in 1..{G}")
+        seen = np.zeros(x.shape, dtype=bool)
+        at = np.full(x.shape[0], start_layer, dtype=np.int64)  # the layer reached, 0 stopped
+        for layer in range(start_layer, G):
+            here = seen[:, layer - 1] = at == layer
+            if here.any():
+                at[here] = self.decide_batch(layer, x[here, layer - 1])
+        seen[:, G - 1] = at == G
+        return seen
 
 
 def sample_paths(model, n: int, seed) -> np.ndarray:
@@ -199,27 +216,20 @@ def path_payoff(values, strategy: Strategy, lam: float, q: float,
                 start_layer: int) -> float:
     """Payoff of one path under a strategy, scaled to stand for the subtree.
 
-    Starting from an observed node at ``start_layer``, follow the
-    strategy's decisions down the path. Each visited layer s contributes
-    ``-lam * B(start,s) * cost_s``; reaching the leaf layer adds
-    ``B(start,G)`` when the leaf statistic reaches q (``>= q``). Requires
-    decisions for every layer from ``start_layer`` down.
+    The layers visited from an observed node at ``start_layer`` are those
+    ``Strategy.follow`` marks. Each visited layer s below it contributes
+    ``-lam * B(start,s) * cost_s``, in layer order; reaching the leaf layer
+    adds ``B(start,G)`` when the leaf statistic reaches q (``>= q``).
     """
     G = strategy.tree.num_layers
     if not 1 <= start_layer < G:
         raise ValueError(f"start_layer must lie in 1..{G - 1}")
     values = np.asarray(values, dtype=float)
-    if values.shape != (G,):
-        raise ValueError("values do not match the strategy's tree depth")
+    seen = strategy.follow(values.reshape(1, -1), start_layer)[0]
     total = 0.0
-    layer = start_layer
-    while layer < G:
-        s = strategy.decide(layer, float(values[layer - 1]))
-        if s == 0:
-            return total
+    for s in np.flatnonzero(seen)[1:] + 1:  # the visited layers below the start, in order
         total -= lam * descendant_count(strategy.tree, start_layer, s) * strategy.tree.cost(s)
-        layer = s
-    if values[G - 1] >= q:
+    if seen[G - 1] and values[G - 1] >= q:
         total += descendant_count(strategy.tree, start_layer, G)
     return total
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import PulsarGrid, _block_power, _tile_rows, _unit_phasors
+from .engine import PulsarGrid, _block_ends, _block_power, _tile_rows, _unit_phasors
 from .tree import TreeConfig, nodes_in_layer
 
 
@@ -134,12 +134,7 @@ class PulsarNullModel:
         rows = t.shape[0]
         c, z, u, v, w, index = (work[k][:rows] for k in ("c", "z", "u", "v", "w", "index"))
         # block ends at the finest blocking (layer 1); layer j keeps every 2^(j-1)-th
-        nb = 1 << g.kappa(1)
-        np.multiply(t, nb / g.span, out=c)
-        np.copyto(index, c, casting="unsafe")
-        np.minimum(index, nb - 1, out=index)
-        index += nb * np.arange(rows)[:, None]
-        ends = np.bincount(index.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
+        ends = _block_ends(t, 1 << g.kappa(1), g.span, c, index)
         # leaf phase in cycles: (omega + omegadot t / 2) t
         np.multiply(t, 0.5 * omegadot[:, None], out=c)
         c += omega[:, None]

@@ -34,8 +34,8 @@ class PhotonSeries:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a nonempty 1-D array")
-        if not self.span > 0:
-            raise ValueError("span must be positive")
+        if not 0 < self.span < math.inf:
+            raise ValueError("span must be positive and finite")
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
         if t[0] < 0 or t[-1] > self.span:
@@ -82,8 +82,11 @@ class SignalSpec:
             raise ValueError("theta must lie in [0, 1]")
         if self.num_photons < 1:
             raise ValueError("num_photons must be >= 1")
-        if not self.span > 0:
-            raise ValueError("span must be positive")
+        if not 0 < self.span < math.inf:
+            raise ValueError("span must be positive and finite")
+        end_phase = self.fd.omega * self.span + 0.5 * self.fd.omegadot * self.span * self.span
+        if not math.isfinite(end_phase):  # Python floats: an overflow gives inf, not an error
+            raise ValueError("the phase at the end of the span must be finite")
 
 
 def phase(times, fd: FreqDrift):
@@ -115,19 +118,12 @@ def rayleigh_power(photons: PhotonSeries, fd: FreqDrift) -> float:
     return 2.0 * (re * re + im * im) / photons.count
 
 
-def block_edges(span: float, kappa: int) -> np.ndarray:
-    """Time edges of the 2**kappa equal blocks partitioning [0, span]."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    return np.linspace(0.0, span, (1 << kappa) + 1)
-
-
 def blocked_power(photons: PhotonSeries, fd: FreqDrift, kappa: int) -> float:
     """Blocked statistic: per-block squared moduli summed over 2**kappa blocks.
 
-    Block k covers [(k-1)*span/2**kappa, k*span/2**kappa), closed on the
-    right for the final block. kappa = 0 recovers ``rayleigh_power``
-    exactly.
+    A time t lies in block min(floor(t * (2**kappa / span)), 2**kappa - 1),
+    so the blocks split [0, span] into equal parts and the span's end joins
+    the last. kappa = 0 recovers ``rayleigh_power`` exactly.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -136,12 +132,12 @@ def blocked_power(photons: PhotonSeries, fd: FreqDrift, kappa: int) -> float:
     ph = _reduced_radians(photons.times, fd)
     re = np.cos(ph)
     im = np.sin(ph)
-    edges = block_edges(photons.span, kappa)
+    nb = 1 << kappa
+    block = np.minimum((photons.times * (nb / photons.span)).astype(np.int64), nb - 1)
     # times are sorted, so each block is a contiguous slice
-    starts = np.searchsorted(photons.times, edges[:-1], side="left")
-    bounds = np.append(starts, photons.count)
+    bounds = np.append(0, np.bincount(block, minlength=nb).cumsum())
     total = 0.0
-    for k in range(1 << kappa):
+    for k in range(nb):
         lo, hi = bounds[k], bounds[k + 1]
         if lo == hi:
             continue

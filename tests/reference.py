@@ -39,7 +39,7 @@ def set_walk(strategy, values):
     observed[1] = set(range(nodes_in_layer(tree, 1)))
     for l in range(1, G):
         for i in sorted(observed[l]):
-            s = strategy.decide(l, float(values[l - 1][i]))
+            s = int(strategy.decide_batch(l, values[l - 1][i]))
             if s:
                 b = descendant_count(tree, l, s)
                 observed[s].update(range(i * b, (i + 1) * b))

@@ -101,6 +101,8 @@ class TestFit:
         (["--lambda", "0.1", "--photons", "0"], "--photons"),
         (["--lambda", "0.1", "--qtrain-quantile", "1.0"], "--qtrain-quantile"),
         (["--lambda", "0.1", "--qtrain-quantile", "0"], "--qtrain-quantile"),
+        (["--lambda", "0.1", "--span", "inf"], "span"),
+        (["--lambda", "0.1", "--span", "1e300"], "span"),  # the drift spacing underflows to 0
     ])
     def test_bad_flags_rejected_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                 flags, named):
@@ -298,6 +300,17 @@ class TestNaive:
         for name in ("detections.csv", "layers.csv"):
             assert b"screen" not in (out_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("header", ["# T=inf", "# T=nan"])
+    def test_non_finite_span_header_names_the_file(self, tmp_path, capsys, header):
+        photons = tmp_path / "photons.txt"
+        photons.write_text(f"{header}\n1.0\n2.0\n")
+        rc = cli.run(["naive", "--photons-file", str(photons), "--qreject", "12",
+                      "--out-dir", str(tmp_path / "naive")])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert f"{photons}: span must be positive and finite" in err
+        assert not (tmp_path / "naive").exists()
+
 
 class TestEvaluate:
     def test_tiny_curve(self, tmp_path):
@@ -352,7 +365,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("curve", [["--lambdas", "0.1", "--thetas", "0.5,1.5"],
                                        ["--lambdas", "0.1,-1", "--thetas", "0.5"],
                                        ["--lambdas", "0.1", "--thetas", "0.5",
-                                        "--qreject", "nan"]])
+                                        "--qreject", "nan"],
+                                       ["--lambdas", "0.1", "--thetas", "0.5",
+                                        "--span", "inf"]])
     def test_bad_grid_rejected_before_any_work(self, tmp_path, monkeypatch, curve):
         def unexpected(*args, **kwargs):
             raise AssertionError("sample_paths called")
@@ -362,6 +377,25 @@ class TestEvaluate:
                       "--out", str(tmp_path / "curve.csv")])
         assert rc == 3
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("thetas, first, second, name", [
+        ("0.5,0.5", "0.5", "0.5", "curve_theta0.5.csv"),
+        ("0.3,0.1234567,0.12345671", "0.1234567", "0.12345671", "curve_theta0.123457.csv"),
+    ])
+    def test_thetas_that_share_a_file_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                               capsys, thetas, first, second,
+                                                               name):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+        rc = cli.run(["evaluate", *GRID_FLAGS, "--sims", "2", "--paths", "500",
+                      "--photons", "40", "--qreject", "12", "--workers", "1",
+                      "--lambdas", "0.1", "--thetas", thetas,
+                      "--out", str(tmp_path / "curve.csv")])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert f"thetas {first} and {second} would both write {tmp_path / name}" in err
+        assert not list(tmp_path.iterdir())
 
     def test_grid_splitting_late_runs(self, tmp_path):
         # drift splits at every layer, frequency only from layer 2 on

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,15 @@ class TestGridGeometry:
             GridSpec(1.0, 2.0, num_layers=1)
         with pytest.raises(ValueError):
             PulsarGrid(GridSpec(1.0, 2.0), 0.0)
+
+    @pytest.mark.parametrize("span, reason", [
+        (math.inf, "span must be positive and finite"),
+        (math.nan, "span must be positive and finite"),
+        (1e300, "root count that is not finite"),  # the drift spacing underflows to 0
+    ])
+    def test_span_without_finite_spacings_rejected(self, span, reason):
+        with pytest.raises(ValueError, match=reason):
+            PulsarGrid(GridSpec(1.0, 5.0, -5e-11, 0.0, num_layers=9, oversampling=3), span)
 
 
 class TestPulsarEvaluator:

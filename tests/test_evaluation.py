@@ -16,7 +16,7 @@ from blindsearch.evaluation import (DESK_SPAN, REFERENCE_FD, REFERENCE_PHOTONS,
                                     exact_dp_oracle, fitted_payoff_estimate,
                                     leaf_window, naive_power_check,
                                     tree_payoff_batch, write_tradeoff_csv)
-from blindsearch.fit import FitConfig, fit_strategy, sample_paths
+from blindsearch.fit import FitConfig, Strategy, fit_strategy, sample_paths
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
@@ -567,6 +567,59 @@ class TestSimLeafWork:
                 ancestors = np.unique(window // descendant_count(state["grid"].tree, layer, G))
                 np.testing.assert_array_equal(np.sort(idx), ancestors)
             assert evaluated == sum(idx.size for _, idx in calls)
+
+    def test_decide_calls_are_one_per_reached_layer(self, state, monkeypatch):
+        """Each strategy's ``decide_batch`` calls: one per layer some chain reaches, in
+        layer order, on exactly the rows that reach it, as a per-strategy loop over the
+        window's chains makes them."""
+        evaluate, decide = PulsarEvaluator.evaluate, Strategy.decide_batch
+        values, windows, calls = {}, [], []
+
+        def spy_evaluate(self, layer, indices):
+            values[layer] = evaluate(self, layer, indices)
+            return values[layer]
+
+        def spy_decide(self, layer, xs):
+            calls.append((id(self), layer, np.array(xs)))
+            return decide(self, layer, xs)
+
+        def recorded(*args, _fn=evaluation.leaf_window):
+            windows.append(_fn(*args))
+            return windows[-1]
+        monkeypatch.setattr(PulsarEvaluator, "evaluate", spy_evaluate)
+        monkeypatch.setattr(Strategy, "decide_batch", spy_decide)
+        monkeypatch.setattr(evaluation, "leaf_window", recorded)
+        tree = state["grid"].tree
+        G = tree.num_layers
+        # steps one layer down where x >= 2, so chains part at every layer
+        step = manual_strategy(tree, {
+            layer: {s: MonotoneFn(np.array([0.0, 2.0]), np.array([-1.0, 1.0]))
+                    if s == layer + 1 else const_fn(-1.0) for s in range(layer + 1, G + 1)}
+            for layer in range(1, G)}, lam=0.1)
+        state = dict(state, strategies=state["strategies"] + [step])
+        deeper = 0
+        for seed, theta in ((1, 0.85), (2, 0.85), (1, 0.0), (2, 0.0), (3, 0.0)):
+            calls.clear()
+            hits, _, _ = evaluation._power_sim((0, seed, theta), state)
+            window = windows[-1]
+            chains = [values[layer][np.unique(window // descendant_count(tree, layer, G),
+                                              return_inverse=True)[1]]
+                      for layer in range(1, G + 1)]
+            want, want_hits = [], []
+            for strategy in state["strategies"]:
+                at = np.ones(window.size, dtype=np.int64)
+                for layer in range(1, G):
+                    here = at == layer
+                    if here.any():
+                        want.append((id(strategy), layer, chains[layer - 1][here]))
+                        at[here] = decide(strategy, layer, chains[layer - 1][here])
+                want_hits.append(bool(np.any((chains[-1] >= state["q_reject"]) & (at == G))))
+            assert hits == want_hits
+            assert [c[:2] for c in calls] == [w[:2] for w in want]
+            for (_, _, got), (_, _, xs) in zip(calls, want):
+                np.testing.assert_array_equal(got, xs)
+            deeper += sum(0 < xs.size < window.size for _, _, xs in want)
+        assert deeper
 
 
 class TestNaivePowerCheck:

@@ -12,7 +12,7 @@ from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import PulsarNullModel
 from blindsearch.stats import chi2_2_quantile
 from blindsearch.tree import TreeConfig, descendant_count, nodes_in_layer
-from reference import chain_tree, const_fn, lineages, manual_strategy, walk_payoff
+from reference import chain_tree, const_fn, lineages, manual_strategy, set_walk, walk_payoff
 from test_isotonic import reference_pava
 
 
@@ -28,8 +28,8 @@ def test_two_layer_fit_by_hand():
     fn = strat.continuation[1][2]
     assert fn.breakpoints.tolist() == [1.0, 3.0]
     assert fn.levels == pytest.approx([3 * (0.5 - 0.1), 3 * (1.0 - 0.1)], rel=1e-12)
-    assert strat.decide(1, 0.0) == 2  # positive value everywhere
-    assert strat.decide(1, 10.0) == 2
+    assert strat.decide_batch(1, 0.0) == 2  # positive value everywhere
+    assert strat.decide_batch(1, 10.0) == 2
 
 
 def test_lambda_zero_never_stops():
@@ -40,7 +40,7 @@ def test_lambda_zero_never_stops():
     for layer in (1, 2):
         for x in (-1.0, 0.2, 0.9, 50.0):
             # every target ties at zero; free search continues as deep as it can
-            assert strat.decide(layer, x) == 3
+            assert strat.decide_batch(layer, x) == 3
 
 
 def test_positive_lambda_stops_when_hopeless():
@@ -49,14 +49,14 @@ def test_positive_lambda_stops_when_hopeless():
     paths = rng.uniform(0, 1, (50, 3))
     strat = fit_strategy(paths, FitConfig(tree, lam=0.2, q_train=2.0))
     for layer in (1, 2):
-        assert strat.decide(layer, 0.5) == 0
+        assert strat.decide_batch(layer, 0.5) == 0
 
 
 def test_tie_prefers_deepest_jump():
     tree = chain_tree(3)
     strat = manual_strategy(tree, {1: {2: const_fn(1.0), 3: const_fn(1.0)},
                                    2: {3: const_fn(1.0)}})
-    assert strat.decide(1, 0.0) == 3
+    assert strat.decide_batch(1, 0.0) == 3
 
 
 def test_decision_regions_merge_actions():
@@ -79,7 +79,7 @@ def test_decide_rejects_non_finite():
     tree = chain_tree(2)
     strat = manual_strategy(tree, {1: {2: const_fn(1.0)}})
     with pytest.raises(ValueError):
-        strat.decide(1, float("nan"))
+        strat.decide_batch(1, float("nan"))
     with pytest.raises(ValueError):
         strat.decide_batch(1, np.array([1.0, np.inf]))
 
@@ -91,11 +91,15 @@ def test_degenerate_layer_warns():
         fit_strategy(paths, FitConfig(tree, lam=0.1, q_train=2.0))
 
 
+def hand_strategy():
+    """Layer 1 jumps to 2 at x >= 1; layer 2 jumps to 3 at x >= 2; else stop."""
+    tree = TreeConfig(num_layers=3, root_count=1, branching=(2, 2), costs=(1.0, 0.5, 0.25))
+    return manual_strategy(tree, {1: {2: step_fn(1.0, -1.0, 1.0), 3: const_fn(-1.0)},
+                                  2: {3: step_fn(2.0, -1.0, 1.0)}}, lam=0.2)
+
+
 def test_path_payoff_by_hand():
-    tree = TreeConfig(num_layers=3, root_count=1, branching=(2, 2),
-                      costs=(1.0, 0.5, 0.25))
-    strat = manual_strategy(tree, {1: {2: step_fn(1.0, -1.0, 1.0), 3: const_fn(-1.0)},
-                                   2: {3: step_fn(2.0, -1.0, 1.0)}}, lam=0.2)
+    strat = hand_strategy()
     sample = np.array([1.5, 2.5, 7.0])
     # visit layer 2 (2 nodes, cost 0.5) and layer 3 (4 nodes, 0.25), detect
     want = -0.2 * 2 * 0.5 - 0.2 * 4 * 0.25 + 4
@@ -108,6 +112,51 @@ def test_path_payoff_by_hand():
     # a leaf statistic equal to q counts, as in the fit and the search
     assert path_payoff(np.array([1.5, 2.5, 5.0]), strat, 0.2, 5.0, 1) == \
         pytest.approx(want, rel=1e-15)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_follow_marks_the_set_walk_on_every_lineage(seed):
+    rng = np.random.default_rng(seed)
+    G = int(rng.integers(2, 5))
+    tree = TreeConfig(num_layers=G, root_count=int(rng.integers(1, 3)),
+                      branching=tuple(int(b) for b in rng.integers(2, 4, G - 1)),
+                      costs=tuple(rng.uniform(0.2, 1.5, G)))
+    train = rng.normal(size=(60, G)) + np.linspace(0, 1, G)
+    strat = fit_strategy(train, FitConfig(tree, float(rng.choice([0.0, 0.05, 0.3])), 1.0))
+    layer_values = [rng.normal(size=nodes_in_layer(tree, l)) + 0.5 * l for l in tree.layers()]
+    chains = lineages(tree)
+    paths = np.array([[layer_values[l][i] for l, i in enumerate(c)] for c in chains])
+    observed = set_walk(strat, layer_values)
+    want = np.array([[i in observed[l] for l, i in enumerate(c, start=1)] for c in chains])
+    np.testing.assert_array_equal(strat.follow(paths), want)
+
+
+def test_follow_from_a_deeper_start():
+    strat = hand_strategy()
+    paths = np.array([[0.5, 2.5, 7.0], [1.5, 2.5, 7.0], [1.5, 1.0, 7.0], [0.5, 1.0, 7.0]])
+    assert strat.follow(paths).tolist() == [[True, False, False], [True, True, True],
+                                           [True, True, False], [True, False, False]]
+    # the layer-1 statistic is never read from layer 2 on
+    paths[:, 0] = np.nan
+    assert strat.follow(paths, start_layer=2).tolist() == [[False, True, True]] * 2 + \
+        [[False, True, False]] * 2
+    assert strat.follow(paths, start_layer=3).tolist() == [[False, False, True]] * 4
+    with pytest.raises(ValueError, match="start_layer"):
+        strat.follow(paths, start_layer=0)
+
+
+def test_follow_reads_only_the_layers_a_path_reaches():
+    strat = hand_strategy()
+    # stops at layer 1, so neither NaN is read
+    assert strat.follow(np.array([[0.5, np.nan, np.nan]])).tolist() == [[True, False, False]]
+    # jumps to layer 2, whose NaN is then read
+    with pytest.raises(ValueError, match="finite"):
+        strat.follow(np.array([[1.5, np.nan, 7.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        strat.follow(np.array([[np.nan, 2.5, 7.0]]))
+    with pytest.raises(ValueError, match="paths must be"):
+        strat.follow(np.zeros((2, 4)))
 
 
 @settings(deadline=None, max_examples=60)

@@ -167,6 +167,43 @@ def test_path_values_match_blocked_power_on_own_photons(spec, span, m, branching
     assert np.array_equal(model.sample_path_values_batch(n, np.random.default_rng(11)), got)
 
 
+@pytest.mark.parametrize("layers", [4, 9])
+def test_block_rule_shared_at_block_edges(layers):
+    """Photons at and one ulp either side of every inner block edge, at span 80.
+
+    There ``t * (2^kappa / span)`` and the edges ``k * span / 2^kappa``
+    round differently for some times, so a sampler, an evaluator and a
+    reference that placed photons in blocks by different rules would
+    disagree at the layers below the leaves.
+    """
+    span = 80.0
+    grid = PulsarGrid(GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=layers, oversampling=3), span)
+    nb = 1 << grid.kappa(1)
+    edges = np.linspace(0.0, span, nb + 1)[1:-1]
+    times = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                    np.nextafter(edges, span)]))
+    photons = PhotonSeries(times, span)
+    n, m = 6, times.size
+    model = PulsarNullModel(grid, m)
+    params = model._path_params(n, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    idx = [rng.integers(0, grid.tree.root_count, n)]
+    for b in grid.tree.branching:
+        idx.append(idx[-1] * b + rng.integers(0, b, n))
+    work = {k: np.empty((n, m)) for k in ("c",)}
+    work.update((k, np.empty((n, m), dtype=complex)) for k in ("z", "u", "v", "w"))
+    work["index"] = np.empty((n, m), dtype=np.int64)
+    got = 2.0 * model._powers(*params, np.tile(times, (n, 1)), work) / m
+    ev = PulsarEvaluator(photons, grid)
+    for layer in grid.tree.layers():
+        value = ev.evaluate(layer, idx[layer - 1])
+        omega, omegadot = grid.node_params(layer, idx[layer - 1])
+        ref = [blocked_power(photons, FreqDrift(float(w), float(d)), grid.kappa(layer))
+               for w, d in zip(omega, omegadot)]
+        np.testing.assert_allclose(got[:, layer - 1], value, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("spec, span", [
     (GridSpec(1.0, 2.0, -1e-6, 0.0, num_layers=4, oversampling=3), 500.0),
     (GridSpec(1.0, 3.0, -2e-3, 0.0, num_layers=4, oversampling=3), 80.0),
@@ -219,12 +256,7 @@ class CopyRotationModel(PulsarNullModel):
         G = g.spec.num_layers
         rows = t.shape[0]
         c, z, u, v, w, index = (work[k][:rows] for k in ("c", "z", "u", "v", "w", "index"))
-        nb = 1 << g.kappa(1)
-        np.multiply(t, nb / g.span, out=c)
-        np.copyto(index, c, casting="unsafe")
-        np.minimum(index, nb - 1, out=index)
-        index += nb * np.arange(rows)[:, None]
-        ends = np.bincount(index.ravel(), minlength=rows * nb).reshape(rows, nb).cumsum(axis=1)
+        ends = engine._block_ends(t, 1 << g.kappa(1), g.span, c, index)
         np.multiply(t, 0.5 * omegadot[:, None], out=c)
         c += omega[:, None]
         c *= t

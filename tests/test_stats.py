@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from blindsearch.evaluation import REFERENCE_FD, REFERENCE_SPAN
-from blindsearch.stats import (FreqDrift, PhotonSeries, SignalSpec, block_edges,
-                               blocked_power, chi2_2_isf, chi2_2_quantile, chi2_2_sf,
+from blindsearch.stats import (FreqDrift, PhotonSeries, SignalSpec, blocked_power,
+                               chi2_2_isf, chi2_2_quantile, chi2_2_sf,
                                phase, rayleigh_power, read_photons, simulate_photons,
                                write_photons)
 
@@ -59,8 +59,10 @@ def test_reference_span_matches_extended_precision(kappa):
     c = phase(photons.times, REFERENCE_FD).astype(np.longdouble)
     ph = 8 * np.arctan(np.longdouble(1)) * (c - np.rint(c))
     re, im = np.cos(ph), np.sin(ph)
-    starts = np.searchsorted(photons.times, block_edges(photons.span, kappa)[:-1], side="left")
-    bounds = np.append(starts, photons.count)
+    # time t lies in block min(floor(t * 2^kappa / span), 2^kappa - 1)
+    nb = 1 << kappa
+    block = np.minimum(np.floor(photons.times * (nb / photons.span)), nb - 1)
+    bounds = np.searchsorted(block, np.arange(nb + 1), side="left")
     want = 2 * sum(re[lo:hi].sum() ** 2 + im[lo:hi].sum() ** 2
                    for lo, hi in zip(bounds[:-1], bounds[1:])) / photons.count
     got = [blocked_power(photons, REFERENCE_FD, kappa)]
@@ -68,11 +70,6 @@ def test_reference_span_matches_extended_precision(kappa):
         got.append(rayleigh_power(photons, REFERENCE_FD))
     for value in got:
         assert abs(value - want) <= 1e-13 * max(1.0, float(want))
-
-
-def test_block_edges_partition():
-    edges = block_edges(8.0, 2)
-    assert edges.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
 @given(st.integers(0, 5))
@@ -177,6 +174,19 @@ def test_read_photons_span_override_and_errors(tmp_path):
         read_photons(bad)
 
 
+@pytest.mark.parametrize("fd, span", [
+    (REFERENCE_FD, math.inf),
+    (FreqDrift(1.0), math.nan),
+    (REFERENCE_FD, 1e300),  # the drift term overflows to -inf
+    (FreqDrift(1e300, 1e300), 1e10),  # both terms overflow
+    (FreqDrift(1e300, -1e300), 1e154),  # inf - inf is nan
+], ids=["inf", "nan", "drift_overflow", "both_overflow", "nan_phase"])
+def test_signal_spec_rejects_a_span_without_a_finite_phase(fd, span):
+    # simulate_photons would never accept a photon at such a phase
+    with pytest.raises(ValueError, match="span must be positive and finite|phase"):
+        SignalSpec(fd, 0.5, 10, span)
+
+
 def test_photon_series_validation():
     with pytest.raises(ValueError):
         series([], 1.0)
@@ -184,6 +194,9 @@ def test_photon_series_validation():
         series([0.5, 0.1], 1.0)  # decreasing
     with pytest.raises(ValueError):
         series([0.5, 1.5], 1.0)  # beyond span
+    for span in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="span must be positive and finite"):
+            series([1.0], span)
     with pytest.raises(ValueError):
         FreqDrift(0.0)
     with pytest.raises(ValueError):
