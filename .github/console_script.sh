@@ -94,3 +94,13 @@ rc=0
 blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambdas 0.01 --thetas 0.5,0.5 --sims 2 --paths 2000 --qreject 12 --workers 1 --seed 1 --out dup_curve.csv || rc=$?
 test "$rc" -eq 3
 test -z "$(find . -maxdepth 1 -name 'dup_curve*.csv')"
+# a training sample with no path at the training threshold exits 4 in evaluate, as in fit,
+# before any simulation, writing no curve
+rc=0
+blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --paths 200 --qtrain-quantile 0.9999 --lambdas 0.0,0.01 --thetas 0.8 --sims 8 --qreject 12 --workers 1 --out degenerate_curve.csv || rc=$?
+test "$rc" -eq 4
+test ! -e degenerate_curve.csv
+# one oracle simulation gives no standard error: exit 3
+rc=0
+blindsearch oracle --layers 2 --paths 400 --sims 1 || rc=$?
+test "$rc" -eq 3

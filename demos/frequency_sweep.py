@@ -6,8 +6,6 @@ observation cost against the exhaustive leaf sweep that finds the same
 signal.
 """
 
-import numpy as np
-
 from blindsearch import (FitConfig, FreqDrift, GridSpec, PulsarEvaluator,
                          PulsarGrid, PulsarNullModel, SignalSpec, fit_strategy,
                          naive_search, run_search, sample_paths, simulate_photons)
@@ -39,7 +37,8 @@ print(f"hierarchical: cost {hier.total_cost:.0f} "
       f"({hier.total_cost / leaves:.1%} of sweep), "
       f"{len(hier.detections)} detections")
 print(f"exhaustive:   cost {leaves} (100.0%), {len(naive.detections)} detections")
-for node, value in hier.detections:
-    om, od = grid.node_params(node.layer, np.array([node.index]))
-    print(f"  leaf {node.index}: omega {om[0]:.5f} Hz, statistic {value:.1f} "
+om, _ = grid.node_params(5, hier.detections["index"])
+for leaf, omega, value in zip(hier.detections["index"].tolist(), om.tolist(),
+                              hier.detections["statistic"].tolist()):
+    print(f"  leaf {leaf}: omega {omega:.5f} Hz, statistic {value:.1f} "
           f"(truth {TRUE.omega} Hz)")

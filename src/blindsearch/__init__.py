@@ -8,7 +8,7 @@ against the exhaustive sweep.
 
 __version__ = "0.1.0"
 
-from .tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
+from .tree import TreeConfig, descendant_count, nodes_in_layer
 from .isotonic import MonotoneFn, pava
 from .stats import (FreqDrift, PhotonSeries, SignalSpec, blocked_power, chi2_2_quantile,
                     chi2_2_sf, phase, rayleigh_power, read_photons, simulate_photons,
@@ -27,7 +27,7 @@ from .evaluation import (OracleResult, TradeoffConfig, TradeoffPoint,
 
 __all__ = [
     "__version__",
-    "NodeId", "TreeConfig", "descendant_count", "nodes_in_layer",
+    "TreeConfig", "descendant_count", "nodes_in_layer",
     "MonotoneFn", "pava",
     "FreqDrift", "PhotonSeries", "SignalSpec", "blocked_power",
     "chi2_2_quantile", "chi2_2_sf", "phase", "rayleigh_power",

@@ -9,7 +9,8 @@ Every file-producing command writes a sidecar manifest recording the
 resolved configuration, seeds and inputs; the data files themselves
 carry no timestamps, so a rerun with identical inputs is byte-identical.
 
-Exit codes: 0 success, 2 usage, 3 malformed input data, 4 degenerate fit.
+Exit codes: 0 success, 2 usage, 3 malformed input data, 4 a training
+sample that no fit can use (fit, evaluate).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .engine import (PulsarEvaluator, PulsarGrid, GridSpec, default_q_reject,
 from .evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD, REFERENCE_PHOTONS,
                          REFERENCE_SPAN, TradeoffConfig, desk_scale_config, estimate_tradeoff,
                          exact_dp_oracle, fitted_payoff_estimate, write_tradeoff_csv)
-from .fit import (FORMAT_VERSION, FitConfig, fit_strategy, load_strategy,
-                  sample_paths, save_strategy)
+from .fit import (FORMAT_VERSION, DegenerateTraining, FitConfig, fit_strategy,
+                  load_strategy, sample_paths, save_strategy, training_exceedances)
 from .models import GaussianChainModel, PulsarNullModel
 from .stats import (FreqDrift, SignalSpec, chi2_2_quantile, read_photons,
                     simulate_photons, write_photons)
@@ -276,13 +277,7 @@ def cmd_fit(args, cfg) -> int:
     start = time.perf_counter()
     paths = sample_paths(model, num_paths, subseed(seed, 0))
     sampled = time.perf_counter()
-    exceed = int((paths[:, -1] >= fit_cfg.q_train).sum())
-    if exceed == 0:
-        print(f"fit: no training path reaches the leaf threshold "
-              f"{fit_cfg.q_train:.4f} (quantile {cfg['qtrain_quantile']}); every strategy "
-              f"would stop immediately. Lower --qtrain-quantile or raise --paths.",
-              file=sys.stderr)
-        return DEGENERATE_FIT
+    exceed = training_exceedances(paths, fit_cfg.q_train, quantile)
     strategy = fit_strategy(paths, fit_cfg, seed=seed)
     timing = {"sample_s": sampled - start, "regression_s": time.perf_counter() - sampled,
               "paths_per_s": num_paths / (sampled - start)}
@@ -505,7 +500,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args, {key: getattr(args, key) for key in keys})
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return DATA_ERROR
+        return DEGENERATE_FIT if isinstance(exc, DegenerateTraining) else DATA_ERROR
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)

@@ -26,9 +26,8 @@ evaluator is swept by the walker.
 
 Evaluator protocol (duck-typed): a ``tree`` attribute carrying the
 TreeConfig, and ``evaluate(layer, indices) -> values`` accepting an int64
-index array. Implementations may also provide
-``node_params(layer, indices) -> (omega, omegadot)`` for reporting.
-Evaluation must be deterministic given the data.
+index array. The CSV writers also need ``node_params(layer, indices) ->
+(omega, omegadot)``. Evaluation must be deterministic given the data.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import TWO_PI, PhotonSeries, chi2_2_isf
-from .tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
+from .tree import TreeConfig, descendant_count, nodes_in_layer
 
 _MAX_ENGINE_NODES = 1 << 62  # numpy int64 indexing; tree.py itself has no such limit
 
@@ -611,6 +610,19 @@ class SparsePeakEvaluator:
 
 _LOG_DTYPE = np.dtype([("layer", np.int64), ("index", np.int64),
                        ("statistic", np.float64), ("action", np.int64)])
+_DETECTION_DTYPE = np.dtype([("index", np.int64), ("statistic", np.float64)])
+
+
+def _sorted_records(dtype: np.dtype, parts: list, keys: int) -> np.ndarray:
+    """Column tuples ``parts``, in field order, as one array sorted by the first ``keys`` fields."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    order = np.lexsort(cols[keys - 1::-1])
+    records = np.empty(order.size, dtype=dtype)
+    for name, col in zip(dtype.names, cols):
+        records[name] = col[order]
+    return records
 
 
 @dataclass
@@ -625,7 +637,9 @@ class SearchOutcome:
     a pruned tree. In a screened leaf sweep the segment's screened values
     and its confirm candidates take the place of the batch and ranges.
 
-    ``observed_log``, when requested, is a numpy structured array with
+    ``detections`` is a numpy structured array with one row per leaf whose
+    statistic reaches q_reject and the fields ``index`` and ``statistic``,
+    sorted by leaf index. ``observed_log``, when requested, is one with
     one row per observed node and the fields ``layer``, ``index``,
     ``statistic`` and ``action``, sorted by (layer, index).
 
@@ -645,7 +659,7 @@ class SearchOutcome:
     nothing; it evaluates every leaf.
     """
 
-    detections: list
+    detections: np.ndarray
     per_layer_observed: np.ndarray
     total_cost: float
     peak_tracked: int
@@ -655,8 +669,7 @@ class SearchOutcome:
     sweep: dict | None = None
 
 
-_SEARCH_CHUNK = 4096  # run_search: layer-1 nodes walked together, and nodes per evaluate call
-_SWEEP_CHUNK = 8192  # naive_search: leaves per evaluate call
+_SEARCH_CHUNK = 4096  # start-layer nodes walked together, and nodes per evaluate call
 
 
 def _check_search_args(q_reject: float) -> None:
@@ -680,7 +693,8 @@ class _Track:
         self.pending = {}
         self.queued = 0  # pending ranges
         self.observed = np.zeros(tree.num_layers, dtype=np.int64)
-        self.detections = []
+        self.detections = []  # (indices, values) array pairs
+        self.detected = 0
         self.log = [] if emit_observed else None
         self.logged = 0
 
@@ -700,9 +714,10 @@ class _Track:
         self.observed[layer - 1] += idx.size
         if layer == G:
             acts = np.zeros(idx.size, dtype=np.int64)
-            hit = vals >= self.q_reject
-            self.detections += [(NodeId(G, i), v)
-                                for i, v in zip(idx[hit].tolist(), vals[hit].tolist())]
+            hit = np.flatnonzero(vals >= self.q_reject)
+            if hit.size:
+                self.detections.append((idx[hit], vals[hit]))
+                self.detected += hit.size
         else:
             acts = self.decide(layer, vals)
             # maximal runs of one action over consecutive indices
@@ -719,17 +734,6 @@ class _Track:
         if self.log is not None:
             self.log.append((np.full(idx.size, layer), idx, vals, acts))
             self.logged += idx.size
-
-    def sorted_log(self):
-        """The observed log as a structured array sorted by (layer, index), or None."""
-        if self.log is None:
-            return None
-        cols = [np.concatenate(col) for col in zip(*self.log)]
-        order = np.lexsort((cols[1], cols[0]))
-        log = np.empty(order.size, dtype=_LOG_DTYPE)
-        for name, col in zip(_LOG_DTYPE.names, cols):
-            log[name] = col[order]
-        return log
 
 
 def _union(ranges) -> tuple:
@@ -756,8 +760,7 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
     ``evaluate`` calls of at most ``chunk_size`` nodes, so a node that
     several strategies observe is evaluated once, and each strategy gets
     the values of its own nodes. Leaves reaching ``q_reject`` are
-    detections; the ordered groups and sorted ranges emit them in
-    leaf-index order.
+    detections.
 
     Returns one SearchOutcome per decide function. Each strategy keeps
     its own observed counts, cost, detections and log, equal to those of
@@ -799,15 +802,17 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
                     mine = (j >= 0) & (idx < t_hi[j])
                     if mine.any():
                         t.step(layer, idx[mine], vals[mine])
-                peak = max(peak, idx.size + sum(t.queued + len(t.detections) + t.logged
+                peak = max(peak, idx.size + sum(t.queued + t.detected + t.logged
                                                 for t in tracks))
             for t, (t_lo, _) in parts:
                 t.queued -= t_lo.size
             seconds[layer - 1] += time.perf_counter() - began
-    return [SearchOutcome(detections=t.detections, per_layer_observed=t.observed,
+    return [SearchOutcome(detections=_sorted_records(_DETECTION_DTYPE, t.detections, 1),
+                          per_layer_observed=t.observed,
                           total_cost=_total_cost(tree, t.observed), peak_tracked=peak,
                           evaluate_calls=calls.copy(), seconds=seconds.copy(),
-                          observed_log=t.sorted_log())
+                          observed_log=None if t.log is None
+                          else _sorted_records(_LOG_DTYPE, t.log, 2))
             for t in tracks]
 
 
@@ -850,18 +855,18 @@ def naive_search(evaluator, q_reject: float) -> SearchOutcome:
     screen's memory grows with the photon count by its m-length arrays
     only, and not with the number of segments. Every leaf
     whose screened value reaches q_reject - 1e-6 * max(1, q_reject), a
-    margin far above the screen's rounding, is then confirmed by
-    ``evaluate`` in calls of at most 8192 leaves, segment by
-    segment. Only confirmed values are reported, and a leaf's value does
-    not depend on the call, so the detections are those of evaluating
-    every leaf. Every other evaluator takes the walker, which evaluates
-    every leaf in calls of 8192. Either way the leaf layer
-    counts as fully observed, and detections come in leaf-index order.
+    margin far above the screen's rounding, is then confirmed by one
+    ``evaluate`` call per segment that has any. Only confirmed values are
+    reported, and a leaf's value does not depend on the call, so the
+    detections are those of evaluating every leaf. Every other evaluator
+    takes the walker, which evaluates every leaf in calls of 4096. Either
+    way the leaf layer counts as fully observed, and detections come in
+    leaf-index order.
     """
     _check_search_args(q_reject)
     if isinstance(evaluator, PulsarEvaluator):
         return _screened_sweep(evaluator, q_reject)
-    [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, _SWEEP_CHUNK)
+    [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, _SEARCH_CHUNK)
     out.sweep = {"method": "walk", "segments": 0, "confirmed": 0}
     return out
 
@@ -873,32 +878,31 @@ def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float) -> SearchOutcom
     tree = evaluator.tree
     G = tree.num_layers
     cut = q_reject - 1e-6 * max(1.0, q_reject) if math.isfinite(q_reject) else q_reject
-    detections = []
-    segments = calls = confirmed = peak = 0
+    found = []  # (indices, values) array pairs
+    segments = calls = confirmed = detected = peak = 0
     for axis, row, lo, screened in evaluator.screen_leaves():
         along = np.flatnonzero(screened >= cut)
         if along.size:  # most segments of a sweep have nothing to confirm
             along += lo
             across = np.full(along.size, row)
             idx = grid.leaf_index(*((along, across) if axis == 0 else (across, along)))
-            for first in range(0, idx.size, _SWEEP_CHUNK):
-                part = idx[first:first + _SWEEP_CHUNK]
-                vals = evaluator.evaluate(G, part)
-                hit = vals >= q_reject
-                detections += [(NodeId(G, i), v)
-                               for i, v in zip(part[hit].tolist(), vals[hit].tolist())]
-                calls += 1
+            vals = evaluator.evaluate(G, idx)
+            hit = np.flatnonzero(vals >= q_reject)
+            if hit.size:
+                found.append((idx[hit], vals[hit]))
+                detected += hit.size
+            calls += 1
         segments += 1
         confirmed += along.size
-        peak = max(peak, screened.size + along.size + len(detections))
-    detections.sort(key=lambda d: d[0].index)
+        peak = max(peak, screened.size + along.size + detected)
     observed = np.zeros(G, dtype=np.int64)
     observed[-1] = nodes_in_layer(tree, G)
     evaluate_calls = np.zeros(G, dtype=np.int64)
     evaluate_calls[-1] = segments + calls
     seconds = np.zeros(G)
     seconds[-1] = time.perf_counter() - began
-    return SearchOutcome(detections=detections, per_layer_observed=observed,
+    return SearchOutcome(detections=_sorted_records(_DETECTION_DTYPE, found, 1),
+                         per_layer_observed=observed,
                          total_cost=_total_cost(tree, observed), peak_tracked=peak,
                          evaluate_calls=evaluate_calls, seconds=seconds,
                          sweep={"method": "screen", "segments": segments,
@@ -923,26 +927,18 @@ def default_q_reject(tree: TreeConfig, alpha: float = 0.05, n_effective=None) ->
     return chi2_2_isf(min(alpha / n_effective, 1.0))
 
 
-def write_detections_csv(path, outcome: SearchOutcome, evaluator=None) -> None:
+def write_detections_csv(path, outcome: SearchOutcome, evaluator) -> None:
     """Detections as CSV: omega_hz, omegadot_s2, statistic, leaf_index.
 
-    Parameter columns are empty when the evaluator cannot map nodes to
-    (omega, omegadot).
+    The parameters are the evaluator's ``node_params`` of each leaf.
     """
-    params = getattr(evaluator, "node_params", None) if evaluator is not None else None
+    det = outcome.detections
+    om, od = evaluator.node_params(evaluator.tree.num_layers, det["index"])
     with open(path, "w") as fh:
         fh.write("omega_hz,omegadot_s2,statistic,leaf_index\n")
-        if not outcome.detections:
-            return
-        idx = np.array([node.index for node, _ in outcome.detections], dtype=np.int64)
-        layer = outcome.detections[0][0].layer
-        if params is not None:
-            om, od = params(layer, idx)
-        for k, (node, val) in enumerate(outcome.detections):
-            if params is not None:
-                fh.write(f"{float(om[k])!r},{float(od[k])!r},{val!r},{node.index}\n")
-            else:
-                fh.write(f",,{val!r},{node.index}\n")
+        fh.writelines(f"{w!r},{d!r},{v!r},{i}\n" for w, d, v, i in
+                      zip(om.tolist(), od.tolist(), det["statistic"].tolist(),
+                          det["index"].tolist()))
 
 
 def write_layer_summary_csv(path, outcome: SearchOutcome, tree: TreeConfig) -> None:
@@ -954,26 +950,20 @@ def write_layer_summary_csv(path, outcome: SearchOutcome, tree: TreeConfig) -> N
             fh.write(f"{layer},{count},{count * tree.cost(layer)!r}\n")
 
 
-def write_observed_csv(path, outcome: SearchOutcome, evaluator=None) -> None:
+def write_observed_csv(path, outcome: SearchOutcome, evaluator) -> None:
     """Observed-node log as CSV: layer, node_index, omega_hz, omegadot_s2, statistic, action.
 
     Rows follow the log's (layer, node_index) order. The evaluator's
-    ``node_params`` is called once per layer; the parameter columns are
-    empty when the evaluator cannot map nodes to (omega, omegadot).
+    ``node_params`` is called once per layer.
     """
     log = outcome.observed_log
     if log is None:
         raise ValueError("run_search was not asked to record the observed log")
-    params = getattr(evaluator, "node_params", None) if evaluator is not None else None
     with open(path, "w") as fh:
         fh.write("layer,node_index,omega_hz,omegadot_s2,statistic,action\n")
         for layer in np.unique(log["layer"]).tolist():
             rows = log[log["layer"] == layer]
-            if params is None:
-                coords = [","] * rows.size
-            else:
-                om, od = params(layer, rows["index"])
-                coords = [f"{w!r},{d!r}" for w, d in zip(om.tolist(), od.tolist())]
-            fh.writelines(f"{layer},{i},{c},{v!r},{a}\n" for i, c, v, a in
-                          zip(rows["index"].tolist(), coords, rows["statistic"].tolist(),
-                              rows["action"].tolist()))
+            om, od = evaluator.node_params(layer, rows["index"])
+            fh.writelines(f"{layer},{i},{w!r},{d!r},{v!r},{a}\n" for i, w, d, v, a in
+                          zip(rows["index"].tolist(), om.tolist(), od.tolist(),
+                              rows["statistic"].tolist(), rows["action"].tolist()))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (GridSpec, PulsarGrid, PulsarEvaluator, default_q_reject, run_search)
-from .fit import FitConfig, fit_strategy, sample_paths
+from .fit import FitConfig, fit_strategy, sample_paths, training_exceedances
 from .models import GaussianChainModel, PulsarNullModel
 from .stats import FreqDrift, SignalSpec, chi2_2_quantile, rayleigh_power, simulate_photons
 from .tree import descendant_count, nodes_in_layer
@@ -242,7 +242,8 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     to it, so a power sim evaluates those chains alone. Each lambda's
     point equals the one a full walk that computes every leaf gives it
     alone. Deterministic for a given seed, independent of the worker
-    count.
+    count. When no training path reaches the training threshold it
+    raises ``DegenerateTraining`` before any fit.
 
     Logs at INFO, per phase (cost sims, then power sims), the sims done
     out of the total and, at the phase's end, the nodes whose statistic
@@ -266,6 +267,7 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     q_train = chi2_2_quantile(cfg.qtrain_quantile)
     model = PulsarNullModel(grid, cfg.num_photons)
     paths = sample_paths(model, cfg.num_paths, subseed(seed, 0))
+    training_exceedances(paths, q_train, cfg.qtrain_quantile)
     naive_cost = nodes_in_layer(tree, tree.num_layers) * tree.cost(tree.num_layers)
     strategies = [fit_strategy(paths, FitConfig(tree, lam, q_train))
                   for lam in lambdas]
@@ -376,6 +378,8 @@ def exact_dp_oracle(model: GaussianChainModel, lam: float, q: float,
         raise ValueError("n_grid must lie in 2..200")
     if not lam >= 0:
         raise ValueError("lam must be >= 0")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, not {q!r}")
     h = 2.0 * _ORACLE_SPAN / n_grid
     k_down = math.ceil((q + _ORACLE_SPAN) / h)
     k_up = max(1, math.ceil((_ORACLE_SPAN - q) / h))
@@ -449,6 +453,8 @@ def tree_payoff_batch(strategy, layer_values, q: float):
 def fitted_payoff_estimate(strategy, model: GaussianChainModel, q: float,
                            n_sims: int, seed):
     """Mean payoff of a fitted strategy over fresh full-tree simulations."""
+    if n_sims < 2:
+        raise ValueError(f"n_sims must be >= 2, not {n_sims!r}")
     rng = np.random.default_rng(subseed(seed, 17))
     vals = model.sample_tree_batch(n_sims, rng)
     payoffs, _, _ = tree_payoff_batch(strategy, vals, q)

@@ -140,6 +140,24 @@ def sample_paths(model, n: int, seed) -> np.ndarray:
     return np.asarray(model.sample_path_values_batch(n, rng), dtype=float)
 
 
+class DegenerateTraining(ValueError):
+    """No training path reaches the leaf threshold, so every fitted strategy would stop at once."""
+
+
+def training_exceedances(paths: np.ndarray, q_train: float, quantile: float) -> int:
+    """Training paths whose leaf statistic reaches ``q_train``, the null ``quantile``.
+
+    Raises DegenerateTraining when there are none.
+    """
+    exceed = int((paths[:, -1] >= q_train).sum())
+    if exceed == 0:
+        raise DegenerateTraining(
+            f"no training path reaches the leaf threshold {q_train:.4f} (quantile "
+            f"{quantile}); every strategy would stop immediately. Lower "
+            f"--qtrain-quantile or raise --paths.")
+    return exceed
+
+
 def _as_path_matrix(paths, num_layers: int) -> np.ndarray:
     x = np.asarray(paths, dtype=float)
     if x.ndim != 2 or x.shape[1] != num_layers:

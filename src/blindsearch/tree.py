@@ -13,14 +13,6 @@ trees far beyond 2**63 leaves are representable without overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
-
-class NodeId(NamedTuple):
-    """A node addressed by layer (1-based) and index within the layer."""
-
-    layer: int
-    index: int
 
 
 @dataclass(frozen=True)

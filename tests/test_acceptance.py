@@ -104,8 +104,8 @@ def test_free_search_recovers_exactly_the_naive_detections():
             fd = FreqDrift(rng.uniform(1.0, 2.0), rng.uniform(-1e-6, 0.0))
         photons = simulate_photons(SignalSpec(fd, theta, 150, 60.0), seed=(32, i))
         ev = PulsarEvaluator(photons, grid)
-        hier = {(n, v) for n, v in run_search(strat, ev, q).detections}
-        naive = {(n, v) for n, v in naive_search(ev, q).detections}
+        hier = set(run_search(strat, ev, q).detections.tolist())
+        naive = set(naive_search(ev, q).detections.tolist())
         datasets += 1
         mismatches += hier != naive
     report("free-search equivalence", mismatches == 0,
@@ -239,7 +239,7 @@ def test_search_tracks_tiny_frontier_on_million_leaf_tree():
     strat = Strategy(tree=tree, lam=0.1, q_train=8.0, continuation=continuation)
     ev = SparsePeakEvaluator(tree, peak_leaf=1_482_911, height=40.0, seed=1)
     out = run_search(strat, ev, q_reject=30.0)
-    found = any(n.index == 1_482_911 for n, _ in out.detections)
+    found = 1_482_911 in out.detections["index"].tolist()
     ok = leaves >= 1_000_000 and out.peak_tracked < 10_000 and found
     report("sparse frontier", ok,
            f"{leaves} leaves, peak {out.peak_tracked} node records "

@@ -397,6 +397,23 @@ class TestEvaluate:
         assert f"thetas {first} and {second} would both write {tmp_path / name}" in err
         assert not list(tmp_path.iterdir())
 
+    def test_training_sample_that_fit_refuses_is_refused(self, tmp_path, monkeypatch, capsys):
+        # no path of 200 reaches the 0.9999 quantile: every strategy would stop at layer 1
+        sample = [*GRID_FLAGS, "--photons", "200", "--paths", "200",
+                  "--qtrain-quantile", "0.9999"]
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("_cost_sim called")
+        monkeypatch.setattr(evaluation, "_cost_sim", unexpected)
+        rc = cli.run(["evaluate", *sample, "--lambdas", "0.0,0.01", "--thetas", "0.8",
+                      "--sims", "8", "--qreject", "12", "--workers", "1",
+                      "--out", str(tmp_path / "curve.csv")])
+        assert rc == cli.DEGENERATE_FIT
+        assert "evaluate: no training path reaches the leaf threshold" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        rc = cli.run(["fit", *sample, "--lambda", "0.01", "--out", str(tmp_path / "s.json")])
+        assert rc == cli.DEGENERATE_FIT
+
     def test_grid_splitting_late_runs(self, tmp_path):
         # drift splits at every layer, frequency only from layer 2 on
         out = tmp_path / "curve.csv"
@@ -419,6 +436,19 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "exact optimal expected payoff" in out
         assert "ratio fitted/exact" in out
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--sims", "0"], "n_sims must be >= 2, not 0"),
+        (["--sims", "1"], "n_sims must be >= 2, not 1"),
+        (["--sims", "-5"], "n_sims must be >= 2, not -5"),
+        (["--q", "nan"], "q must be finite, not nan"),
+    ])
+    def test_bad_sims_or_threshold_is_data_error(self, capsys, flags, named):
+        rc = cli.run(["oracle", "--layers", "2", "--paths", "400", *flags])
+        captured = capsys.readouterr()
+        assert rc == cli.DATA_ERROR
+        assert f"oracle: {named}" in captured.err
+        assert captured.out == ""
 
 
 class TestConfigResolution:

@@ -13,7 +13,7 @@ from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, Pulsa
 from blindsearch.fit import FitConfig, fit_strategy
 from blindsearch.evaluation import DESK_SPAN, REFERENCE_SPAN
 from blindsearch.stats import TWO_PI, FreqDrift, SignalSpec, blocked_power, simulate_photons
-from blindsearch.tree import NodeId, TreeConfig, descendant_count, nodes_in_layer
+from blindsearch.tree import TreeConfig, descendant_count, nodes_in_layer
 from reference import set_walk
 
 
@@ -402,18 +402,26 @@ def test_run_search_matches_reference(inst, chunk):
     want_counts = [len(observed[l]) for l in tree.layers()]
     want_cost = sum(len(observed[l]) * tree.cost(l) for l in tree.layers())
     G = tree.num_layers
-    assert {n.index for n, _ in out.detections} == {i for i in observed[G]
-                                                    if values[G - 1][i] >= q}
+    assert set(out.detections["index"].tolist()) == {i for i in observed[G]
+                                                     if values[G - 1][i] >= q}
+    assert_detections_are_the_log_hits(out.detections, out.observed_log, G, q)
     assert out.per_layer_observed.tolist() == want_counts
     assert out.total_cost == pytest.approx(want_cost, rel=1e-12)
     # the log holds exactly the observed nodes, each once
     seen = {}
     for layer, index, val, act in out.observed_log.tolist():
-        node = NodeId(layer, index)
-        assert node not in seen
-        seen[node] = (val, act)
+        assert (layer, index) not in seen
+        seen[layer, index] = (val, act)
     for l, cnt in enumerate(want_counts, start=1):
-        assert sum(1 for n in seen if n.layer == l) == cnt
+        assert sum(1 for layer, _ in seen if layer == l) == cnt
+
+
+def assert_detections_are_the_log_hits(detections, log, leaf_layer, q):
+    """Detections are the log's leaf rows at or above q, in strictly increasing index order."""
+    hits = log[(log["layer"] == leaf_layer) & (log["statistic"] >= q)]
+    assert detections["index"].tolist() == hits["index"].tolist()
+    assert detections["statistic"].tolist() == hits["statistic"].tolist()
+    assert np.all(np.diff(detections["index"]) > 0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -428,7 +436,7 @@ def test_lambda_zero_detections_equal_naive(seed):
     q = float(rng.uniform(2, 10))
     hier = run_search(strat, ev, q)
     flat = naive_search(ev, q)
-    assert {n for n, _ in hier.detections} == {n for n, _ in flat.detections}
+    assert hier.detections["index"].tolist() == flat.detections["index"].tolist()
     assert hier.per_layer_observed[-1] == nodes_in_layer(tree, 3)
 
 
@@ -476,8 +484,7 @@ def test_peak_tracked_stays_small_on_pruned_tree():
     strat = threshold_strategy(tree, cut=8.0)
     out = run_search(strat, ev, q_reject=25.0)
     assert out.peak_tracked < leaves / 10
-    planted = [n for n, _ in out.detections if n.index == leaves // 2]
-    assert planted
+    assert leaves // 2 in out.detections["index"].tolist()
 
 
 class CountingEvaluator:
@@ -526,7 +533,7 @@ class TestSharedWalk:
         assert len(shared) == len(strats)
         union = set()
         for out, alone in zip(shared, solo):
-            assert out.detections == alone.detections
+            assert out.detections.tobytes() == alone.detections.tobytes()
             assert out.per_layer_observed.tolist() == alone.per_layer_observed.tolist()
             assert out.total_cost == alone.total_cost
             assert out.observed_log.tobytes() == alone.observed_log.tobytes()
@@ -543,7 +550,7 @@ class TestSharedWalk:
         monkeypatch.setattr(engine, "_SEARCH_CHUNK", 2)
         [listed] = run_search([strat], ev, 10.0, emit_observed=True)
         alone = run_search(strat, ev, 10.0, emit_observed=True)
-        assert listed.detections == alone.detections
+        assert listed.detections.tobytes() == alone.detections.tobytes()
         assert listed.observed_log.tobytes() == alone.observed_log.tobytes()
         assert listed.peak_tracked == alone.peak_tracked
         assert listed.evaluate_calls.tolist() == alone.evaluate_calls.tolist()
@@ -567,7 +574,7 @@ class TestSharedWalk:
         assert shared[0].peak_tracked <= sum(a.peak_tracked for a in alone)
         assert shared[0].peak_tracked < leaves / 10
         for out in shared:
-            assert [n.index for n, _ in out.detections] == [leaves // 2]
+            assert out.detections["index"].tolist() == [leaves // 2]
 
     def test_mismatched_tree_in_a_list_rejected(self):
         t1 = TreeConfig(num_layers=2, root_count=1, branching=(2,), costs=(1.0, 1.0))
@@ -615,7 +622,7 @@ def test_csv_writers(tmp_path):
     ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
     strat = fitted_strategy(ev.tree, 0.0, q_train=1.0)
     out = run_search(strat, ev, q_reject=12.0, emit_observed=True)
-    assert out.detections
+    assert out.detections.size
     det = tmp_path / "d.csv"
     write_detections_csv(det, out, ev)
     lines = det.read_text().splitlines()
@@ -634,10 +641,6 @@ def test_csv_writers(tmp_path):
     bare = run_search(strat, ev, q_reject=12.0)
     with pytest.raises(ValueError):
         write_observed_csv(tmp_path / "x.csv", bare, ev)
-    # without a parameter mapping the coordinate columns stay empty
-    det2 = tmp_path / "d2.csv"
-    write_detections_csv(det2, bare, None)
-    assert det2.read_text().splitlines()[1].startswith(",,")
 
 
 # (spec, span) of grids: frequency only, 8-ary, one frequency position with drift
@@ -932,10 +935,11 @@ class TestScreenOverSeveralTiles:
         assert screened.size == nodes_in_layer(ev.tree, ev.tree.num_layers)
         assert screen_error(screened, exact) <= SCREEN_RTOL
         q = float(np.sort(exact)[-6])  # the six largest leaves are detections
-        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 500)
+        monkeypatch.setattr(engine, "_SCREEN_MODES", 500)
         out = naive_search(ev, q)
         ref = walked(ev, q, 500)
-        assert len(out.detections) == 6 and out.detections == ref.detections
+        assert len(out.detections) == 6
+        assert out.detections.tobytes() == ref.detections.tobytes()
         assert out.sweep["method"] == "screen"
 
     @pytest.mark.parametrize("name", ["eight_ary", "mixed"])
@@ -959,8 +963,8 @@ class TestScreenOverSeveralTiles:
         assert screen_peak(many) - screen_peak(few) <= 64 * (many - few) + 4096
 
 
-def walked(ev, q, chunk_size=8192):
-    [out] = engine._walk(ev, [None], ev.tree.num_layers, q, chunk_size)
+def walked(ev, q, chunk_size=8192, emit_observed=False):
+    [out] = engine._walk(ev, [None], ev.tree.num_layers, q, chunk_size, emit_observed)
     return out
 
 
@@ -976,8 +980,11 @@ class TestScreenedSweep:
             ev = sweep_case(TRADEOFF_SPEC, 80.0, 150, 0.7 if pulsed else 0.0, 17)
         q = default_q_reject(ev.tree) - 8.0  # a few detections on a null dataset too
         out = naive_search(ev, q)
-        ref = walked(ev, q)
-        assert out.detections and out.detections == ref.detections
+        ref = walked(ev, q, emit_observed=True)
+        assert out.detections.size
+        assert out.detections.tobytes() == ref.detections.tobytes()
+        assert_detections_are_the_log_hits(out.detections, ref.observed_log,
+                                           ev.tree.num_layers, q)
         assert out.sweep["method"] == "screen"
         assert out.per_layer_observed.tolist() == ref.per_layer_observed.tolist()
         assert out.total_cost == ref.total_cost
@@ -988,9 +995,9 @@ class TestScreenedSweep:
         vals = ev.evaluate(4, leaves)
         leaf = int(np.argsort(vals)[-5])  # the fifth largest
         out = naive_search(ev, float(vals[leaf]))
-        assert [(n.index, v) for n, v in out.detections] == [
+        assert out.detections.tolist() == [
             (int(i), float(vals[i])) for i in np.sort(np.argsort(vals)[-5:])]
-        assert (NodeId(4, leaf), float(vals[leaf])) in out.detections
+        assert (leaf, float(vals[leaf])) in out.detections.tolist()
 
     def test_minus_infinity_confirms_every_leaf_in_chunks(self, monkeypatch):
         ev = sweep_case(*LATTICE_GRIDS["eight_ary"], 60, 0.5, 19)
@@ -999,15 +1006,15 @@ class TestScreenedSweep:
         evaluate = ev.evaluate
         monkeypatch.setattr(ev, "evaluate", lambda layer, idx: (
             sizes.append(len(idx)), evaluate(layer, idx))[1])
-        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 7)
+        monkeypatch.setattr(engine, "_SCREEN_MODES", 7)
         out = naive_search(ev, -np.inf)
         assert max(sizes) <= 7 and sum(sizes) == n
         assert out.sweep == {"method": "screen", "segments": out.sweep["segments"],
                              "confirmed": n}
         assert out.evaluate_calls[-1] == out.sweep["segments"] + len(sizes)
         monkeypatch.undo()
-        assert out.detections == walked(ev, -np.inf, 7).detections
-        assert [node.index for node, _ in out.detections] == list(range(n))
+        assert out.detections.tobytes() == walked(ev, -np.inf, 7).detections.tobytes()
+        assert out.detections["index"].tolist() == list(range(n))
 
     def test_bad_arguments_rejected_before_screening(self, monkeypatch):
         ev = sweep_case(*LATTICE_GRIDS["frequency"], 60, 0.5, 20)
@@ -1022,11 +1029,12 @@ class TestScreenedSweep:
     def test_mixed_grid_is_screened(self, monkeypatch):
         ev = kernel_case("mixed")
         q = 6.0
-        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 100)
+        monkeypatch.setattr(engine, "_SCREEN_MODES", 100)
         out = naive_search(ev, q)
         assert out.sweep["method"] == "screen"
         ref = walked(ev, q, 100)
-        assert out.detections and out.detections == ref.detections
+        assert out.detections.size
+        assert out.detections.tobytes() == ref.detections.tobytes()
         assert out.per_layer_observed.tolist() == ref.per_layer_observed.tolist()
 
     @pytest.mark.parametrize("make", [
@@ -1037,9 +1045,10 @@ class TestScreenedSweep:
     def test_other_evaluators_take_the_walk(self, make, monkeypatch):
         tree = TreeConfig(num_layers=3, root_count=4, branching=(3, 8), costs=(1.0, 2.0, 0.5))
         ev = make(tree)
-        monkeypatch.setattr(engine, "_SWEEP_CHUNK", 10)
+        monkeypatch.setattr(engine, "_SEARCH_CHUNK", 10)
         out = naive_search(ev, 7.0)
         ref = walked(ev, 7.0, 10)
         assert out.sweep["method"] == "walk"
-        assert out.detections and out.detections == ref.detections
+        assert out.detections.size
+        assert out.detections.tobytes() == ref.detections.tobytes()
         assert out.total_cost == ref.total_cost == 96 * 0.5

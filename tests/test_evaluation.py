@@ -425,8 +425,7 @@ def reference_power_sim(task, st, window=None):
     sweep_hit = bool(window.size
                      and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
     outcomes = run_search(st["strategies"], ev, st["q_reject"])
-    hits = [bool(np.isin([node.index for node, _ in o.detections], window).any())
-            for o in outcomes]
+    hits = [bool(np.isin(o.detections["index"], window).any()) for o in outcomes]
     G = spec.num_layers
     nodes = sum(np.unique(window // descendant_count(grid.tree, layer, G)).size
                 for layer in range(1, G + 1))
