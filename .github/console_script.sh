@@ -65,6 +65,12 @@ blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --ome
 test "$(wc -l < curve_mixed.csv)" -eq 4
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed1.csv
 cmp curve_mixed.csv curve_mixed1.csv
+# a search that writes its observed log on the mixed grid writes the same bytes twice
+blindsearch fit --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambda 0.01 --paths 3000 --qtrain-quantile 0.99 --seed 1 --out strategy_mixed.json
+blindsearch search --strategy strategy_mixed.json --photons-file photons_mixed.txt --qreject 12 --emit-observed --out-dir search_mixed
+blindsearch search --strategy strategy_mixed.json --photons-file photons_mixed.txt --qreject 12 --emit-observed --out-dir search_mixed2
+cmp search_mixed/observed.csv search_mixed2/observed.csv
+cmp search_mixed/detections.csv search_mixed2/detections.csv
 # malformed input exits 3: a list value that is not numbers, and a strategy whose tree is a list
 printf 'lambdas = abc\n' > bad_lambdas.cfg
 rc=0
@@ -89,6 +95,12 @@ rc=0
 blindsearch naive --photons-file inf_span.txt --qreject 12 --out-dir inf_sweep 2> inf_sweep.err || rc=$?
 test "$rc" -eq 3
 grep -q 'inf_span.txt' inf_sweep.err
+# a grid whose phases reach 2^40 cycles exits 3: one position at 1 Hz over 1e13 s
+printf '# T=1e13\n1.0\n2.0\n' > far_photons.txt
+rc=0
+blindsearch naive --photons-file far_photons.txt --omega-min 1.0 --omega-max 1.0 --omegadot-min=0 --omegadot-max=0 --layers 3 --qreject 12 --out-dir far_sweep 2> far_sweep.err || rc=$?
+test "$rc" -eq 3
+grep -q 'phase bound' far_sweep.err
 # two thetas that would write the same file exit 3 before any work, writing no CSV
 rc=0
 blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambdas 0.01 --thetas 0.5,0.5 --sims 2 --paths 2000 --qreject 12 --workers 1 --seed 1 --out dup_curve.csv || rc=$?

@@ -69,6 +69,8 @@ _PHASOR_BITS = 10
 _PHASOR_TABLE = np.exp(1j * (8 * np.arctan(np.longdouble(1)))  # 2 pi in extended precision
                        * np.arange(1 << _PHASOR_BITS, dtype=np.longdouble)
                        / (1 << _PHASOR_BITS)).astype(complex)
+_ROUNDING = 1.5 * 2.0 ** (52 - _PHASOR_BITS)  # doubles near it lie 2^-_PHASOR_BITS apart
+_MAX_CYCLES = 2.0 ** 40  # PulsarGrid's phase bound; _unit_phasors is exact below 2^41
 
 
 def _unit_phasors(cycles: np.ndarray, out: np.ndarray, index: np.ndarray,
@@ -77,7 +79,12 @@ def _unit_phasors(cycles: np.ndarray, out: np.ndarray, index: np.ndarray,
 
     The phase splits exactly as cycles = k / 1024 + r, with k =
     rint(1024 cycles) and |r| <= 1/2048, so even a phase of millions of
-    cycles keeps every bit of its fraction. A 1024-entry table gives
+    cycles keeps every bit of its fraction. Adding _ROUNDING = 1.5 * 2^42
+    rounds the phase to a multiple of 1/1024, the spacing of doubles in
+    [2^42, 2^43), with the ties to even of ``np.rint``; the low 10 bits of
+    the sum are k mod 1024, and subtracting the constant again leaves k /
+    1024 exactly. That holds for |cycles| < 2^41, which ``PulsarGrid``
+    keeps with a factor of two to spare. A 1024-entry table gives
     exp(2 pi i k / 1024); a Taylor series in x = 2 pi r, |x| <= pi/1024,
     gives the rest: cos to x^4 and sin to x^5, since the next terms,
     x^6/720 and x^7/5040, stay below 1.2e-18, under half an ulp of 1.
@@ -92,11 +99,9 @@ def _unit_phasors(cycles: np.ndarray, out: np.ndarray, index: np.ndarray,
     half = work.reshape(-1).view(np.float64)
     sq = half[:cycles.size].reshape(cycles.shape)
     acc = half[cycles.size:].reshape(cycles.shape)
-    np.multiply(cycles, 1 << _PHASOR_BITS, out=sq)
-    np.rint(sq, out=sq)
-    np.copyto(index, sq, casting="unsafe")
-    index &= (1 << _PHASOR_BITS) - 1
-    sq *= 1.0 / (1 << _PHASOR_BITS)
+    np.add(cycles, _ROUNDING, out=sq)
+    np.bitwise_and(sq.view(np.int64), (1 << _PHASOR_BITS) - 1, out=index)
+    sq -= _ROUNDING  # exact: k / 1024
     cycles -= sq  # exact: r
     cycles *= TWO_PI
     np.multiply(cycles, cycles, out=sq)
@@ -137,28 +142,36 @@ def _block_power(z: np.ndarray, ends: np.ndarray) -> np.ndarray:
     block's exclusive end index, the last one m: shape (nblocks,) when
     the rows share their photons, (rows, nblocks) when each row has its
     own. A single block takes numpy's pairwise sum, as
-    ``rayleigh_power`` does. More blocks take one ``np.add.reduceat``
-    over the flattened rows, started at the non-empty blocks only: empty
-    blocks add nothing, and each row's first non-empty block starts at
-    its first photon, so the segments tile the array. A second
+    ``rayleigh_power`` does. More blocks take ``np.add.reduceat``,
+    started at the non-empty blocks only: empty blocks add nothing, and
+    each row's first non-empty block starts at its first photon, so the
+    segments tile the row. Shared blocks are summed by one ``reduceat``
+    along the photon axis; each row's own blocks by one over the
+    flattened rows, which sums every segment in the same order. A second
     ``reduceat`` sums each row's block powers. Every sum covers one row
-    only, so a row's value does not depend on the rows beside it.
+    only, so a row's value does not depend on the rows beside it, nor on
+    whether its blocks were given shared or per row.
     """
     if ends.shape[-1] == 1:
         re = z.real.sum(axis=1)
         im = z.imag.sum(axis=1)
         return re * re + im * im
     rows, m = z.shape
-    begins = np.zeros((rows, ends.shape[-1]), dtype=np.int64)
-    begins[:, 1:] = ends[..., :-1]
-    keep = begins < ends
-    begins += m * np.arange(rows)[:, None]
-    s = np.add.reduceat(z.reshape(-1), begins[keep])
+    if ends.ndim == 1:
+        begins = np.concatenate(([0], ends[:-1]))
+        s = np.add.reduceat(z, begins[begins < ends], axis=1)
+        first = s.shape[1] * np.arange(rows)
+    else:
+        begins = np.zeros((rows, ends.shape[-1]), dtype=np.int64)
+        begins[:, 1:] = ends[:, :-1]
+        keep = begins < ends
+        begins += m * np.arange(rows)[:, None]
+        s = np.add.reduceat(z.reshape(-1), begins[keep])
+        first = np.zeros(rows, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1)[:-1], out=first[1:])
     power = s.real * s.real
     power += s.imag * s.imag
-    first = np.zeros(rows, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1)[:-1], out=first[1:])
-    return np.add.reduceat(power, first)
+    return np.add.reduceat(power.reshape(-1), first)
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,9 @@ class PulsarGrid:
     only splits while its next-layer spacing still fits inside the box,
     so a degenerate drift range yields pure frequency branching and the
     full-resolution case is 8-ary (2 frequency x 4 drift). Children near
-    the box edge may probe slightly outside it.
+    the box edge may probe slightly outside it. A grid whose phase bound,
+    max|omega| * span + max|omegadot| * span^2 / 2 over its lattice,
+    reaches 2^40 cycles is refused: ``_unit_phasors`` is exact below 2^41.
     """
 
     def __init__(self, spec: GridSpec, span: float, costs=None):
@@ -233,6 +248,15 @@ class PulsarGrid:
         mid_d = 0.5 * (spec.omegadot_min + spec.omegadot_max)
         self.omega_start = mid_w - 0.5 * self.n1_omega * self.d_omega[0]
         self.omegadot_start = mid_d - 0.5 * self.n1_omegadot * self.d_omegadot[0]
+        # every node lies within n1 * d[0] above the lattice start of each dimension
+        end_w = self.omega_start + self.n1_omega * self.d_omega[0]
+        end_d = self.omegadot_start + self.n1_omegadot * self.d_omegadot[0]
+        top_w = max(abs(self.omega_start), abs(end_w))
+        top_d = max(abs(self.omegadot_start), abs(end_d))
+        bound = top_w * self.span + top_d * self.span * self.span / 2
+        if not bound < _MAX_CYCLES:  # NaN too
+            raise ValueError(f"phase bound max|omega| * span + max|omegadot| * span^2 / 2 = "
+                             f"{bound:.4g} cycles reaches 2^40")
 
     def kappa(self, layer: int) -> int:
         """Blocking exponent at a layer: leaves are fully coherent."""
@@ -417,15 +441,18 @@ def _gridded_sums(plan: _GriddingPlan, cs):
     """
     filled = 0
     for grid, c in zip(plan.grids, cs):  # zip draws no c once the grids run out
-        grid.fill(0.0)
         for lo in range(0, c.size, plan.rows):
             w, at = (plan.weights, plan.slots) if lo == 0 else plan.spread(lo)
             tile = c[lo:lo + plan.rows, None]
             terms = np.empty(w.shape + (2,))
             np.multiply(w, tile.real, out=terms[:, :, 0])
             np.multiply(w, tile.imag, out=terms[:, :, 1])
-            grid += np.bincount(at, terms.ravel(), grid.size)
-            del w, at, terms  # the next tile's spread need not hold this one's
+            sums = np.bincount(at, terms.ravel(), grid.size)
+            if lo:
+                grid += sums
+            else:  # the grid's first fill: bincount sums from +0.0, as 0.0 + sums would
+                grid[:] = sums
+            del w, at, terms, sums  # the next tile's spread need not hold this one's
         filled += 1
     spectra = plan.grids[:filled].view(complex)
     np.fft.ifft(spectra, axis=1, out=spectra)  # in place; out= is numpy >= 2.0
@@ -477,15 +504,22 @@ class PulsarEvaluator:
         z = np.empty((rows, m), dtype=complex)
         index = np.empty((rows, m), dtype=np.int64)
         work = np.empty((rows, m), dtype=complex)
+        # nodes of one drift, as on a grid whose drift range fits in one cell,
+        # share one drift row: the same bits as each row's own
+        bits = half.view(np.int64)
+        drift_row = half[0] * t * t if np.all(bits == bits[0]) else None
         for lo in range(0, out.size, rows):
             hi = min(lo + rows, out.size)
             ct, zt, it, wt = c[:hi - lo], z[:hi - lo], index[:hi - lo], work[:hi - lo]
-            # the drift term borrows work's memory until _unit_phasors takes it over
-            drift = wt.reshape(-1).view(np.float64)[:ct.size].reshape(ct.shape)
             np.multiply(omega[lo:hi, None], t, out=ct)
-            np.multiply(half[lo:hi, None], t, out=drift)
-            drift *= t
-            ct += drift
+            if drift_row is not None:
+                ct += drift_row
+            else:
+                # the drift term borrows work's memory until _unit_phasors takes it over
+                drift = wt.reshape(-1).view(np.float64)[:ct.size].reshape(ct.shape)
+                np.multiply(half[lo:hi, None], t, out=drift)
+                drift *= t
+                ct += drift
             _unit_phasors(ct, zt, it, wt)
             out[lo:hi] = _block_power(zt, ends)
         return 2.0 * out / m
@@ -927,6 +961,16 @@ def default_q_reject(tree: TreeConfig, alpha: float = 0.05, n_effective=None) ->
     return chi2_2_isf(min(alpha / n_effective, 1.0))
 
 
+def _reprs(values: np.ndarray) -> list:
+    """``repr`` of each float64 of ``values``, formatted once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its own text.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_detections_csv(path, outcome: SearchOutcome, evaluator) -> None:
     """Detections as CSV: omega_hz, omegadot_s2, statistic, leaf_index.
 
@@ -936,8 +980,8 @@ def write_detections_csv(path, outcome: SearchOutcome, evaluator) -> None:
     om, od = evaluator.node_params(evaluator.tree.num_layers, det["index"])
     with open(path, "w") as fh:
         fh.write("omega_hz,omegadot_s2,statistic,leaf_index\n")
-        fh.writelines(f"{w!r},{d!r},{v!r},{i}\n" for w, d, v, i in
-                      zip(om.tolist(), od.tolist(), det["statistic"].tolist(),
+        fh.writelines(f"{w},{d},{v!r},{i}\n" for w, d, v, i in
+                      zip(_reprs(om), _reprs(od), det["statistic"].tolist(),
                           det["index"].tolist()))
 
 
@@ -954,7 +998,8 @@ def write_observed_csv(path, outcome: SearchOutcome, evaluator) -> None:
     """Observed-node log as CSV: layer, node_index, omega_hz, omegadot_s2, statistic, action.
 
     Rows follow the log's (layer, node_index) order. The evaluator's
-    ``node_params`` is called once per layer.
+    ``node_params`` is called once per layer, and each distinct omega and
+    omegadot of the layer is formatted once.
     """
     log = outcome.observed_log
     if log is None:
@@ -964,6 +1009,6 @@ def write_observed_csv(path, outcome: SearchOutcome, evaluator) -> None:
         for layer in np.unique(log["layer"]).tolist():
             rows = log[log["layer"] == layer]
             om, od = evaluator.node_params(layer, rows["index"])
-            fh.writelines(f"{layer},{i},{w!r},{d!r},{v!r},{a}\n" for i, w, d, v, a in
-                          zip(rows["index"].tolist(), om.tolist(), od.tolist(),
+            fh.writelines(f"{layer},{i},{w},{d},{v!r},{a}\n" for i, w, d, v, a in
+                          zip(rows["index"].tolist(), _reprs(om), _reprs(od),
                               rows["statistic"].tolist(), rows["action"].tolist()))

@@ -259,6 +259,28 @@ class TestSearch:
         assert bad.name in err
         assert "Traceback" not in err
 
+    def test_grid_beyond_the_phase_bound_is_data_error(self, tmp_path, capsys):
+        doc = json.loads(fit(tmp_path).read_text())
+        doc["grid"].update(FAR_GRID, span=1e13)
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(doc))
+        rc = cli.run(["search", "--strategy", str(far), "--photons-file",
+                      str(far_photons(tmp_path)), "--out-dir", str(tmp_path / "y")])
+        err = capsys.readouterr().err
+        assert rc == cli.DATA_ERROR
+        assert far.name in err and "phase bound" in err
+        assert not (tmp_path / "y").exists()
+
+
+# one grid position observed for 1e13 s: 1e13 cycles at 1 Hz, beyond the 2^40-cycle phase bound
+FAR_GRID = {"omega_min": 1.0, "omega_max": 1.0, "omegadot_min": 0.0, "omegadot_max": 0.0}
+
+
+def far_photons(tmp_path):
+    photons = tmp_path / "far.txt"
+    photons.write_text("# T=1e13\n1.0\n2.0\n")
+    return photons
+
 
 class TestNaive:
     def test_matches_leaf_sweep_format(self, tmp_path):
@@ -309,6 +331,16 @@ class TestNaive:
         err = capsys.readouterr().err
         assert rc == cli.DATA_ERROR
         assert f"{photons}: span must be positive and finite" in err
+        assert not (tmp_path / "naive").exists()
+
+
+    def test_grid_beyond_the_phase_bound_is_data_error(self, tmp_path, capsys):
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in FAR_GRID.items()]
+        rc = cli.run(["naive", *flags, "--layers", "3", "--photons-file",
+                      str(far_photons(tmp_path)), "--qreject", "12",
+                      "--out-dir", str(tmp_path / "naive")])
+        assert rc == cli.DATA_ERROR
+        assert "phase bound" in capsys.readouterr().err
         assert not (tmp_path / "naive").exists()
 
 

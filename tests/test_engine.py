@@ -103,11 +103,21 @@ class TestGridGeometry:
     @pytest.mark.parametrize("span, reason", [
         (math.inf, "span must be positive and finite"),
         (math.nan, "span must be positive and finite"),
-        (1e300, "root count that is not finite"),  # the drift spacing underflows to 0
+        # the drift spacing underflows to 0; the phase bound, checked later, is passed too
+        (1e300, "root count that is not finite"),
     ])
     def test_span_without_finite_spacings_rejected(self, span, reason):
         with pytest.raises(ValueError, match=reason):
             PulsarGrid(GridSpec(1.0, 5.0, -5e-11, 0.0, num_layers=9, oversampling=3), span)
+
+    @pytest.mark.parametrize("spec, span", [
+        (GridSpec(1.0, 1.0, 0.0, 0.0, num_layers=3), 2.0 ** 40),  # omega * span
+        (GridSpec(1e-6, 1e-6, -1.0, -1.0, num_layers=3), 2.0 ** 20.5),  # omegadot * span^2 / 2
+    ])
+    def test_phase_bound_rejected(self, spec, span):
+        with pytest.raises(ValueError, match=r"phase bound .* reaches 2\^40"):
+            PulsarGrid(spec, span)
+        PulsarGrid(spec, span * (1 - 1e-6))  # a little shorter passes
 
 
 class TestPulsarEvaluator:
@@ -260,6 +270,8 @@ class TestAnchoredKernel:
     def test_too_many_layers_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             PulsarGrid(GridSpec(1.0, 1.0, 0.0, 0.0, num_layers=40, oversampling=3), 10.0)
+        with pytest.raises(ValueError, match="too large"):  # checked before the phase bound
+            PulsarGrid(GridSpec(1.0, 1.0, 0.0, 0.0, num_layers=40, oversampling=3), 1e13)
 
 
 class TestIndexRange:
@@ -310,6 +322,37 @@ class TestUnitPhasors:
                                    np.empty(cycles.shape, dtype=complex))
         assert np.array_equal(got[0], engine._PHASOR_TABLE[k % 1024])
 
+    @staticmethod
+    def by_rint(cycles):
+        """The phasors with k = rint(1024 cycles), then the kernel's table and series."""
+        sq = np.rint(cycles * 1024.0)
+        index = sq.astype(np.int64) & 1023
+        x = (cycles - sq * (1.0 / 1024.0)) * TWO_PI
+        x2 = x * x
+        z = np.empty(cycles.shape, dtype=complex)
+        z.real = (x2 * (1.0 / 24.0) - 0.5) * x2 + 1.0
+        z.imag = (x2 * (1.0 / 120.0) - 1.0 / 6.0) * x2 * x + x
+        # named, so that numpy cannot write the product into a temporary second
+        # operand: a complex product computed that way can differ in its last bit
+        table = engine._PHASOR_TABLE[index]
+        return z * table
+
+    def test_equals_the_rint_formula(self):
+        rng = np.random.default_rng(9)
+        ties = (np.concatenate([np.arange(-3000, 3000), [2 ** 49, 2 ** 49 + 7, 2 ** 50 - 1]])
+                + 0.5) / 1024.0  # halfway between table points, up to 2^40 cycles
+        cycles = np.concatenate([
+            rng.uniform(-2.0 ** 40, 2.0 ** 40, 4000),
+            rng.uniform(-1.0, 1.0, 4000) * 2.0 ** rng.integers(-30, 40, 4000),
+            ties, -ties, [0.0, -0.0],
+            np.arange(-4096, 4097) / 1024.0,  # table points
+        ])
+        cycles = np.resize(cycles, (len(cycles) // 8 + 1, 8))  # the kernel's 2-D layout
+        got = engine._unit_phasors(cycles.copy(), np.empty(cycles.shape, dtype=complex),
+                                   np.empty(cycles.shape, dtype=np.int64),
+                                   np.empty(cycles.shape, dtype=complex))
+        assert got.tobytes() == self.by_rint(cycles).tobytes()
+
 
 class TestBlockPower:
     M = 10
@@ -345,6 +388,54 @@ class TestBlockPower:
         for i in range(len(z)):
             alone = engine._block_power(z[i:i + 1], ends if shared else ends[i:i + 1])
             assert alone[0] == got[i], i
+
+    def test_shared_ends_give_the_per_row_bits(self):
+        rng = np.random.default_rng(6)
+        cases = [(self.phasors(len(self.PER_ROW)), self.SHARED)]
+        for rows, m, blocks in ((9, 300, 256), (40, 1072, 128), (3, 17, 64)):
+            ends = np.sort(rng.integers(0, m + 1, blocks))  # some blocks empty
+            ends[-1] = m
+            cases.append((np.exp(2j * np.pi * rng.random((rows, m))), ends))
+        for z, ends in cases:
+            tiled = np.tile(ends, (len(z), 1))
+            assert engine._block_power(z, ends).tobytes() == engine._block_power(
+                z, tiled).tobytes()
+
+
+def reference_chain(ev, layer, idx):
+    """Node by node: the phase formula, ``_unit_phasors`` and a per-row ``_block_power``."""
+    t = ev.photons.times
+    step = 1 << (layer - 1)
+    ends = ev._ends[None, step - 1::step]
+    out = []
+    for w, d in zip(*ev.grid.node_params(layer, idx)):
+        c = (w * t + 0.5 * d * t * t)[None, :]
+        z = engine._unit_phasors(c, np.empty(c.shape, dtype=complex),
+                                 np.empty(c.shape, dtype=np.int64),
+                                 np.empty(c.shape, dtype=complex))
+        out.append(engine._block_power(z, ends)[0])
+    return 2.0 * np.array(out) / t.size
+
+
+class TestEvaluateBits:
+    # one drift per layer, as on the desk grid, and drift split 4 ways per layer
+    GRIDS = {"single_drift": (GridSpec(1.0, 2.0, -1e-5, 0.0, num_layers=4, oversampling=3), 50.0),
+             "eight_ary": KERNEL_GRIDS["eight_ary"]}
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_equals_the_reference_chain(self, name):
+        spec, span = self.GRIDS[name]
+        fd = FreqDrift(0.5 * (spec.omega_min + spec.omega_max), spec.omegadot_min / 3)
+        photons = simulate_photons(SignalSpec(fd, 0.6, 70, span), 4)
+        ev = PulsarEvaluator(photons, PulsarGrid(spec, photons.span))
+        for layer in ev.tree.layers():
+            idx = np.arange(nodes_in_layer(ev.tree, layer))
+            _, od = ev.grid.node_params(layer, idx)
+            assert (np.unique(od).size == 1) == (name == "single_drift")
+            want = reference_chain(ev, layer, idx).tobytes()
+            assert ev.evaluate(layer, idx).tobytes() == want
+            alone = np.concatenate([ev.evaluate(layer, [i]) for i in idx.tolist()])
+            assert alone.tobytes() == want
 
 
 class TestSparsePeakEvaluator:
@@ -641,6 +732,36 @@ def test_csv_writers(tmp_path):
     bare = run_search(strat, ev, q_reject=12.0)
     with pytest.raises(ValueError):
         write_observed_csv(tmp_path / "x.csv", bare, ev)
+
+
+def per_row_csv(outcome, ev):
+    """detections.csv and observed.csv bytes with one ``repr`` per cell (a reference)."""
+    def params(layer, index):
+        om, od = ev.node_params(layer, np.array([index]))
+        return repr(float(om[0])), repr(float(od[0]))
+
+    G = ev.tree.num_layers
+    det = "omega_hz,omegadot_s2,statistic,leaf_index\n" + "".join(
+        "{},{},{!r},{}\n".format(*params(G, i), v, i) for i, v in outcome.detections.tolist())
+    obs = "layer,node_index,omega_hz,omegadot_s2,statistic,action\n" + "".join(
+        "{},{},{},{},{!r},{}\n".format(layer, i, *params(layer, i), v, a)
+        for layer, i, v, a in outcome.observed_log.tolist())
+    return det.encode(), obs.encode()
+
+
+def test_csv_writers_equal_the_per_row_repr(tmp_path):
+    ev = kernel_case("eight_ary")
+    out = run_search(threshold_strategy(ev.tree, cut=2.0), ev, 6.0, emit_observed=True)
+    leaves = out.observed_log[out.observed_log["layer"] == ev.tree.num_layers]
+    om, od = ev.node_params(ev.tree.num_layers, leaves["index"])
+    assert out.detections.size > 1
+    assert np.unique(om).size < om.size and np.unique(od).size < od.size  # values repeat
+    write_detections_csv(tmp_path / "d.csv", out, ev)
+    write_observed_csv(tmp_path / "o.csv", out, ev)
+    det, obs = per_row_csv(out, ev)
+    assert (tmp_path / "d.csv").read_bytes() == det
+    assert (tmp_path / "o.csv").read_bytes() == obs
+    assert engine._reprs(np.array([0.0, -0.0, 1.5, 0.0])) == ["0.0", "-0.0", "1.5", "0.0"]
 
 
 # (spec, span) of grids: frequency only, 8-ary, one frequency position with drift
