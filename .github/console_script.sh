@@ -65,6 +65,10 @@ blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --ome
 test "$(wc -l < curve_mixed.csv)" -eq 4
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed1.csv
 cmp curve_mixed.csv curve_mixed1.csv
+# the strategies walk each null dataset in turn over one evaluator that computes each
+# node once, so the lambdas' order moves no lambda's point
+blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 1.0,0.01,0.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed_rev.csv
+diff <(tail -n +2 curve_mixed1.csv | sort) <(tail -n +2 curve_mixed_rev.csv | sort)
 # a search that writes its observed log on the mixed grid writes the same bytes twice
 blindsearch fit --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambda 0.01 --paths 3000 --qtrain-quantile 0.99 --seed 1 --out strategy_mixed.json
 blindsearch search --strategy strategy_mixed.json --photons-file photons_mixed.txt --qreject 12 --emit-observed --out-dir search_mixed

@@ -469,7 +469,10 @@ class PulsarEvaluator:
     exp(2 pi i c_j) of ``_unit_phasors`` over each time block. A node's
     value depends on its parameters alone, so it is the same in every
     call and tile, and lies within about 1e-13 of max(1, value) of
-    ``stats.blocked_power``.
+    ``stats.blocked_power``. One exception: on a one-photon series,
+    numpy's one-element complex product rounds differently, so a node
+    alone in a call may differ in its last bit from the same node in a
+    larger call; there every node reads 2 up to that bit.
     """
 
     def __init__(self, photons: PhotonSeries, grid: PulsarGrid):
@@ -681,11 +684,8 @@ class SearchOutcome:
     calls made and the wall seconds spent on the layer's nodes
     (evaluating, deciding and queueing their descendants). In a screened
     leaf sweep the leaf layer's calls count the screen segments plus the
-    confirming ``evaluate`` calls. When ``run_search`` walks several
-    strategies at once, they count the calls and seconds of the shared
-    walk, the same in every strategy's outcome, and so does
-    ``peak_tracked``. They are timings for reports, never for the data
-    files.
+    confirming ``evaluate`` calls. They are timings for reports, never
+    for the data files.
 
     ``sweep`` is set by ``naive_search`` only: {"method": "screen" or
     "walk", "segments": screen segments, "confirmed": leaves the exact
@@ -715,91 +715,17 @@ def _total_cost(tree: TreeConfig, observed: np.ndarray) -> float:
     return sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
 
 
-class _Track:
-    """One decide function's share of a walk: its pending ranges and its findings."""
+def _walk(evaluator, decide, start: int, q_reject: float,
+          emit_observed: bool = False) -> SearchOutcome:
+    """Observe every ``start``-layer node and follow ``decide`` down the tree.
 
-    def __init__(self, decide, tree: TreeConfig, q_reject: float, emit_observed: bool):
-        self.decide = decide
-        self.tree = tree
-        self.q_reject = q_reject
-        # layer -> (lo, hi) array pairs; the ranges are disjoint, since every
-        # observed node has exactly one observed ancestor that jumped to it
-        self.pending = {}
-        self.queued = 0  # pending ranges
-        self.observed = np.zeros(tree.num_layers, dtype=np.int64)
-        self.detections = []  # (indices, values) array pairs
-        self.detected = 0
-        self.log = [] if emit_observed else None
-        self.logged = 0
-
-    def take(self, layer: int):
-        """This layer's pending ranges as sorted (lo, hi) arrays, or None."""
-        if layer not in self.pending:
-            return None
-        los, his = zip(*self.pending.pop(layer))
-        lo, hi = np.concatenate(los), np.concatenate(his)
-        order = np.argsort(lo)
-        return lo[order], hi[order]
-
-    def step(self, layer: int, idx: np.ndarray, vals: np.ndarray) -> None:
-        """Record its nodes ``idx`` and act on their values."""
-        tree = self.tree
-        G = tree.num_layers
-        self.observed[layer - 1] += idx.size
-        if layer == G:
-            acts = np.zeros(idx.size, dtype=np.int64)
-            hit = np.flatnonzero(vals >= self.q_reject)
-            if hit.size:
-                self.detections.append((idx[hit], vals[hit]))
-                self.detected += hit.size
-        else:
-            acts = self.decide(layer, vals)
-            # maximal runs of one action over consecutive indices
-            cut = np.flatnonzero((np.diff(acts) != 0) | (np.diff(idx) != 1)) + 1
-            run_lo = np.concatenate(([0], cut))
-            run_hi = np.concatenate((cut, [idx.size]))
-            run_act = acts[run_lo]
-            for s in np.unique(run_act[run_act > 0]).tolist():
-                b = descendant_count(tree, layer, s)
-                sel = run_act == s
-                self.pending.setdefault(s, []).append(
-                    (idx[run_lo[sel]] * b, (idx[run_hi[sel] - 1] + 1) * b))
-                self.queued += int(sel.sum())
-        if self.log is not None:
-            self.log.append((np.full(idx.size, layer), idx, vals, acts))
-            self.logged += idx.size
-
-
-def _union(ranges) -> tuple:
-    """Sorted, disjoint (lo, hi) covering every node of several range sets."""
-    lo = np.concatenate([r[0] for r in ranges])
-    hi = np.concatenate([r[1] for r in ranges])
-    order = np.argsort(lo)
-    lo, hi = lo[order], hi[order]
-    reach = np.maximum.accumulate(hi)
-    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
-    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
-
-
-def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
-          emit_observed: bool = False) -> list:
-    """Observe every ``start``-layer node and follow each decide function down the tree.
-
-    ``decides`` holds one decide function per strategy; ``decide(layer,
-    values)`` maps each statistic to 0 (stop) or the deeper layer whose
-    descendants become pending in turn. Start-layer nodes are taken in
-    consecutive groups of ``chunk_size``, and the strategies walk each
-    group in lockstep. Inside a group the layers run in order: per layer,
-    the union of every strategy's pending ``[lo, hi)`` ranges is cut into
-    ``evaluate`` calls of at most ``chunk_size`` nodes, so a node that
-    several strategies observe is evaluated once, and each strategy gets
-    the values of its own nodes. Leaves reaching ``q_reject`` are
-    detections.
-
-    Returns one SearchOutcome per decide function. Each strategy keeps
-    its own observed counts, cost, detections and log, equal to those of
-    walking it alone; ``evaluate_calls``, ``seconds`` and
-    ``peak_tracked`` describe the shared walk.
+    ``decide(layer, values)`` maps each statistic to 0 (stop) or the
+    deeper layer whose descendants become pending in turn; with ``start``
+    at the leaf layer it is never called, and may be None. Start-layer
+    nodes are taken in consecutive groups of ``_SEARCH_CHUNK``. Inside a
+    group the layers run in order: a layer's pending ``[lo, hi)`` ranges
+    are sorted and cut into ``evaluate`` calls of at most
+    ``_SEARCH_CHUNK`` nodes. Leaves reaching ``q_reject`` are detections.
     """
     _check_search_args(q_reject)
     tree = evaluator.tree
@@ -807,51 +733,72 @@ def _walk(evaluator, decides, start: int, q_reject: float, chunk_size: int,
     n = nodes_in_layer(tree, start)
     if n >= _MAX_ENGINE_NODES:
         raise ValueError(f"layer {start} too large for engine indexing")
-    tracks = [_Track(decide, tree, q_reject, emit_observed) for decide in decides]
+    chunk = _SEARCH_CHUNK
+    observed = np.zeros(G, dtype=np.int64)
     calls = np.zeros(G, dtype=np.int64)
     seconds = np.zeros(G)
-    peak = 0
-    for first in range(0, n, chunk_size):
-        for t in tracks:
-            t.pending[start] = [(np.array([first]), np.array([min(first + chunk_size, n)]))]
-            t.queued += 1
+    detections = []  # (indices, values) array pairs
+    log = [] if emit_observed else None
+    detected = logged = peak = 0
+    for first in range(0, n, chunk):
+        # layer -> (lo, hi) array pairs; the ranges are disjoint, since every
+        # observed node has exactly one observed ancestor that jumped to it
+        pending = {start: [(np.array([first]), np.array([min(first + chunk, n)]))]}
+        queued = 1  # pending ranges
         for layer in range(start, G + 1):
-            began = time.perf_counter()
-            parts = [(t, r) for t in tracks if (r := t.take(layer)) is not None]
-            if not parts:
+            if layer not in pending:
                 continue
-            lo, hi = _union([r for _, r in parts])
+            began = time.perf_counter()
+            los, his = zip(*pending.pop(layer))
+            lo, hi = np.concatenate(los), np.concatenate(his)
+            order = np.argsort(lo)
+            lo, hi = lo[order], hi[order]
             ends = np.cumsum(hi - lo)
             shift = hi - ends  # node index minus queue position, per range
-            for pos_lo in range(0, int(ends[-1]), chunk_size):
-                pos = np.arange(pos_lo, min(pos_lo + chunk_size, int(ends[-1])))
+            for pos_lo in range(0, int(ends[-1]), chunk):
+                pos = np.arange(pos_lo, min(pos_lo + chunk, int(ends[-1])))
                 idx = pos + shift[np.searchsorted(ends, pos, side="right")]
                 vals = np.asarray(evaluator.evaluate(layer, idx), dtype=float)
                 if not np.all(np.isfinite(vals)):
                     raise ValueError("evaluator produced non-finite statistics")
+                observed[layer - 1] += idx.size
                 calls[layer - 1] += 1
-                for t, (t_lo, t_hi) in parts:
-                    # the nodes of this call in one of the strategy's ranges
-                    j = np.searchsorted(t_lo, idx, side="right") - 1
-                    mine = (j >= 0) & (idx < t_hi[j])
-                    if mine.any():
-                        t.step(layer, idx[mine], vals[mine])
-                peak = max(peak, idx.size + sum(t.queued + t.detected + t.logged
-                                                for t in tracks))
-            for t, (t_lo, _) in parts:
-                t.queued -= t_lo.size
+                if layer == G:
+                    acts = np.zeros(idx.size, dtype=np.int64)
+                    hit = np.flatnonzero(vals >= q_reject)
+                    if hit.size:
+                        detections.append((idx[hit], vals[hit]))
+                        detected += hit.size
+                else:
+                    acts = decide(layer, vals)
+                    # maximal runs of one action over consecutive indices
+                    cut = np.flatnonzero((np.diff(acts) != 0) | (np.diff(idx) != 1)) + 1
+                    run_lo = np.concatenate(([0], cut))
+                    run_hi = np.concatenate((cut, [idx.size]))
+                    run_act = acts[run_lo]
+                    for s in np.unique(run_act[run_act > 0]).tolist():
+                        b = descendant_count(tree, layer, s)
+                        sel = run_act == s
+                        pending.setdefault(s, []).append(
+                            (idx[run_lo[sel]] * b, (idx[run_hi[sel] - 1] + 1) * b))
+                        queued += int(sel.sum())
+                if log is not None:
+                    log.append((np.full(idx.size, layer), idx, vals, acts))
+                    logged += idx.size
+                peak = max(peak, idx.size + queued + detected + logged)
+            queued -= lo.size
             seconds[layer - 1] += time.perf_counter() - began
-    return [SearchOutcome(detections=_sorted_records(_DETECTION_DTYPE, t.detections, 1),
-                          per_layer_observed=t.observed,
-                          total_cost=_total_cost(tree, t.observed), peak_tracked=peak,
-                          evaluate_calls=calls.copy(), seconds=seconds.copy(),
-                          observed_log=None if t.log is None
-                          else _sorted_records(_LOG_DTYPE, t.log, 2))
-            for t in tracks]
+    return SearchOutcome(detections=_sorted_records(_DETECTION_DTYPE, detections, 1),
+                         per_layer_observed=observed,
+                         total_cost=_total_cost(tree, observed), peak_tracked=peak,
+                         evaluate_calls=calls, seconds=seconds,
+                         observed_log=None if log is None
+                         else _sorted_records(_LOG_DTYPE, log, 2))
 
 
-def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False):
-    """Execute a fitted strategy, or a list of them, over an evaluator's tree.
+def run_search(strategy, evaluator, q_reject: float,
+               emit_observed: bool = False) -> SearchOutcome:
+    """Execute a fitted strategy over an evaluator's tree.
 
     Layer 1 is observed completely; every node given a nonzero action has
     its jump-target descendants observed in turn. Observed leaves whose
@@ -860,20 +807,11 @@ def run_search(strategy, evaluator, q_reject: float, emit_observed: bool = False
     4096 nodes go to one ``evaluate`` call.
 
     Returns a SearchOutcome; with ``emit_observed`` it also carries the
-    log of every observed node. Given a list of strategies on one tree,
-    it walks them in lockstep, evaluates each node that any of them
-    observes once, and returns one SearchOutcome per strategy, each equal
-    to that strategy's own run apart from ``evaluate_calls``, the timings
-    and ``peak_tracked``, which describe the shared walk. One strategy
-    takes the same walk as a list of one.
+    log of every observed node.
     """
-    several = isinstance(strategy, (list, tuple))
-    strategies = list(strategy) if several else [strategy]
-    if any(evaluator.tree != s.tree for s in strategies):
+    if evaluator.tree != strategy.tree:
         raise ValueError("strategy and evaluator disagree on the tree shape")
-    outcomes = _walk(evaluator, [s.decide_batch for s in strategies], 1, q_reject,
-                     _SEARCH_CHUNK, emit_observed)
-    return outcomes if several else outcomes[0]
+    return _walk(evaluator, strategy.decide_batch, 1, q_reject, emit_observed)
 
 
 def naive_search(evaluator, q_reject: float) -> SearchOutcome:
@@ -900,7 +838,7 @@ def naive_search(evaluator, q_reject: float) -> SearchOutcome:
     _check_search_args(q_reject)
     if isinstance(evaluator, PulsarEvaluator):
         return _screened_sweep(evaluator, q_reject)
-    [out] = _walk(evaluator, [None], evaluator.tree.num_layers, q_reject, _SEARCH_CHUNK)
+    out = _walk(evaluator, None, evaluator.tree.num_layers, q_reject)
     out.sweep = {"method": "walk", "segments": 0, "confirmed": 0}
     return out
 

@@ -5,12 +5,13 @@ fit one strategy per lambda from a shared path budget, then measure
 observation cost on null datasets and detection power on signal
 injections at each pulsed fraction theta, both relative to the
 exhaustive leaf sweep. Paths, fits and null datasets do not depend on
-theta and are made once for all thetas. On each null dataset every
-lambda's strategy shares one walk of the tree, so a node that several
-strategies observe is evaluated once, and no leaf statistic is computed,
-since a cost reads none. A power sim walks no tree: it computes the
-leaves of the success window around the injected signal and their
-ancestors, and follows each strategy's decisions down those chains.
+theta and are made once for all thetas. On each null dataset the
+strategies walk the tree in turn over one evaluator that computes each
+node once and keeps its value (16 B per computed non-leaf node, for the
+length of one sim), and no leaf statistic is computed, since a cost reads
+none. A power sim walks no tree: it computes the leaves of the success
+window around the injected signal and their ancestors, and follows each
+strategy's decisions down those chains.
 Progress goes to the ``blindsearch.evaluation`` logger at INFO.
 
 ``exact_dp_oracle`` computes the true optimal value function on small
@@ -125,38 +126,57 @@ def leaf_window(grid: PulsarGrid, fd: FreqDrift, radius_omega: float,
 
 
 class _SimEvaluator:
-    """A null dataset's evaluator as a cost sim reads it, counting the nodes it computes.
+    """A null dataset's evaluator as cost sims read it: each node computed once.
 
-    Above the leaf layer it forwards to ``evaluator``; every leaf reads
-    0.0. A cost counts the nodes a strategy observes, and leaves take no
-    action, so no cost depends on a leaf's value.
+    Above the leaf layer it keeps, per layer, the sorted indices it has
+    computed and their values (16 B a node), and forwards only the unseen
+    indices of a call to ``evaluator``, in one ``evaluate`` call. A
+    node's value does not depend on the call, so every strategy walked
+    over it reads the values it would read alone. ``nodes`` counts the
+    nodes computed. Every leaf reads 0.0: a cost counts the nodes a
+    strategy observes, and leaves take no action, so no cost depends on a
+    leaf's value.
     """
 
     def __init__(self, evaluator):
         self.evaluator = evaluator
         self.tree = evaluator.tree
         self.nodes = 0
+        self.known = {}  # layer -> (sorted computed indices, their values)
 
     def evaluate(self, layer, indices):
-        if layer < self.tree.num_layers:
-            self.nodes += len(indices)
-            return self.evaluator.evaluate(layer, indices)
-        return np.zeros(len(indices))
+        indices = np.asarray(indices, dtype=np.int64)
+        if layer == self.tree.num_layers:
+            return np.zeros(indices.size)
+        keys, vals = self.known.get(layer, (np.empty(0, dtype=np.int64), np.empty(0)))
+        at = np.searchsorted(keys, indices)
+        seen = np.zeros(indices.size, dtype=bool)
+        inside = at < keys.size
+        seen[inside] = keys[at[inside]] == indices[inside]
+        if not seen.all():
+            new = np.unique(indices[~seen])
+            where = np.searchsorted(keys, new)
+            keys = np.insert(keys, where, new)
+            vals = np.insert(vals, where, self.evaluator.evaluate(layer, new))
+            self.known[layer] = keys, vals
+            self.nodes += new.size
+            at = np.searchsorted(keys, indices)
+        return vals[at]
 
 
 def _cost_sim(task, state):
     """(search cost per lambda, node counts) on one global-null dataset.
 
-    Every lambda's strategy walks the dataset in one shared
-    ``run_search`` on a ``_SimEvaluator``, which computes no leaf. The
-    counts are (nodes computed, nodes the strategies observed in all).
+    Each lambda's strategy walks the dataset in turn, by ``run_search``
+    on one ``_SimEvaluator``, which computes each node once and no leaf.
+    The counts are (nodes computed, nodes the strategies observed in all).
     """
     i, seed = task
     grid = state["grid"]
     photons = simulate_photons(
         SignalSpec(REFERENCE_FD, 0.0, state["num_photons"], grid.span), subseed(seed, 1, i))
     ev = _SimEvaluator(PulsarEvaluator(photons, grid))
-    outcomes = run_search(state["strategies"], ev, state["q_reject"])
+    outcomes = [run_search(s, ev, state["q_reject"]) for s in state["strategies"]]
     return ([o.total_cost for o in outcomes],
             (ev.nodes, sum(int(o.per_layer_observed.sum()) for o in outcomes)))
 
@@ -234,16 +254,17 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     1/span^2 in drift of the truth. Every lambda runs on the same
     datasets, so each curve is internally paired, and the injections at
     different thetas share their true parameters. On each null dataset
-    the strategies share one walk (``run_search`` on the list), which
-    evaluates every node once however many of them observe it and
-    computes no leaf, since a cost reads only how many nodes a strategy
-    observes. A hit reads only the success window's leaves, and a leaf is
-    observed exactly when the decisions along its chain of ancestors lead
-    to it, so a power sim evaluates those chains alone. Each lambda's
-    point equals the one a full walk that computes every leaf gives it
-    alone. Deterministic for a given seed, independent of the worker
-    count. When no training path reaches the training threshold it
-    raises ``DegenerateTraining`` before any fit.
+    the strategies walk in turn (``run_search`` on each) over one
+    evaluator that computes every node once however many of them observe
+    it, keeping 16 B per computed non-leaf node for the length of one
+    sim, and computes no leaf, since a cost reads only how many nodes a
+    strategy observes. A hit reads only the success window's leaves, and
+    a leaf is observed exactly when the decisions along its chain of
+    ancestors lead to it, so a power sim evaluates those chains alone.
+    Each lambda's point equals the one a full walk that computes every
+    leaf gives it alone. Deterministic for a given seed, independent of
+    the worker count. When no training path reaches the training
+    threshold it raises ``DegenerateTraining`` before any fit.
 
     Logs at INFO, per phase (cost sims, then power sims), the sims done
     out of the total and, at the phase's end, the nodes whose statistic

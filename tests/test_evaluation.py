@@ -5,12 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from scipy import integrate
 from scipy import special
 from scipy import stats as sps
 
-from blindsearch import evaluation
-from blindsearch.engine import GridSpec, PulsarEvaluator, PulsarGrid, run_search
+from blindsearch import engine, evaluation
+from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, PulsarGrid,
+                                SparsePeakEvaluator, run_search)
 from blindsearch.evaluation import (DESK_SPAN, REFERENCE_FD, REFERENCE_PHOTONS,
                                     TradeoffConfig, desk_scale_config, estimate_tradeoff,
                                     exact_dp_oracle, fitted_payoff_estimate,
@@ -20,9 +22,10 @@ from blindsearch.fit import FitConfig, Strategy, fit_strategy, sample_paths
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
-from blindsearch.tree import descendant_count, nodes_in_layer
+from blindsearch.tree import TreeConfig, descendant_count, nodes_in_layer
 from blindsearch.util import resolve_workers, subseed
-from reference import chain_tree, const_fn, manual_strategy, walk_payoff
+from reference import (chain_tree, const_fn, fitted_strategy, manual_strategy,
+                       search_instance, threshold_strategy, walk_payoff)
 
 
 class TestExactOracle:
@@ -395,8 +398,8 @@ def reference_cost_sim(task, st):
     grid = st["grid"]
     photons = simulate_photons(
         SignalSpec(REFERENCE_FD, 0.0, st["num_photons"], grid.span), subseed(seed, 1, i))
-    outcomes = run_search(st["strategies"], PulsarEvaluator(photons, grid), st["q_reject"])
-    return [o.total_cost for o in outcomes]
+    ev = PulsarEvaluator(photons, grid)
+    return [run_search(s, ev, st["q_reject"]).total_cost for s in st["strategies"]]
 
 
 def reference_power_sim(task, st, window=None):
@@ -424,8 +427,8 @@ def reference_power_sim(task, st, window=None):
                         & (np.abs(od - fd.omegadot) <= 1.0 / grid.span ** 2)]
     sweep_hit = bool(window.size
                      and np.any(ev.evaluate(spec.num_layers, window) >= st["q_reject"]))
-    outcomes = run_search(st["strategies"], ev, st["q_reject"])
-    hits = [bool(np.isin(o.detections["index"], window).any()) for o in outcomes]
+    hits = [bool(np.isin(run_search(s, ev, st["q_reject"]).detections["index"], window).any())
+            for s in st["strategies"]]
     G = spec.num_layers
     nodes = sum(np.unique(window // descendant_count(grid.tree, layer, G)).size
                 for layer in range(1, G + 1))
@@ -533,7 +536,8 @@ class TestSimLeafWork:
         leaves = np.arange(nodes_in_layer(grid.tree, G))
         assert np.any(ev.evaluate(G, leaves) != 0.0)
         np.testing.assert_array_equal(sim.evaluate(G, leaves), np.zeros(leaves.size))
-        assert sim.nodes == 2 * sum(nodes_in_layer(grid.tree, layer) for layer in range(1, G))
+        # the reversed calls are answered from the values kept: each node is computed once
+        assert sim.nodes == sum(nodes_in_layer(grid.tree, layer) for layer in range(1, G))
 
     def test_kernel_sees_no_leaf_outside_the_window(self, state, monkeypatch):
         calls = []
@@ -619,6 +623,90 @@ class TestSimLeafWork:
                 np.testing.assert_array_equal(got, xs)
             deeper += sum(0 < xs.size < window.size for _, _, xs in want)
         assert deeper
+
+
+class CountingEvaluator:
+    """Records every (layer, index) it is asked to evaluate."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.tree = evaluator.tree
+        self.seen = []
+
+    def evaluate(self, layer, indices):
+        self.seen += [(layer, i) for i in np.asarray(indices).tolist()]
+        return self.evaluator.evaluate(layer, indices)
+
+
+@hst.composite
+def sim_walk_instance(draw):
+    tree, _, seed = draw(search_instance())
+    # fitted strategies, and threshold strategies that prune at a drawn cut
+    kinds = hst.one_of(hst.tuples(hst.just("lam"), hst.sampled_from([0.0, 0.02, 0.2, 1.0])),
+                       hst.tuples(hst.just("cut"), hst.floats(0.5, 6.0)))
+    specs = draw(hst.lists(kinds, min_size=1, max_size=4))
+    sparse = draw(hst.booleans())
+    return tree, specs, seed, sparse
+
+
+class TestSimEvaluator:
+    """Strategies walked in turn over one ``_SimEvaluator`` share each node's value."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(sim_walk_instance(), hst.sampled_from([1, 3, 4096]))
+    def test_each_strategy_as_if_alone(self, inst, chunk):
+        tree, specs, seed, sparse = inst
+        G = tree.num_layers
+        strats = [fitted_strategy(tree, x, seed=seed + k) if kind == "lam"
+                  else threshold_strategy(tree, cut=x) for k, (kind, x) in enumerate(specs)]
+        if sparse:
+            ev = SparsePeakEvaluator(tree, peak_leaf=seed % nodes_in_layer(tree, G),
+                                     height=6.0, seed=seed)
+        else:
+            rng = np.random.default_rng(seed)
+            ev = ArrayEvaluator(tree, [rng.chisquare(2, size=nodes_in_layer(tree, l)) + 0.3 * l
+                                       for l in tree.layers()])
+        counted = CountingEvaluator(ev)
+        sim = evaluation._SimEvaluator(counted)
+        backwards = evaluation._SimEvaluator(ev)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_SEARCH_CHUNK", chunk)
+            shared = [run_search(s, sim, 6.0, emit_observed=True) for s in strats]
+            solo = [run_search(s, ev, 6.0, emit_observed=True) for s in strats]
+            reversed_costs = [run_search(s, backwards, 6.0).total_cost for s in strats[::-1]]
+        observed = set()
+        for out, alone in zip(shared, solo):
+            assert out.per_layer_observed.tolist() == alone.per_layer_observed.tolist()
+            assert out.total_cost == alone.total_cost
+            # above the leaves every value, and so every action, is the solo walk's
+            inner = out.observed_log[out.observed_log["layer"] < G]
+            assert inner.tobytes() == alone.observed_log[alone.observed_log["layer"] < G].tobytes()
+            observed |= set(zip(inner["layer"].tolist(), inner["index"].tolist()))
+        # each observed non-leaf node is computed once, and no leaf
+        assert len(counted.seen) == len(set(counted.seen))
+        assert set(counted.seen) == observed
+        assert sim.nodes == len(observed)
+        assert reversed_costs == [o.total_cost for o in shared][::-1]
+        assert backwards.nodes == sim.nodes
+
+    def test_nested_strategies_compute_the_widest_walk(self, monkeypatch):
+        tree = TreeConfig(num_layers=5, root_count=16, branching=(8,) * 4,
+                          costs=(1.0,) * 5)
+        leaves = nodes_in_layer(tree, 5)
+        ev = SparsePeakEvaluator(tree, peak_leaf=leaves // 2, height=80.0, seed=3)
+        strats = [threshold_strategy(tree, cut=cut) for cut in (10.0, 8.0, 6.0)]
+        counted = CountingEvaluator(ev)
+        sim = evaluation._SimEvaluator(counted)
+        monkeypatch.setattr(engine, "_SEARCH_CHUNK", 4)
+        costs = [run_search(s, sim, 25.0).total_cost for s in strats]
+        alone = [run_search(s, ev, 25.0) for s in strats]
+        assert costs == [a.total_cost for a in alone]
+        # the cut-6 strategy observes every node the others do
+        widest = int(alone[-1].per_layer_observed[:-1].sum())
+        assert len(counted.seen) == len(set(counted.seen)) == sim.nodes == widest
+        # a walk over nodes already computed computes nothing more
+        run_search(strats[0], sim, 25.0)
+        assert len(counted.seen) == sim.nodes == widest
 
 
 class TestNaivePowerCheck:
