@@ -61,6 +61,28 @@ EOF
 blindsearch naive --config naive.cfg --photons-file photons_long.txt --out-dir sweep_long_cfg
 cmp sweep_long/detections.csv sweep_long_cfg/detections.csv
 cmp sweep_long/layers.csv sweep_long_cfg/layers.csv
+# the mixed and long sweeps again, all four in one process: each sweep after the first
+# screens in the buffers an earlier one gave back, and writes the separate runs' bytes
+python -c '
+import sys
+from blindsearch.cli import run
+mixed = ["naive", "--photons-file", "photons_mixed.txt", "--omega-min", "1.0",
+         "--omega-max", "1.02", "--omegadot-min=-1e-3", "--omegadot-max=0", "--layers", "5",
+         "--span", "100", "--qreject", "12"]
+long = ["naive", "--photons-file", "photons_long.txt", "--omega-min", "1.0", "--omega-max", "4.0",
+        "--omegadot-min=-1e-6", "--omegadot-max=0", "--layers", "3", "--qreject", "12"]
+long_cfg = ["naive", "--config", "naive.cfg", "--photons-file", "photons_long.txt"]
+for argv, out in ((mixed, "sweep_mixed_in1"), (long, "sweep_long_in1"),
+                  (mixed, "sweep_mixed_in2"), (long_cfg, "sweep_long_in2")):
+    if run(argv + ["--out-dir", out]) != 0:
+        sys.exit(f"naive into {out} failed")
+'
+for run in 1 2; do
+  cmp sweep_mixed/detections.csv "sweep_mixed_in$run/detections.csv"
+  cmp sweep_mixed/layers.csv "sweep_mixed_in$run/layers.csv"
+  cmp sweep_long/detections.csv "sweep_long_in$run/detections.csv"
+  cmp sweep_long/layers.csv "sweep_long_in$run/layers.csv"
+done
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 2 --seed 1 --out curve_mixed.csv
 test "$(wc -l < curve_mixed.csv)" -eq 4
 blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve_mixed1.csv

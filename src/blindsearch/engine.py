@@ -65,6 +65,24 @@ def _tile_rows(width: int) -> int:
     return max(1, _TILE_ELEMENTS // width)
 
 
+# The screen's fixed-size buffers outlive one sweep, so repeated sweeps in a process
+# reuse their pages: one spare per role, taken by a _GriddingPlan and given back when
+# its screen ends. Their sizes follow the constants above, about 3.3 MiB in all.
+_SPARES: dict = {}
+
+
+def _take(role: str, size: int, dtype=np.float64) -> np.ndarray:
+    """The spare 1-D buffer of ``role`` if it holds ``size`` elements of ``dtype``, else a new one.
+
+    ``dict.pop`` is atomic, so a second screen running at the same time,
+    in another generator or thread, finds no spare and allocates its own.
+    """
+    spare = _SPARES.pop(role, None)
+    if spare is not None and spare.size == size and spare.dtype == dtype:
+        return spare
+    return np.empty(size, dtype)
+
+
 _PHASOR_BITS = 10
 _PHASOR_TABLE = np.exp(1j * (8 * np.arctan(np.longdouble(1)))  # 2 pi in extended precision
                        * np.arange(1 << _PHASOR_BITS, dtype=np.longdouble)
@@ -384,12 +402,21 @@ class _GriddingPlan:
     ``rows`` = ``_tile_rows(2 * _SPREAD)`` points, the 2 * _SPREAD
     weights exp(-(2 pi (u_j - i / n))^2 / (4 tau)) of each and their
     slots in the grid's (real, imaginary) float pairs: 24 bytes per
-    weight, at most 768 KiB whatever the point count. It also keeps the mode
-    indices ``k``, the Gaussian's inverse transform at them, and
-    ``grids``: the float view of ``batch`` = ``_SCREEN_BATCH // n`` grids
-    (at least one), 2 MiB in all, which every call fills and transforms
-    in place. Later tiles are spread again by ``spread`` on every call, so
-    memory stays bounded.
+    weight, at most 768 KiB whatever the point count. It also keeps the
+    Gaussian's inverse transform at the modes, ``terms``: room for one
+    tile's weighted real and imaginary parts (512 KiB), and ``grids``:
+    the float view of ``batch`` = ``_SCREEN_BATCH // n`` grids (at least
+    one), 2 MiB in all, which every call fills and transforms in place.
+    Later tiles are spread again by ``spread`` on every call, so memory
+    stays bounded.
+
+    The grids, the terms and the first tile's weights and slots come from
+    the module's spares (``_take``); ``give_back`` leaves them there for
+    the next plan once the screen is done. Every call overwrites them
+    before it reads them, so a plan computes the same bits from reused
+    buffers as from new ones. After a process's first screen it keeps
+    these four buffers, about 3.3 MiB at the default constants, and no
+    more: each role holds one spare.
     """
 
     def __init__(self, u: np.ndarray, modes: int):
@@ -400,25 +427,57 @@ class _GriddingPlan:
         self.offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
         self.scale = -((TWO_PI / self.n) ** 2) / (4.0 * tau)  # the exponent per squared grid step
         self.rows = _tile_rows(self.offsets.size)
-        self.weights, self.slots = self.spread(0)
-        self.k = np.arange(-(modes // 2), modes - modes // 2)
-        self.deconvolve = math.sqrt(math.pi / tau) * np.exp(tau * self.k * self.k)
         self.batch = max(1, _SCREEN_BATCH // self.n)
-        self.grids = np.empty((self.batch, 2 * self.n))
+        tile = self.rows * self.offsets.size
+        self.buffers = {"grids": _take("grids", self.batch * 2 * self.n),
+                        "terms": _take("terms", 2 * tile),
+                        "weights": _take("weights", tile),
+                        "slots": _take("slots", 2 * tile, np.int64)}
+        self.grids = self.buffers["grids"].reshape(self.batch, 2 * self.n)
+        self.terms = self.buffers["terms"]
+        self.weights, self.slots = self.spread(0, self.buffers["weights"], self.buffers["slots"])
+        k = np.arange(-(modes // 2), modes - modes // 2)
+        self.deconvolve = math.sqrt(math.pi / tau) * np.exp(tau * k * k)
 
-    def spread(self, lo: int):
-        """(weights, slots) of the tile of points that starts at ``lo``.
+    def give_back(self) -> None:
+        """Leave the plan's buffers as the spares of the next plan; the plan is done."""
+        _SPARES.update(self.buffers)
 
-        Weights have shape (points, 2 * _SPREAD). Slots index the grid's
-        float view, real part then imaginary part of each weight's grid
-        point, in the order of the weights.
+    def tile(self, lo: int):
+        """(weights, slots) of the tile at ``lo``: the kept first tile, or one spread anew."""
+        if lo == 0:
+            return self.weights, self.slots
+        return self.spread(lo, np.empty_like(self.buffers["weights"]),
+                           np.empty_like(self.buffers["slots"]))
+
+    def spread(self, lo: int, w: np.ndarray, slots: np.ndarray):
+        """(weights, slots) of the tile of points at ``lo``, written into ``w`` and ``slots``.
+
+        ``w`` (float) and ``slots`` (int64) are 1-D with room for a full
+        tile: ``rows`` * 2 * _SPREAD and twice as many elements. Returns
+        views of them: weights of shape (points, 2 * _SPREAD), and slots
+        that index the grid's float view, real part then imaginary part of
+        each weight's grid point, in the order of the weights. The
+        weights are exp((scale * dist) * dist), dist = frac - offset, in
+        that order of operations.
         """
         pos = self.u[lo:lo + self.rows] * self.n
         near = np.floor(pos)
-        dist = (pos - near)[:, None] - self.offsets
-        w = np.exp(self.scale * dist * dist)
-        at = (near.astype(np.int64)[:, None] + self.offsets) & (self.n - 1)
-        return w, (2 * at[:, :, None] + np.arange(2)).ravel()
+        shape = (pos.size, self.offsets.size)
+        w = w[:pos.size * self.offsets.size].reshape(shape)
+        pairs = slots[:2 * w.size].reshape(shape + (2,))
+        # the distances borrow the slots' memory until the weights are done
+        dist = slots.view(np.float64)[:w.size].reshape(shape)
+        np.subtract((pos - near)[:, None], self.offsets, out=dist)
+        np.multiply(self.scale, dist, out=w)
+        w *= dist
+        np.exp(w, out=w)
+        at = pairs[:, :, 0]
+        np.add(near.astype(np.int64)[:, None], self.offsets, out=at)
+        at &= self.n - 1
+        at *= 2
+        np.add(at, 1, out=pairs[:, :, 1])
+        return w, pairs.reshape(-1)
 
 
 def _gridded_sums(plan: _GriddingPlan, cs):
@@ -433,18 +492,20 @@ def _gridded_sums(plan: _GriddingPlan, cs):
     nearest to u_j, real and imaginary parts by one ``np.bincount`` into
     the grid's float view. One inverse FFT along the grids transforms
     them all in place, the same bytes as one transform per grid; divided
-    by the Gaussian's transform, each gives its sums. Yields one array of
-    sums per c, in order, each a new array. The plan's first tile of
-    weights is reused; later tiles of at most ``plan.rows`` points are
+    by the Gaussian's transform, each gives its sums: the modes -h, ..., -1,
+    h = modes // 2, lie at the end of the spectrum and 0, 1, ... at its
+    start, and their two products go straight into one array. Yields one
+    array of sums per c, in order, each a new array. The plan's first tile
+    of weights is reused; later tiles of at most ``plan.rows`` points are
     spread again here, so memory stays within the plan and one tile's
     temporaries whatever the point count.
     """
     filled = 0
     for grid, c in zip(plan.grids, cs):  # zip draws no c once the grids run out
         for lo in range(0, c.size, plan.rows):
-            w, at = (plan.weights, plan.slots) if lo == 0 else plan.spread(lo)
+            w, at = plan.tile(lo)
             tile = c[lo:lo + plan.rows, None]
-            terms = np.empty(w.shape + (2,))
+            terms = plan.terms[:2 * w.size].reshape(w.shape + (2,))
             np.multiply(w, tile.real, out=terms[:, :, 0])
             np.multiply(w, tile.imag, out=terms[:, :, 1])
             sums = np.bincount(at, terms.ravel(), grid.size)
@@ -452,12 +513,17 @@ def _gridded_sums(plan: _GriddingPlan, cs):
                 grid += sums
             else:  # the grid's first fill: bincount sums from +0.0, as 0.0 + sums would
                 grid[:] = sums
-            del w, at, terms, sums  # the next tile's spread need not hold this one's
+            del w, at, sums  # the next tile's spread need not hold this one's
         filled += 1
     spectra = plan.grids[:filled].view(complex)
     np.fft.ifft(spectra, axis=1, out=spectra)  # in place; out= is numpy >= 2.0
+    modes = plan.deconvolve.size
+    h = modes // 2
     for spectrum in spectra:
-        yield spectrum[plan.k] * plan.deconvolve
+        sums = np.empty(modes, dtype=complex)
+        np.multiply(spectrum[plan.n - h:], plan.deconvolve[:h], out=sums[:h])
+        np.multiply(spectrum[:modes - h], plan.deconvolve[h:], out=sums[h:])
+        yield sums
 
 
 class PulsarEvaluator:
@@ -473,6 +539,13 @@ class PulsarEvaluator:
     numpy's one-element complex product rounds differently, so a node
     alone in a call may differ in its last bit from the same node in a
     larger call; there every node reads 2 up to that bit.
+
+    ``evaluate`` keeps its tile workspace, four (rows, m) arrays, from one
+    call to the next, grown to the largest tile a call has needed (at
+    most ``_TILE_ELEMENTS`` elements each, or one row of m), and
+    overwrites every tile before reading it. So one evaluator's
+    ``evaluate`` must not run in two threads at once; use an evaluator per
+    thread.
     """
 
     def __init__(self, photons: PhotonSeries, grid: PulsarGrid):
@@ -486,6 +559,7 @@ class PulsarEvaluator:
         t = self._t[None, :]
         self._ends = _block_ends(t, 1 << grid.kappa(1), photons.span, np.empty(t.shape),
                                  np.empty(t.shape, dtype=np.int64))[0]
+        self._workspace = None  # evaluate's (c, z, index, work) tiles, kept from call to call
 
     def node_params(self, layer: int, indices):
         return self.grid.node_params(layer, indices)
@@ -502,11 +576,10 @@ class PulsarEvaluator:
         if not out.size:
             return out
         rows = min(out.size, _tile_rows(max(m, ends.size)))
-        # one workspace for the call; every tile fills it in place
-        c = np.empty((rows, m))
-        z = np.empty((rows, m), dtype=complex)
-        index = np.empty((rows, m), dtype=np.int64)
-        work = np.empty((rows, m), dtype=complex)
+        if self._workspace is None or self._workspace[0].shape[0] < rows:  # the largest tile yet
+            self._workspace = tuple(np.empty((rows, m), dtype)
+                                    for dtype in (float, complex, np.int64, complex))
+        c, z, index, work = self._workspace  # every tile fills its rows before reading them
         # nodes of one drift, as on a grid whose drift range fits in one cell,
         # share one drift row: the same bits as each row's own
         bits = half.view(np.int64)
@@ -550,11 +623,17 @@ class PulsarEvaluator:
         batch. A row's last segment, when shorter, transforms a full
         window starting at its first position and keeps the values the
         row holds. The plan keeps the weights of one tile of
-        ``_tile_rows(2 * _SPREAD)`` photons (at most 768 KiB) and one
-        batch of grids (2 MiB), so the call's memory grows with the photon
-        count by its m-length arrays only, about 64 bytes a photon, and
-        not with the number of segments. The values are within about 1e-9
-        of max(1, value) of ``evaluate``: a screen, not a result.
+        ``_tile_rows(2 * _SPREAD)`` photons (at most 768 KiB), room for
+        one tile's spread terms (512 KiB) and one batch of grids (2 MiB),
+        so the call's memory grows with the photon count by its m-length
+        arrays only, about 64 bytes a photon, and not with the number of
+        segments. Those plan buffers are the module's spares: the plan
+        takes them, and the screen gives them back when it ends, is
+        closed or is dropped, so a process keeps about 3.3 MiB after its
+        first screen and the next screen reuses those pages. A screen
+        that finds no spare, as when two run at once, allocates its own.
+        The values are within about 1e-9 of max(1, value) of
+        ``evaluate``: a screen, not a result.
 
         Yields (axis, row, lo, values): ``values`` at positions lo, lo + 1,
         ... along dimension ``axis``, at position ``row`` of the other, in
@@ -573,7 +652,6 @@ class PulsarEvaluator:
         index = np.empty(m, dtype=np.int64)
         work = np.empty(m, dtype=complex)
         modes = min(_SCREEN_MODES, count)
-        plan = _GriddingPlan(u, modes)
         per_row = -(-count // modes)
         # the other dimension's term borrows work's memory until _unit_phasors takes it over
         fixed = work.view(np.float64)[:m]
@@ -586,13 +664,17 @@ class PulsarEvaluator:
             return _unit_phasors(cycles, z, index, work)
 
         segments = rows * per_row
-        for start in range(0, segments, plan.batch):
-            batch = range(start, min(start + plan.batch, segments))
-            for segment, f in zip(batch, _gridded_sums(plan, map(phasors, batch))):
-                row, part = divmod(segment, per_row)
-                lo = part * modes
-                f = f[:count - lo]
-                yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
+        plan = _GriddingPlan(u, modes)
+        try:
+            for start in range(0, segments, plan.batch):
+                batch = range(start, min(start + plan.batch, segments))
+                for segment, f in zip(batch, _gridded_sums(plan, map(phasors, batch))):
+                    row, part = divmod(segment, per_row)
+                    lo = part * modes
+                    f = f[:count - lo]
+                    yield axis, row, lo, (f.real * f.real + f.imag * f.imag) * (2.0 / m)
+        finally:  # also when the caller stops early, or drops the generator
+            plan.give_back()
 
 
 class ArrayEvaluator:
@@ -825,7 +907,10 @@ def naive_search(evaluator, q_reject: float) -> SearchOutcome:
     segment is cut from a full window. The plan keeps the spreading
     weights of one tile of photons and one batch of grids, so the
     screen's memory grows with the photon count by its m-length arrays
-    only, and not with the number of segments. Every leaf
+    only, and not with the number of segments. Those buffers outlive
+    the sweep as the module's spares, about 3.3 MiB whatever the grid or
+    photon count, and the process's next sweep takes them instead of
+    new pages. Every leaf
     whose screened value reaches q_reject - 1e-6 * max(1, q_reject), a
     margin far above the screen's rounding, is then confirmed by one
     ``evaluate`` call per segment that has any. Only confirmed values are

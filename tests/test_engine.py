@@ -138,6 +138,21 @@ class TestPulsarEvaluator:
         monkeypatch.setattr(engine, "_TILE_ELEMENTS", 3 * photons.count)  # 3-row tiles
         assert np.array_equal(ev.evaluate(2, idx), big)
 
+    def test_kept_workspace_gives_a_fresh_evaluators_bits(self):
+        # the workspace grows from 1 row to 64, serves 3, then grows to whole
+        # 218-row tiles, 5 of them over layer 2's 960 nodes
+        ev = sweep_case(TRADEOFF_SPEC, 80.0, 150, 0.7, 12)
+        rng = np.random.default_rng(3)
+        calls = [(4, [rng.integers(nodes_in_layer(ev.tree, 4))]),
+                 (3, np.sort(rng.choice(nodes_in_layer(ev.tree, 3), 64, replace=False))),
+                 (1, [0, 57, 119]),
+                 (2, np.arange(nodes_in_layer(ev.tree, 2))),
+                 (3, [5])]
+        for layer, idx in calls:
+            fresh = PulsarEvaluator(ev.photons, ev.grid)
+            assert ev.evaluate(layer, idx).tobytes() == fresh.evaluate(layer, idx).tobytes()
+        assert ev._workspace[0].shape == (engine._tile_rows(150), 150)
+
     def test_span_mismatch_rejected(self):
         spec = GridSpec(1.0, 1.4, 0.0, 0.0, num_layers=2, oversampling=3)
         photons = simulate_photons(SignalSpec(FreqDrift(1.2), 0.0, 40, 30.0), 1)
@@ -911,6 +926,67 @@ class TestScreenBatches:
         assert (few, many) == (96, 1160)
         # the same photons, plan and batch of grids, 12 times the segments
         assert many_peak <= few_peak + 4096
+
+
+class TestScreenSpares:
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Every _GriddingPlan built while the test runs, in order."""
+        built = []
+
+        class Kept(engine._GriddingPlan):
+            def __init__(self, u, modes):
+                super().__init__(u, modes)
+                built.append(self)
+
+        monkeypatch.setattr(engine, "_GriddingPlan", Kept)
+        return built
+
+    def test_interleaved_screens_yield_their_own_values(self, plans):
+        desk = sweep_case(GridSpec(1.0, 1.0625, -5e-11, 0.0, num_layers=9, oversampling=3),
+                          DESK_SPAN, 1072, 0.5, 31)  # 1/64 of the desk box
+        tradeoff = sweep_case(TRADEOFF_SPEC, 80.0, 150, 0.7, 32)
+        alone = [[(a, r, lo, v.tobytes()) for a, r, lo, v in ev.screen_leaves()]
+                 for ev in (desk, tradeoff)]
+        both = [[], []]
+        screens = [(0, desk.screen_leaves()), (1, tradeoff.screen_leaves())]
+        while screens:  # one segment from each screen in turn, until both end
+            for k, screen in list(screens):
+                segment = next(screen, None)
+                if segment is None:
+                    screens.remove((k, screen))
+                else:
+                    a, r, lo, v = segment
+                    both[k].append((a, r, lo, v.tobytes()))
+        assert both == alone
+        # the desk box is one segment, so the 8-ary screen runs on after the desk one
+        # has given its buffers back
+        assert len(alone[0]) == 1 < len(alone[1])
+        # the second screen found the spares taken and allocated its own
+        first, second = plans[2:]
+        for role in first.buffers:
+            assert not np.shares_memory(first.buffers[role], second.buffers[role])
+
+    def test_a_second_sweep_takes_the_first_ones_grids(self, sweep_box, plans):
+        q = default_q_reject(sweep_box.tree) - 8.0
+        first = naive_search(sweep_box, q)
+        assert engine._SPARES["grids"] is plans[0].buffers["grids"]
+        second = naive_search(sweep_box, q)
+        assert len(plans) == 2
+        for role, buffer in plans[0].buffers.items():
+            assert plans[1].buffers[role] is buffer
+            assert engine._SPARES[role] is buffer
+        assert first.detections.size
+        assert second.detections.tobytes() == first.detections.tobytes()
+        assert second.per_layer_observed.tolist() == first.per_layer_observed.tolist()
+        assert second.sweep == first.sweep
+
+    def test_a_screen_stopped_early_gives_its_buffers_back(self, sweep_box, plans):
+        screen = sweep_box.screen_leaves()
+        next(screen)
+        assert "grids" not in engine._SPARES
+        screen.close()
+        assert engine._SPARES["grids"] is plans[0].buffers["grids"]
 
 
 TILE_PHOTONS = engine._tile_rows(2 * engine._SPREAD)  # photons whose weights a plan keeps
