@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.add_argument("--lambda", type=float, dest="lam", help="cost weight, >= 0")
     p.add_argument("--paths", type=int, default=_DESK.num_paths, help="training sample paths")
-    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile", default=0.999,
+    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile",
+                   default=_DESK.qtrain_quantile,
                    help="null quantile defining the training threshold")
     _add_grid_flags(p)
     p.add_argument("--photons", type=int, default=REFERENCE_PHOTONS)

@@ -1,17 +1,23 @@
 """Power/cost evaluation: tradeoff curves, exact small-tree optimum, benchmarks.
 
-``estimate_tradeoff`` reproduces the headline experiment at desk scale:
-fit one strategy per lambda from a shared path budget, then measure
-observation cost on null datasets and detection power on signal
-injections at each pulsed fraction theta, both relative to the
-exhaustive leaf sweep. Paths, fits and null datasets do not depend on
-theta and are made once for all thetas. On each null dataset the
-strategies walk the tree in turn over one evaluator that computes each
-node once and keeps its value (16 B per computed non-leaf node, for the
-length of one sim), and no leaf statistic is computed, since a cost reads
-none. A power sim walks no tree: it computes the leaves of the success
-window around the injected signal and their ancestors, and follows each
-strategy's decisions down those chains.
+``estimate_tradeoff`` reproduces the headline experiment at desk scale in
+three phases:
+
+- fits: one sample of null paths fits one strategy per lambda;
+- null costs: on each global-null dataset the strategies walk the tree in
+  turn over one evaluator that computes each node once and keeps its value
+  (16 B per computed non-leaf node, for the length of one sim), and no
+  leaf statistic is computed, since a cost reads none. It returns a
+  (lambda, sim) cost matrix;
+- power hits: a sim injects a signal at pulsed fraction theta and walks no
+  tree: it computes the leaves of the success window around the signal and
+  their ancestors, and follows each strategy's decisions down those
+  chains. It returns (theta, sim, lambda) strategy hits and (theta, sim)
+  hits of the exhaustive leaf sweep.
+
+Only the last phase depends on theta, so paths, fits and null datasets are
+made once for all thetas. The curve is array arithmetic over the phases'
+results: cost and power relative to the sweep.
 Progress goes to the ``blindsearch.evaluation`` logger at INFO.
 
 ``exact_dp_oracle`` computes the true optimal value function on small
@@ -242,25 +248,52 @@ def _map_sims(fn, tasks, workers, phase: str):
         return logged(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
+def _fit_strategies(cfg: TradeoffConfig, grid: PulsarGrid, lambdas, seed):
+    """The null paths drawn on ``subseed(seed, 0)`` and one strategy per lambda fitted from them."""
+    q_train = chi2_2_quantile(cfg.qtrain_quantile)
+    paths = sample_paths(PulsarNullModel(grid, cfg.num_photons), cfg.num_paths, subseed(seed, 0))
+    training_exceedances(paths, q_train, cfg.qtrain_quantile)
+    return paths, [fit_strategy(paths, FitConfig(grid.tree, lam, q_train)) for lam in lambdas]
+
+
+def _null_costs(state, n_sims: int, seed, workers) -> np.ndarray:
+    """(lambda, sim) search costs on the null datasets.
+
+    Each strategy's row is C-contiguous, so its mean and std sum in the
+    order of a 1-D array of its costs.
+    """
+    sims = _map_sims(functools.partial(_cost_sim, state=state),
+                     [(i, seed) for i in range(n_sims)], workers, "cost")
+    evaluated = sum(n for _, (n, _) in sims)
+    observed = sum(n for _, (_, n) in sims)
+    _log.info("cost sims: %d nodes evaluated for %d observed by the strategies (%.3f)",
+              evaluated, observed, evaluated / observed)
+    return np.ascontiguousarray(np.array([costs for costs, _ in sims], dtype=float).T)
+
+
+def _power_hits(state, thetas, n_sims: int, seed, workers):
+    """(theta, sim, lambda) strategy hits and (theta, sim) sweep hits on the injections."""
+    sims = _map_sims(functools.partial(_power_sim, state=state),
+                     [(i, seed, theta) for theta in thetas for i in range(n_sims)],
+                     workers, "power")
+    _log.info("power sims: %d nodes evaluated", sum(n for _, _, n in sims))
+    shape = (len(thetas), n_sims)
+    hits = np.array([h for h, _, _ in sims], dtype=bool).reshape(*shape, len(state["strategies"]))
+    return hits, np.array([sweep for _, sweep, _ in sims], dtype=bool).reshape(shape)
+
+
 def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
                       workers=None) -> list:
     """Tradeoff curves, one list of points per theta, in the order given.
 
-    One path budget fits one strategy per lambda. Cost fractions come
-    from global-null datasets, which do not depend on theta, so they are
-    simulated once; power fractions come from signal injections at each
-    pulsed fraction theta, with a uniformly drawn true (omega, omegadot);
-    success means detecting a leaf within 1/span in frequency and
-    1/span^2 in drift of the truth. Every lambda runs on the same
-    datasets, so each curve is internally paired, and the injections at
-    different thetas share their true parameters. On each null dataset
-    the strategies walk in turn (``run_search`` on each) over one
-    evaluator that computes every node once however many of them observe
-    it, keeping 16 B per computed non-leaf node for the length of one
-    sim, and computes no leaf, since a cost reads only how many nodes a
-    strategy observes. A hit reads only the success window's leaves, and
-    a leaf is observed exactly when the decisions along its chain of
-    ancestors lead to it, so a power sim evaluates those chains alone.
+    Runs the three phases of the module docstring: fits, null costs and
+    power hits. A point's cost fraction is its strategy's mean null cost
+    over the sweep's cost; its power fraction is the strategy's hit rate
+    over the sweep's, NaN when the sweep never hits. Injections draw a
+    uniform true (omega, omegadot); success means detecting a leaf within
+    1/span in frequency and 1/span^2 in drift of the truth. Every lambda
+    runs on the same datasets, so each curve is internally paired, and the
+    injections at different thetas share their true parameters.
     Each lambda's point equals the one a full walk that computes every
     leaf gives it alone. Deterministic for a given seed, independent of
     the worker count. When no training path reaches the training
@@ -282,53 +315,32 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     workers = resolve_workers(workers)
     grid = PulsarGrid(cfg.grid, cfg.span)
     tree = grid.tree
-    q_reject = cfg.q_reject
-    if q_reject is None:
-        q_reject = default_q_reject(tree)
-    q_train = chi2_2_quantile(cfg.qtrain_quantile)
-    model = PulsarNullModel(grid, cfg.num_photons)
-    paths = sample_paths(model, cfg.num_paths, subseed(seed, 0))
-    training_exceedances(paths, q_train, cfg.qtrain_quantile)
-    naive_cost = nodes_in_layer(tree, tree.num_layers) * tree.cost(tree.num_layers)
-    strategies = [fit_strategy(paths, FitConfig(tree, lam, q_train))
-                  for lam in lambdas]
+    q_reject = default_q_reject(tree) if cfg.q_reject is None else cfg.q_reject
+    # ``paths`` is held until the curve is done: freed before the sims, its
+    # memory lets glibc trim the heap, and the sims fault it in again (about
+    # 4,300 minor faults per op of the benchmark's tradeoff workload, 900 held)
+    paths, strategies = _fit_strategies(cfg, grid, lambdas, seed)
     state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
              "q_reject": q_reject}
+    null_costs = _null_costs(state, n_sims, seed, workers)
+    hits, sweeps = _power_hits(state, thetas, n_sims, seed, workers)
 
-    cost_sims = _map_sims(functools.partial(_cost_sim, state=state),
-                          [(i, seed) for i in range(n_sims)], workers, "cost")
-    evaluated = sum(n for _, (n, _) in cost_sims)
-    observed = sum(n for _, (_, n) in cost_sims)
-    _log.info("cost sims: %d nodes evaluated for %d observed by the strategies (%.3f)",
-              evaluated, observed, evaluated / observed)
-    null_costs = [np.array([c[k] for c, _ in cost_sims]) for k in range(len(lambdas))]
-    sims = _map_sims(functools.partial(_power_sim, state=state),
-                     [(i, seed, theta) for theta in thetas for i in range(n_sims)],
-                     workers, "power")
-    _log.info("power sims: %d nodes evaluated", sum(n for _, _, n in sims))
-    curves = []
-    for t in range(len(thetas)):
-        hits = sims[t * n_sims:(t + 1) * n_sims]
-        naive_rate = np.array([sweep for _, sweep, _ in hits], dtype=float).mean()
-        points = []
-        for k, (lam, cost) in enumerate(zip(lambdas, null_costs)):
-            p = np.array([h[k] for h, _, _ in hits], dtype=float).mean()
-            if naive_rate > 0:
-                power_fraction = p / naive_rate
-                power_se = math.sqrt(p * (1 - p) / n_sims) / naive_rate
-            else:
-                power_fraction = math.nan
-                power_se = math.nan
-            points.append(TradeoffPoint(
-                lam=lam,
-                cost_fraction=float(cost.mean() / naive_cost),
-                power_fraction=float(power_fraction),
-                cost_se=float(cost.std(ddof=1) / math.sqrt(n_sims) / naive_cost),
-                power_se=float(power_se),
-                n_sims=n_sims,
-            ))
-        curves.append(points)
-    return curves
+    naive_cost = nodes_in_layer(tree, tree.num_layers) * tree.cost(tree.num_layers)
+    cost = null_costs.mean(axis=1) / naive_cost
+    cost_se = null_costs.std(axis=1, ddof=1) / math.sqrt(n_sims) / naive_cost
+    p = hits.mean(axis=1)
+    rate = sweeps.mean(axis=1)
+    with np.errstate(invalid="ignore"):  # a sweep that never hits leaves 0 / 0
+        power = p / rate[:, None]
+        power_se = np.sqrt(p * (1 - p) / n_sims) / rate[:, None]
+    # NaN fields are math.nan itself, so that points compare equal by identity
+    return [[TradeoffPoint(lam=lam, cost_fraction=float(cost[k]),
+                           power_fraction=float(power[t, k]) if rate[t] > 0 else math.nan,
+                           cost_se=float(cost_se[k]),
+                           power_se=float(power_se[t, k]) if rate[t] > 0 else math.nan,
+                           n_sims=n_sims)
+             for k, lam in enumerate(lambdas)]
+            for t in range(len(thetas))]
 
 
 def write_tradeoff_csv(path, points) -> None:

@@ -594,8 +594,8 @@ class TestConfigResolution:
         cfg = vars(parser.parse_args(["fit", "--out", "strategy.json"]))
         desk = evaluation.desk_scale_config()
         assert cli._grid_from_cfg(cfg) == desk.grid
-        assert ((cfg["span"], cfg["photons"], cfg["paths"])
-                == (desk.span, desk.num_photons, desk.num_paths))
+        assert ((cfg["span"], cfg["photons"], cfg["paths"], cfg["qtrain_quantile"])
+                == (desk.span, desk.num_photons, desk.num_paths, desk.qtrain_quantile))
         simulate_args = parser.parse_args(["simulate", "--out", "photons.txt"])
         assert simulate_args.photons == evaluation.REFERENCE_PHOTONS
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import math
 import os
@@ -10,7 +11,7 @@ from scipy import integrate
 from scipy import special
 from scipy import stats as sps
 
-from blindsearch import engine, evaluation
+from blindsearch import cli, engine, evaluation
 from blindsearch.engine import (ArrayEvaluator, GridSpec, PulsarEvaluator, PulsarGrid,
                                 SparsePeakEvaluator, run_search)
 from blindsearch.evaluation import (DESK_SPAN, REFERENCE_FD, REFERENCE_PHOTONS,
@@ -18,7 +19,7 @@ from blindsearch.evaluation import (DESK_SPAN, REFERENCE_FD, REFERENCE_PHOTONS,
                                     exact_dp_oracle, fitted_payoff_estimate,
                                     leaf_window, naive_power_check,
                                     tree_payoff_batch, write_tradeoff_csv)
-from blindsearch.fit import FitConfig, Strategy, fit_strategy, sample_paths
+from blindsearch.fit import FitConfig, Strategy, fit_strategy, load_strategy, sample_paths
 from blindsearch.isotonic import MonotoneFn
 from blindsearch.models import GaussianChainModel, PulsarNullModel
 from blindsearch.stats import FreqDrift, SignalSpec, chi2_2_quantile, simulate_photons
@@ -390,6 +391,57 @@ class TestEstimateTradeoff:
         words = line.split()
         tree = PulsarGrid(cfg.grid, cfg.span).tree
         assert int(words[2]) == int(words[6]) - 4 * nodes_in_layer(tree, tree.num_layers)
+
+    # every field's repr at lambda 0, 0.3, 50 (rows) and theta 0.5, 0.85 (curves)
+    PINNED_CURVES = {
+        12.0: [[("0.0", "1.25", "1.0", "0.0", "0.408248290463863", "6"),
+                ("0.3", "0.3", "0.3333333333333333", "0.020637972912229678",
+                 "0.3042903097250923", "6"),
+                ("50.0", "0.25", "0.0", "0.0", "0.0", "6")],
+               [("0.0", "1.25", "1.0", "0.0", "0.0", "6"),
+                ("0.3", "0.3", "1.0", "0.020637972912229678", "0.0", "6"),
+                ("50.0", "0.25", "0.0", "0.0", "0.0", "6")]],
+        # no window leaf reaches the threshold, so the sweep never hits
+        1e6: [[("0.0", "1.25", "nan", "0.0", "nan", "6"),
+               ("0.3", "0.3", "nan", "0.020637972912229678", "nan", "6"),
+               ("50.0", "0.25", "nan", "0.0", "nan", "6")]] * 2,
+    }
+
+    @pytest.mark.parametrize("q_reject", sorted(PINNED_CURVES))
+    def test_curves_keep_their_bits(self, q_reject):
+        cfg = dataclasses.replace(self.tiny_config(), q_reject=q_reject)
+        curves = estimate_tradeoff([0.0, 0.3, 50.0], [0.5, 0.85], cfg, n_sims=6, seed=3,
+                                   workers=1)
+        assert [[tuple(repr(getattr(point, f.name)) for f in dataclasses.fields(point))
+                 for point in curve] for curve in curves] == self.PINNED_CURVES[q_reject]
+        points = [point for curve in curves for point in curve]
+        nan = [point.power_fraction is math.nan and point.power_se is math.nan
+               for point in points]
+        assert nan == [q_reject == 1e6] * len(points)
+
+    def test_fit_command_writes_the_strategy_evaluate_measures(self, tmp_path):
+        cfg = self.tiny_config()
+        spec = cfg.grid
+        out = tmp_path / "strategy.json"
+        assert cli.run(["fit", "--omega-min", repr(spec.omega_min),
+                        "--omega-max", repr(spec.omega_max),
+                        f"--omegadot-min={spec.omegadot_min!r}",
+                        f"--omegadot-max={spec.omegadot_max!r}",
+                        "--layers", str(spec.num_layers), "--oversampling", str(spec.oversampling),
+                        "--span", repr(cfg.span), "--photons", str(cfg.num_photons),
+                        "--paths", str(cfg.num_paths),
+                        "--qtrain-quantile", repr(cfg.qtrain_quantile),
+                        "--lambda", "0.3", "--seed", "3", "--out", str(out)]) == 0
+        written = load_strategy(out)
+        _, [fitted] = evaluation._fit_strategies(cfg, PulsarGrid(spec, cfg.span), [0.3], 3)
+        assert (written.lam, written.q_train) == (fitted.lam, fitted.q_train)
+        for layer in range(1, spec.num_layers):
+            for got, want in zip(written.decision_regions(layer), fitted.decision_regions(layer)):
+                assert np.array_equal(got, want)
+            assert written.continuation[layer].keys() == fitted.continuation[layer].keys()
+            for s, fn in fitted.continuation[layer].items():
+                assert np.array_equal(written.continuation[layer][s].breakpoints, fn.breakpoints)
+                assert np.array_equal(written.continuation[layer][s].levels, fn.levels)
 
 
 def reference_cost_sim(task, st):
