@@ -27,6 +27,9 @@ seed = 1
 EOF
 blindsearch fit --config fit.cfg --out strategy_cfg.json
 cmp strategy.json strategy_cfg.json
+# the directory of --out is created
+blindsearch fit --config fit.cfg --out nested/dir/strategy.json
+cmp strategy.json nested/dir/strategy.json
 blindsearch search --strategy strategy.json --photons-file photons.txt --qreject 12 --out-dir search
 test -f strategy.json
 test -f strategy.json.manifest.json
@@ -37,6 +40,26 @@ test "$(wc -l < curve.csv)" -eq 4
 test -f curve.csv.manifest.json
 blindsearch evaluate --omega-min 1.0 --omega-max 2.0 --omegadot-min=-1e-6 --omegadot-max=0 --layers 3 --span 50 --photons 200 --lambdas 0.0,0.01,1.0 --thetas 0.8 --sims 2 --paths 2000 --qtrain-quantile 0.99 --qreject 12 --workers 1 --seed 1 --out curve1.csv
 cmp curve.csv curve1.csv
+# evaluate reads the training keys that fit reads, and a config file gives the flag run's bytes
+cat > evaluate.cfg <<'EOF'
+omega_min = 1.0
+omega_max = 2.0
+omegadot_min = -1e-6
+omegadot_max = 0
+layers = 3
+span = 50
+photons = 200
+paths = 2000
+qtrain_quantile = 0.99
+seed = 1
+lambdas = 0.0,0.01,1.0
+thetas = 0.8
+sims = 2
+qreject = 12
+workers = 2
+EOF
+blindsearch evaluate --config evaluate.cfg --out curve_cfg.csv
+cmp curve.csv curve_cfg.csv
 blindsearch oracle --rho 0.8 --layers 3 --branching 2 --lambda 0.05 --q 1.0 --paths 2000 --sims 2000 --seed 0
 blindsearch simulate --theta 0.8 --photons 200 --span 100 --omega 1.01 --omegadot=-5e-4 --seed 2 --out photons_mixed.txt
 blindsearch naive --photons-file photons_mixed.txt --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --qreject 12 --out-dir sweep_mixed

@@ -16,13 +16,13 @@ sample that no fit can use (fit, evaluate).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
 import math
 import re
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,13 +33,13 @@ from .engine import (PulsarEvaluator, PulsarGrid, GridSpec, default_q_reject,
                      naive_search, run_search, write_detections_csv,
                      write_layer_summary_csv, write_observed_csv)
 from .evaluation import (DESK_LAMBDAS, DESK_THETAS, REFERENCE_FD, REFERENCE_PHOTONS,
-                         REFERENCE_SPAN, TradeoffConfig, desk_scale_config, estimate_tradeoff,
-                         exact_dp_oracle, fitted_payoff_estimate, write_tradeoff_csv)
+                         REFERENCE_SPAN, TradeoffConfig, _fit_strategies, desk_scale_config,
+                         estimate_tradeoff, exact_dp_oracle, fitted_payoff_estimate,
+                         write_tradeoff_csv)
 from .fit import (FORMAT_VERSION, DegenerateTraining, FitConfig, fit_strategy,
-                  load_strategy, sample_paths, save_strategy, training_exceedances)
-from .models import GaussianChainModel, PulsarNullModel
-from .stats import (FreqDrift, SignalSpec, chi2_2_quantile, read_photons,
-                    simulate_photons, write_photons)
+                  load_strategy, sample_paths, save_strategy)
+from .models import GaussianChainModel
+from .stats import FreqDrift, SignalSpec, read_photons, simulate_photons, write_photons
 from .tree import TreeConfig, nodes_in_layer
 from .util import subseed
 
@@ -128,6 +128,17 @@ def _add_config_flag(p):
     p.add_argument("--config", help="key=value file; flags override it")
 
 
+def _add_training_flags(p):
+    """The flags of the training step that fit and evaluate share, at the desk defaults."""
+    p.add_argument("--paths", type=int, default=_DESK.num_paths, help="training sample paths")
+    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile",
+                   default=_DESK.qtrain_quantile,
+                   help="null quantile defining the training threshold")
+    _add_grid_flags(p)
+    p.add_argument("--photons", type=int, default=_DESK.num_photons)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _add_grid_flags(p, span=_DESK.span):
     grid = _DESK.grid
     p.add_argument("--omega-min", type=float, dest="omega_min", default=grid.omega_min)
@@ -185,13 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a search strategy for one cost weight")
     _add_config_flag(p)
     p.add_argument("--lambda", type=float, dest="lam", help="cost weight, >= 0")
-    p.add_argument("--paths", type=int, default=_DESK.num_paths, help="training sample paths")
-    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile",
-                   default=_DESK.qtrain_quantile,
-                   help="null quantile defining the training threshold")
-    _add_grid_flags(p)
-    p.add_argument("--photons", type=int, default=REFERENCE_PHOTONS)
-    p.add_argument("--seed", type=int, default=0)
+    _add_training_flags(p)
     p.add_argument("--out", required=True, help="strategy JSON path")
 
     p = sub.add_parser("search", help="run a fitted strategy over a photon series")
@@ -221,14 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated signal amplitudes")
     p.add_argument("--sims", type=int, default=200,
                    help="simulated datasets per theta, shared by every lambda")
-    p.add_argument("--paths", type=int, default=_DESK.num_paths)
-    p.add_argument("--qtrain-quantile", type=float, dest="qtrain_quantile",
-                   default=_DESK.qtrain_quantile)
-    _add_grid_flags(p)
-    p.add_argument("--photons", type=int, default=_DESK.num_photons)
+    _add_training_flags(p)
     _add_threshold_flags(p)
     p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="tradeoff CSV path")
 
     p = sub.add_parser("oracle",
@@ -254,36 +254,40 @@ def cmd_simulate(args, cfg) -> int:
                       cfg["photons"], cfg["span"])
     photons = simulate_photons(spec, subseed(cfg["seed"], 0))
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_photons(out, photons)
     _write_manifest(out.with_name(out.name + ".manifest.json"), "simulate", cfg, [], [out])
     print(f"wrote {photons.count} arrivals over {photons.span!r} s to {out}")
     return 0
 
 
+def _training_config(cfg):
+    """(TradeoffConfig, PulsarGrid) of the training flags, checked before any path is drawn."""
+    for message, ok in (("--paths must be >= 2", cfg["paths"] >= 2),
+                        ("--photons must be >= 1", cfg["photons"] >= 1),
+                        ("--qtrain-quantile must lie in (0, 1)",
+                         0.0 < cfg["qtrain_quantile"] < 1.0)):
+        if not ok:
+            raise ValueError(message)
+    grid = PulsarGrid(_grid_from_cfg(cfg), cfg["span"])
+    return TradeoffConfig(grid=grid.spec, span=cfg["span"], num_photons=cfg["photons"],
+                          num_paths=cfg["paths"], qtrain_quantile=cfg["qtrain_quantile"]), grid
+
+
 def cmd_fit(args, cfg) -> int:
     if cfg["lam"] is None:
         print("fit: --lambda is required", file=sys.stderr)
         return USAGE_ERROR
-    num_paths, quantile = cfg["paths"], cfg["qtrain_quantile"]
-    for message, ok in (("--lambda must be finite and >= 0", 0.0 <= cfg["lam"] < math.inf),
-                        ("--paths must be >= 2", num_paths >= 2),
-                        ("--photons must be >= 1", cfg["photons"] >= 1),
-                        ("--qtrain-quantile must lie in (0, 1)", 0.0 < quantile < 1.0)):
-        if not ok:
-            raise ValueError(message)
-    grid = PulsarGrid(_grid_from_cfg(cfg), cfg["span"])
-    fit_cfg = FitConfig(grid.tree, cfg["lam"], chi2_2_quantile(quantile))
-    model = PulsarNullModel(grid, cfg["photons"])
-    seed = cfg["seed"]
-    start = time.perf_counter()
-    paths = sample_paths(model, num_paths, subseed(seed, 0))
-    sampled = time.perf_counter()
-    exceed = training_exceedances(paths, fit_cfg.q_train, quantile)
-    strategy = fit_strategy(paths, fit_cfg, seed=seed)
-    timing = {"sample_s": sampled - start, "regression_s": time.perf_counter() - sampled,
-              "paths_per_s": num_paths / (sampled - start)}
+    if not 0.0 <= cfg["lam"] < math.inf:
+        raise ValueError("--lambda must be finite and >= 0")
+    tc, grid = _training_config(cfg)
+    _, [strategy], exceed, sample_s, regression_s = _fit_strategies(tc, grid, [cfg["lam"]],
+                                                                    cfg["seed"])
+    timing = {"sample_s": sample_s, "regression_s": regression_s,
+              "paths_per_s": tc.num_paths / sample_s}
     strategy.grid = grid.to_dict()
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_strategy(out, strategy)
     _write_manifest(out.with_name(out.name + ".manifest.json"), "fit", cfg, [], [out],
                     timing=timing)
@@ -400,13 +404,11 @@ def cmd_evaluate(args, cfg) -> int:
         if path in outputs[:i]:
             raise ValueError(f"thetas {thetas[outputs.index(path)]!r} and {thetas[i]!r} "
                              f"would both write {path}")
-    spec = _grid_from_cfg(cfg)
-    q_reject = _resolve_q_reject(cfg, PulsarGrid(spec, cfg["span"]).tree)
-    tc = TradeoffConfig(grid=spec, span=cfg["span"],
-                        num_photons=cfg["photons"], num_paths=cfg["paths"],
-                        qtrain_quantile=cfg["qtrain_quantile"], q_reject=q_reject)
+    tc, grid = _training_config(cfg)
+    tc = dataclasses.replace(tc, q_reject=_resolve_q_reject(cfg, grid.tree))
     curves = estimate_tradeoff(lambdas, thetas, tc, cfg["sims"], cfg["seed"],
                                workers=cfg["workers"])
+    out.parent.mkdir(parents=True, exist_ok=True)
     for theta, points, path in zip(thetas, curves, outputs):
         write_tradeoff_csv(path, points)
         good = [p for p in points if p.power_fraction >= 0.9]
@@ -418,7 +420,7 @@ def cmd_evaluate(args, cfg) -> int:
         else:
             print(f"theta={theta:g}: wrote {len(points)} lambdas to {path}; "
                   f"no lambda reached 90% relative power")
-    cfg["resolved_qreject"] = q_reject
+    cfg["resolved_qreject"] = tc.q_reject
     _write_manifest(out.with_name(out.name + ".manifest.json"), "evaluate", cfg,
                     [], outputs)
     return 0

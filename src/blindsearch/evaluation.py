@@ -3,7 +3,8 @@
 ``estimate_tradeoff`` reproduces the headline experiment at desk scale in
 three phases:
 
-- fits: one sample of null paths fits one strategy per lambda;
+- fits: one sample of null paths fits one strategy per lambda; the ``fit``
+  command runs this step at its one lambda;
 - null costs: on each global-null dataset the strategies walk the tree in
   turn over one evaluator that computes each node once and keeps its value
   (16 B per computed non-leaf node, for the length of one sim), and no
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -249,11 +251,21 @@ def _map_sims(fn, tasks, workers, phase: str):
 
 
 def _fit_strategies(cfg: TradeoffConfig, grid: PulsarGrid, lambdas, seed):
-    """The null paths drawn on ``subseed(seed, 0)`` and one strategy per lambda fitted from them."""
+    """The training step of ``fit`` and ``evaluate``: null paths, then one strategy per lambda.
+
+    The paths are drawn on ``subseed(seed, 0)``; each strategy records
+    ``seed``. Returns the paths, the strategies, the paths that reach the
+    training threshold, and the seconds spent sampling and fitting. Raises
+    ``DegenerateTraining`` before any fit when no path reaches it.
+    """
     q_train = chi2_2_quantile(cfg.qtrain_quantile)
+    start = time.perf_counter()
     paths = sample_paths(PulsarNullModel(grid, cfg.num_photons), cfg.num_paths, subseed(seed, 0))
-    training_exceedances(paths, q_train, cfg.qtrain_quantile)
-    return paths, [fit_strategy(paths, FitConfig(grid.tree, lam, q_train)) for lam in lambdas]
+    sampled = time.perf_counter()
+    exceed = training_exceedances(paths, q_train, cfg.qtrain_quantile)
+    strategies = [fit_strategy(paths, FitConfig(grid.tree, lam, q_train), seed=seed)
+                  for lam in lambdas]
+    return paths, strategies, exceed, sampled - start, time.perf_counter() - sampled
 
 
 def _null_costs(state, n_sims: int, seed, workers) -> np.ndarray:
@@ -308,6 +320,8 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
         raise ValueError("n_sims must be >= 2")
     lambdas = [float(lam) for lam in lambdas]
     thetas = [float(theta) for theta in thetas]
+    if not lambdas:
+        raise ValueError("lambdas must not be empty")
     if not all(math.isfinite(lam) and lam >= 0.0 for lam in lambdas):
         raise ValueError("every lambda must be finite and >= 0")
     if not all(0.0 <= theta <= 1.0 for theta in thetas):
@@ -319,7 +333,7 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     # ``paths`` is held until the curve is done: freed before the sims, its
     # memory lets glibc trim the heap, and the sims fault it in again (about
     # 4,300 minor faults per op of the benchmark's tradeoff workload, 900 held)
-    paths, strategies = _fit_strategies(cfg, grid, lambdas, seed)
+    paths, strategies, _, _, _ = _fit_strategies(cfg, grid, lambdas, seed)
     state = {"grid": grid, "strategies": strategies, "num_photons": cfg.num_photons,
              "q_reject": q_reject}
     null_costs = _null_costs(state, n_sims, seed, workers)

@@ -108,7 +108,7 @@ class TestFit:
                                                 flags, named):
         def unexpected(*args, **kwargs):
             raise AssertionError("sample_paths called")
-        monkeypatch.setattr(cli, "sample_paths", unexpected)
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
         rc = cli.run(["fit", *GRID_FLAGS, *flags, "--out", str(tmp_path / "s.json")])
         assert rc == cli.DATA_ERROR
         assert named in capsys.readouterr().err
@@ -204,8 +204,9 @@ class TestSearch:
         assert rc == cli.DATA_ERROR
 
     @pytest.mark.parametrize("text, reason", [("# T=50\n10.0\n60.0\n", "[0, span]"),
-                                              ("# T=-5\n1.0\n", "span must be positive")],
-                             ids=["late_time", "negative_span"])
+                                              ("# T=-5\n1.0\n", "span must be positive"),
+                                              ("# T=50\n", "no arrival times")],
+                             ids=["late_time", "negative_span", "no_times"])
     def test_invalid_photon_series_names_the_file(self, tmp_path, capsys, text, reason):
         strat = fit(tmp_path)
         photons = tmp_path / "bad_photons.txt"
@@ -230,7 +231,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("malform", ["no_tree", "grid_without_span", "list", "tree_list",
                                          "layer_not_object", "actions_number",
-                                         "grid_span_list", "grid_omega_text"])
+                                         "grid_span_list", "grid_omega_text", "tree_n1"])
     def test_malformed_strategy_is_data_error(self, tmp_path, capsys, malform):
         doc = json.loads(fit(tmp_path).read_text())
         if malform == "no_tree":
@@ -247,6 +248,8 @@ class TestSearch:
             doc["layers"][0]["actions"] = 2
         elif malform == "grid_span_list":
             doc["grid"]["span"] = [doc["grid"]["span"]]
+        elif malform == "tree_n1":  # the embedded grid no longer gives the tree
+            doc["tree"]["n1"] += 1
         else:
             doc["grid"]["omega_min"] = "1.0"
         bad = tmp_path / f"{malform}.json"
@@ -333,6 +336,14 @@ class TestNaive:
         assert f"{photons}: span must be positive and finite" in err
         assert not (tmp_path / "naive").exists()
 
+    def test_span_header_not_a_number_names_the_line(self, tmp_path, capsys):
+        photons = tmp_path / "photons.txt"
+        photons.write_text("# T=abc\n1.0\n")
+        rc = cli.run(["naive", "--photons-file", str(photons), "--qreject", "12",
+                      "--out-dir", str(tmp_path / "naive")])
+        assert rc == cli.DATA_ERROR
+        assert f"{photons}:1: bad span header" in capsys.readouterr().err
+        assert not (tmp_path / "naive").exists()
 
     def test_grid_beyond_the_phase_bound_is_data_error(self, tmp_path, capsys):
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in FAR_GRID.items()]
@@ -460,6 +471,48 @@ class TestEvaluate:
         assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.1", "50.0"]
 
 
+# the training flags as fit and evaluate share them, each naming itself when it is bad
+TRAINING_TASKS = {"fit": ["--lambda", "0.1"],
+                  "evaluate": ["--lambdas", "0.1", "--thetas", "0.5", "--sims", "2",
+                               "--qreject", "12", "--workers", "1"]}
+
+
+@pytest.mark.parametrize("command", sorted(TRAINING_TASKS))
+@pytest.mark.parametrize("flags, message", [
+    (["--paths", "1"], "--paths must be >= 2"),
+    (["--photons", "0"], "--photons must be >= 1"),
+    (["--qtrain-quantile", "0"], "--qtrain-quantile must lie in (0, 1)"),
+    (["--qtrain-quantile", "1.0"], "--qtrain-quantile must lie in (0, 1)"),
+], ids=["paths_1", "photons_0", "quantile_0", "quantile_1"])
+def test_bad_training_flags_rejected_before_sampling(tmp_path, monkeypatch, capsys, command,
+                                                     flags, message):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sample_paths called")
+    monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+    rc = cli.run([command, *GRID_FLAGS, *TRAINING_TASKS[command], *flags,
+                  "--out", str(tmp_path / "out")])
+    assert rc == cli.DATA_ERROR
+    assert f"{command}: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--theta", "0.6", "--photons", "80", "--span", "50", "--omega", "2.0",
+                  "--omegadot=0", "--seed", "1"]),
+    ("fit", [*GRID_FLAGS, "--lambda", "0.0", "--paths", "800", "--qtrain-quantile", "0.9",
+             "--photons", "80", "--seed", "3"]),
+    ("evaluate", [*GRID_FLAGS, "--lambdas", "0.0,50.0", "--thetas", "0.85", "--sims", "2",
+                  "--paths", "500", "--qtrain-quantile", "0.9", "--photons", "40",
+                  "--qreject", "12", "--workers", "1", "--seed", "2"]),
+])
+def test_out_directory_is_created(tmp_path, command, flags):
+    here, nested = tmp_path / "out.txt", tmp_path / "missing" / "dir" / "out.txt"
+    for out in (here, nested):
+        run_ok([command, *flags, "--out", str(out)])
+    assert nested.read_bytes() == here.read_bytes()
+    assert Path(f"{nested}.manifest.json").exists()
+
+
 class TestOracle:
     def test_reports_ratio(self, capsys):
         run_ok(["oracle", "--rho", "0.8", "--layers", "2", "--branching", "2",
@@ -508,12 +561,15 @@ class TestConfigResolution:
         ("fit", "span = abc", "span"),
         ("simulate", "seed = 1.5", "seed"),
         ("search", "emit_observed = no", "emit_observed"),
+        ("fit", "layers 3", "expected key=value"),
+        ("evaluate", "lambdas = ,", "bad value for lambdas: expected a comma separated list"),
     ])
     def test_value_its_flag_rejects_is_data_error(self, tmp_path, capsys, command, line, key):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"# read as the flag reads it\n{line}\n")
         paths = {"fit": ["--out", str(tmp_path / "s.json")],
                  "simulate": ["--out", str(tmp_path / "p.txt")],
+                 "evaluate": ["--out", str(tmp_path / "c.csv")],
                  "search": ["--strategy", str(tmp_path / "s.json"), "--photons-file",
                             str(tmp_path / "p.txt"), "--out-dir", str(tmp_path / "run")]}
         rc = cli.run([command, "--config", str(cfgfile), *paths[command]])

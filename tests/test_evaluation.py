@@ -359,6 +359,13 @@ class TestEstimateTradeoff:
         with pytest.raises(ValueError, match="lambda|theta"):
             estimate_tradeoff(lams, thetas, self.tiny_config(), n_sims=4, seed=0, workers=1)
 
+    def test_rejects_empty_lambdas_before_sampling(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+        with pytest.raises(ValueError, match="lambdas must not be empty"):
+            estimate_tradeoff([], [0.85], self.tiny_config(), n_sims=4, seed=0, workers=1)
+
     @pytest.mark.parametrize("value", ["1", "64", "not a number"])
     def test_threads_variable_is_ignored(self, monkeypatch, value):
         monkeypatch.setenv("BLINDSEARCH_THREADS", value)
@@ -433,8 +440,10 @@ class TestEstimateTradeoff:
                         "--qtrain-quantile", repr(cfg.qtrain_quantile),
                         "--lambda", "0.3", "--seed", "3", "--out", str(out)]) == 0
         written = load_strategy(out)
-        _, [fitted] = evaluation._fit_strategies(cfg, PulsarGrid(spec, cfg.span), [0.3], 3)
-        assert (written.lam, written.q_train) == (fitted.lam, fitted.q_train)
+        grid = PulsarGrid(spec, cfg.span)
+        _, [fitted], _, _, _ = evaluation._fit_strategies(cfg, grid, [0.3], 3)
+        assert ((written.lam, written.q_train, written.seed)
+                == (fitted.lam, fitted.q_train, fitted.seed))
         for layer in range(1, spec.num_layers):
             for got, want in zip(written.decision_regions(layer), fitted.decision_regions(layer)):
                 assert np.array_equal(got, want)
