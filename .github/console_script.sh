@@ -62,8 +62,10 @@ blindsearch evaluate --config evaluate.cfg --out curve_cfg.csv
 cmp curve.csv curve_cfg.csv
 blindsearch oracle --rho 0.8 --layers 3 --branching 2 --lambda 0.05 --q 1.0 --paths 2000 --sims 2000 --seed 0
 blindsearch simulate --theta 0.8 --photons 200 --span 100 --omega 1.01 --omegadot=-5e-4 --seed 2 --out photons_mixed.txt
-blindsearch naive --photons-file photons_mixed.txt --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --qreject 12 --out-dir sweep_mixed
+blindsearch naive --photons-file photons_mixed.txt --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --qreject 12 --out-dir sweep_mixed | tee sweep_mixed.out
 grep -q '"method": "screen"' sweep_mixed/manifest.json
+# the sweep prints its leaf-layer line with how it swept
+grep -q '^  layer 5: .*; sweep by screen, ' sweep_mixed.out
 # the screened sweep reports exact values only, so a rerun writes the same bytes
 blindsearch naive --photons-file photons_mixed.txt --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --qreject 12 --out-dir sweep_mixed2
 cmp sweep_mixed/detections.csv sweep_mixed2/detections.csv
@@ -116,10 +118,13 @@ blindsearch evaluate --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --ome
 diff <(tail -n +2 curve_mixed1.csv | sort) <(tail -n +2 curve_mixed_rev.csv | sort)
 # a search that writes its observed log on the mixed grid writes the same bytes twice
 blindsearch fit --omega-min 1.0 --omega-max 1.02 --omegadot-min=-1e-3 --omegadot-max=0 --layers 5 --span 100 --photons 200 --lambda 0.01 --paths 3000 --qtrain-quantile 0.99 --seed 1 --out strategy_mixed.json
-blindsearch search --strategy strategy_mixed.json --photons-file photons_mixed.txt --qreject 12 --emit-observed --out-dir search_mixed
+blindsearch search --strategy strategy_mixed.json --photons-file photons_mixed.txt --qreject 12 --emit-observed --out-dir search_mixed | tee search_mixed.out
 blindsearch search --strategy strategy_mixed.json --photons-file photons_mixed.txt --qreject 12 --emit-observed --out-dir search_mixed2
 cmp search_mixed/observed.csv search_mixed2/observed.csv
 cmp search_mixed/detections.csv search_mixed2/detections.csv
+cmp search_mixed/layers.csv search_mixed2/layers.csv
+# the search prints a line for layer 1, which it observes completely
+grep -q '^  layer 1: ' search_mixed.out
 # malformed input exits 3: a list value that is not numbers, and a strategy whose tree is a list
 printf 'lambdas = abc\n' > bad_lambdas.cfg
 rc=0

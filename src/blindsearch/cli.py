@@ -319,24 +319,6 @@ def _resolve_q_reject(cfg, tree: TreeConfig) -> float:
     return default_q_reject(tree, alpha=cfg["alpha"], n_effective=cfg["n_effective"])
 
 
-def _write_search_outputs(out_dir: Path, command, cfg, inputs, outcome, evaluator,
-                          tree, emit_observed=False):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    det = out_dir / "detections.csv"
-    lay = out_dir / "layers.csv"
-    outputs = [det, lay]
-    write_detections_csv(det, outcome, evaluator)
-    write_layer_summary_csv(lay, outcome, tree)
-    if emit_observed:
-        obs = out_dir / "observed.csv"
-        write_observed_csv(obs, outcome, evaluator)
-        outputs.append(obs)
-    reports = {"layers": _layer_report(outcome)}
-    if outcome.sweep is not None:
-        reports["sweep"] = outcome.sweep
-    _write_manifest(out_dir / "manifest.json", command, cfg, inputs, outputs, **reports)
-
-
 def _layer_report(outcome) -> list:
     """Per-layer observed nodes, evaluate calls and seconds of a search."""
     return [{"layer": layer, "observed": int(n), "evaluate_calls": int(c), "seconds": float(sec)}
@@ -359,39 +341,52 @@ def _print_layers(outcome) -> None:
             print(line)
 
 
-def cmd_search(args, cfg) -> int:
-    strategy, grid, photons = _load_search_inputs(cfg, args.strategy, args.photons_file)
-    q_reject = _resolve_q_reject(cfg, strategy.tree)
-    evaluator = PulsarEvaluator(photons, grid)
-    emit = cfg["emit_observed"]
-    outcome = run_search(strategy, evaluator, q_reject, emit_observed=emit)
+def _search_and_report(args, cfg, inputs, grid, photons, search, summary) -> int:
+    """Run ``search(evaluator, q_reject)`` over ``photons`` on ``grid``; write and print it.
+
+    The step that search and naive share: it resolves q_reject, writes
+    detections.csv, layers.csv, observed.csv when the outcome has an
+    observed log, and the manifest into ``--out-dir``, then prints one
+    summary line, with the command's ``summary(outcome)`` fragment, and
+    the per-layer lines.
+    """
+    q_reject = _resolve_q_reject(cfg, grid.tree)
+    outcome = search(PulsarEvaluator(photons, grid), q_reject)
     out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / "detections.csv", out_dir / "layers.csv"]
+    write_detections_csv(outputs[0], outcome, grid)
+    write_layer_summary_csv(outputs[1], outcome, grid.tree)
+    if outcome.observed_log is not None:
+        outputs.append(out_dir / "observed.csv")
+        write_observed_csv(outputs[2], outcome, grid)
     cfg["resolved_qreject"] = q_reject
-    _write_search_outputs(out_dir, "search", cfg, [args.strategy, args.photons_file],
-                          outcome, evaluator, strategy.tree, emit_observed=emit)
-    leaves = nodes_in_layer(strategy.tree, strategy.tree.num_layers)
-    frac = outcome.total_cost / (leaves * strategy.tree.cost(strategy.tree.num_layers))
-    print(f"{len(outcome.detections)} detections at q={q_reject:.4f}; "
-          f"cost {outcome.total_cost!r} ({frac:.2e} of exhaustive); "
-          f"peak {outcome.peak_tracked} tracked records; wrote {out_dir}/")
+    reports = {"layers": _layer_report(outcome)}
+    if outcome.sweep is not None:
+        reports["sweep"] = outcome.sweep
+    _write_manifest(out_dir / "manifest.json", args.command, cfg, inputs, outputs, **reports)
+    print(f"{len(outcome.detections)} detections at q={q_reject:.4f}{summary(outcome)}; "
+          f"wrote {out_dir}/")
     _print_layers(outcome)
     return 0
+
+
+def cmd_search(args, cfg) -> int:
+    strategy, grid, photons = _load_search_inputs(cfg, args.strategy, args.photons_file)
+    G = grid.tree.num_layers
+    exhaustive = nodes_in_layer(grid.tree, G) * grid.tree.cost(G)
+    return _search_and_report(
+        args, cfg, [args.strategy, args.photons_file], grid, photons,
+        lambda ev, q: run_search(strategy, ev, q, emit_observed=cfg["emit_observed"]),
+        lambda out: (f"; cost {out.total_cost!r} ({out.total_cost / exhaustive:.2e} of "
+                     f"exhaustive); peak {out.peak_tracked} tracked records"))
 
 
 def cmd_naive(args, cfg) -> int:
     photons = read_photons(args.photons_file, span=cfg["span"])
     grid = PulsarGrid(_grid_from_cfg(cfg), photons.span)
-    q_reject = _resolve_q_reject(cfg, grid.tree)
-    evaluator = PulsarEvaluator(photons, grid)
-    outcome = naive_search(evaluator, q_reject)
-    out_dir = Path(args.out_dir)
-    cfg["resolved_qreject"] = q_reject
-    _write_search_outputs(out_dir, "naive", cfg, [args.photons_file],
-                          outcome, evaluator, grid.tree)
-    print(f"{len(outcome.detections)} detections at q={q_reject:.4f} over "
-          f"{int(outcome.per_layer_observed[-1])} leaves; wrote {out_dir}/")
-    _print_layers(outcome)
-    return 0
+    return _search_and_report(args, cfg, [args.photons_file], grid, photons, naive_search,
+                              lambda out: f" over {int(out.per_layer_observed[-1])} leaves")
 
 
 def cmd_evaluate(args, cfg) -> int:

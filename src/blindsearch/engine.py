@@ -11,8 +11,8 @@ become phasors through ``_unit_phasors``, the one phase-to-phasor step
 that the null model's sampler shares. ``PulsarGrid`` alone places a
 node: ``node_coords`` gives its integer lattice coordinates, and
 ``node_params`` the lattice start plus those coordinates times the
-layer's half spacings. The sampler asks the grid for both, so it and
-the evaluator put every node at the same floats.
+layer's half spacings. The sampler asks the grid for both, so it, the
+evaluator and the CSV writers put every node at the same floats.
 
 The leaves of every pulsar grid form a uniform lattice, and one row of
 leaf statistics along a lattice dimension is one type-1 nonuniform FFT
@@ -26,8 +26,8 @@ evaluator is swept by the walker.
 
 Evaluator protocol (duck-typed): a ``tree`` attribute carrying the
 TreeConfig, and ``evaluate(layer, indices) -> values`` accepting an int64
-index array. The CSV writers also need ``node_params(layer, indices) ->
-(omega, omegadot)``. Evaluation must be deterministic given the data.
+index array. Evaluation must be deterministic given the data. The CSV
+writers take node positions from the ``PulsarGrid``, not the evaluator.
 """
 
 from __future__ import annotations
@@ -530,7 +530,7 @@ class PulsarEvaluator:
     """Blocked-statistic evaluator for one photon series on a PulsarGrid.
 
     A node's phase at photon j is c_j = omega t_j + omegadot t_j^2 / 2
-    cycles at its ``node_params``, computed with the operations of
+    cycles at its grid's ``node_params``, computed with the operations of
     ``stats.phase`` in the same order, and F^kappa sums the phasors
     exp(2 pi i c_j) of ``_unit_phasors`` over each time block. A node's
     value depends on its parameters alone, so it is the same in every
@@ -560,9 +560,6 @@ class PulsarEvaluator:
         self._ends = _block_ends(t, 1 << grid.kappa(1), photons.span, np.empty(t.shape),
                                  np.empty(t.shape, dtype=np.int64))[0]
         self._workspace = None  # evaluate's (c, z, index, work) tiles, kept from call to call
-
-    def node_params(self, layer: int, indices):
-        return self.grid.node_params(layer, indices)
 
     def evaluate(self, layer: int, indices) -> np.ndarray:
         """Statistic F^kappa at each node, kappa matched to the layer."""
@@ -793,8 +790,13 @@ def _check_search_args(q_reject: float) -> None:
         raise ValueError("q_reject must not be NaN")
 
 
-def _total_cost(tree: TreeConfig, observed: np.ndarray) -> float:
-    return sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers())
+def _outcome(tree: TreeConfig, found: list, observed: np.ndarray, peak: int,
+             calls: np.ndarray, seconds: np.ndarray, **extra) -> SearchOutcome:
+    """The SearchOutcome of a walk or sweep; ``found`` holds its (indices, values) detections."""
+    return SearchOutcome(
+        detections=_sorted_records(_DETECTION_DTYPE, found, 1), per_layer_observed=observed,
+        total_cost=sum(int(observed[layer - 1]) * tree.cost(layer) for layer in tree.layers()),
+        peak_tracked=peak, evaluate_calls=calls, seconds=seconds, **extra)
 
 
 def _walk(evaluator, decide, start: int, q_reject: float,
@@ -870,12 +872,8 @@ def _walk(evaluator, decide, start: int, q_reject: float,
                 peak = max(peak, idx.size + queued + detected + logged)
             queued -= lo.size
             seconds[layer - 1] += time.perf_counter() - began
-    return SearchOutcome(detections=_sorted_records(_DETECTION_DTYPE, detections, 1),
-                         per_layer_observed=observed,
-                         total_cost=_total_cost(tree, observed), peak_tracked=peak,
-                         evaluate_calls=calls, seconds=seconds,
-                         observed_log=None if log is None
-                         else _sorted_records(_LOG_DTYPE, log, 2))
+    return _outcome(tree, detections, observed, peak, calls, seconds,
+                    observed_log=None if log is None else _sorted_records(_LOG_DTYPE, log, 2))
 
 
 def run_search(strategy, evaluator, q_reject: float,
@@ -952,18 +950,11 @@ def _screened_sweep(evaluator: PulsarEvaluator, q_reject: float) -> SearchOutcom
         segments += 1
         confirmed += along.size
         peak = max(peak, screened.size + along.size + detected)
-    observed = np.zeros(G, dtype=np.int64)
-    observed[-1] = nodes_in_layer(tree, G)
-    evaluate_calls = np.zeros(G, dtype=np.int64)
-    evaluate_calls[-1] = segments + calls
-    seconds = np.zeros(G)
-    seconds[-1] = time.perf_counter() - began
-    return SearchOutcome(detections=_sorted_records(_DETECTION_DTYPE, found, 1),
-                         per_layer_observed=observed,
-                         total_cost=_total_cost(tree, observed), peak_tracked=peak,
-                         evaluate_calls=evaluate_calls, seconds=seconds,
-                         sweep={"method": "screen", "segments": segments,
-                                "confirmed": confirmed})
+    leaf = np.arange(1, G + 1) == G  # only the leaf layer is observed
+    return _outcome(tree, found, np.where(leaf, nodes_in_layer(tree, G), 0), peak,
+                    np.where(leaf, segments + calls, 0),
+                    np.where(leaf, time.perf_counter() - began, 0.0),
+                    sweep={"method": "screen", "segments": segments, "confirmed": confirmed})
 
 
 def default_q_reject(tree: TreeConfig, alpha: float = 0.05, n_effective=None) -> float:
@@ -994,13 +985,13 @@ def _reprs(values: np.ndarray) -> list:
     return texts[inverse].tolist()
 
 
-def write_detections_csv(path, outcome: SearchOutcome, evaluator) -> None:
+def write_detections_csv(path, outcome: SearchOutcome, grid: PulsarGrid) -> None:
     """Detections as CSV: omega_hz, omegadot_s2, statistic, leaf_index.
 
-    The parameters are the evaluator's ``node_params`` of each leaf.
+    The parameters are the grid's ``node_params`` of each leaf.
     """
     det = outcome.detections
-    om, od = evaluator.node_params(evaluator.tree.num_layers, det["index"])
+    om, od = grid.node_params(grid.tree.num_layers, det["index"])
     with open(path, "w") as fh:
         fh.write("omega_hz,omegadot_s2,statistic,leaf_index\n")
         fh.writelines(f"{w},{d},{v!r},{i}\n" for w, d, v, i in
@@ -1017,10 +1008,10 @@ def write_layer_summary_csv(path, outcome: SearchOutcome, tree: TreeConfig) -> N
             fh.write(f"{layer},{count},{count * tree.cost(layer)!r}\n")
 
 
-def write_observed_csv(path, outcome: SearchOutcome, evaluator) -> None:
+def write_observed_csv(path, outcome: SearchOutcome, grid: PulsarGrid) -> None:
     """Observed-node log as CSV: layer, node_index, omega_hz, omegadot_s2, statistic, action.
 
-    Rows follow the log's (layer, node_index) order. The evaluator's
+    Rows follow the log's (layer, node_index) order. The grid's
     ``node_params`` is called once per layer, and each distinct omega and
     omegadot of the layer is formatted once.
     """
@@ -1031,7 +1022,7 @@ def write_observed_csv(path, outcome: SearchOutcome, evaluator) -> None:
         fh.write("layer,node_index,omega_hz,omegadot_s2,statistic,action\n")
         for layer in np.unique(log["layer"]).tolist():
             rows = log[log["layer"] == layer]
-            om, od = evaluator.node_params(layer, rows["index"])
+            om, od = grid.node_params(layer, rows["index"])
             fh.writelines(f"{layer},{i},{w},{d},{v!r},{a}\n" for i, w, d, v, a in
                           zip(rows["index"].tolist(), _reprs(om), _reprs(od),
                               rows["statistic"].tolist(), rows["action"].tolist()))

@@ -322,6 +322,8 @@ def estimate_tradeoff(lambdas, thetas, cfg: TradeoffConfig, n_sims: int, seed,
     thetas = [float(theta) for theta in thetas]
     if not lambdas:
         raise ValueError("lambdas must not be empty")
+    if not thetas:
+        raise ValueError("thetas must not be empty")
     if not all(math.isfinite(lam) and lam >= 0.0 for lam in lambdas):
         raise ValueError("every lambda must be finite and >= 0")
     if not all(0.0 <= theta <= 1.0 for theta in thetas):

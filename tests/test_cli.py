@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -95,12 +96,9 @@ class TestFit:
         err = capsys.readouterr().err
         assert "qtrain" in err or "paths" in err
 
+    # the training flags' own cases are test_bad_training_flags_rejected_before_sampling's
     @pytest.mark.parametrize("flags, named", [
         (["--lambda=-1", "--paths", "3000"], "--lambda"),
-        (["--lambda", "0.1", "--paths", "1"], "--paths"),
-        (["--lambda", "0.1", "--photons", "0"], "--photons"),
-        (["--lambda", "0.1", "--qtrain-quantile", "1.0"], "--qtrain-quantile"),
-        (["--lambda", "0.1", "--qtrain-quantile", "0"], "--qtrain-quantile"),
         (["--lambda", "0.1", "--span", "inf"], "span"),
         (["--lambda", "0.1", "--span", "1e300"], "span"),  # the drift spacing underflows to 0
     ])
@@ -710,3 +708,31 @@ def test_commands_run_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_benchmark_tracer_wraps_search_and_sweep(tmp_path):
+    """perfbench's tracer resolves every binding it wraps and records search and naive.
+
+    The tracer raises on a renamed binding, which stops a traced benchmark
+    run, and it counts observed rows from the outcome that
+    ``write_observed_csv`` takes as its second positional argument.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    strat = fit(tmp_path)
+    photons = simulate(tmp_path, theta=0.8, omega=1.5)
+    with tracer.recording(0):
+        run_ok(["search", "--strategy", str(strat), "--photons-file", str(photons),
+                "--qreject", "12", "--emit-observed", "--out-dir", str(tmp_path / "search")])
+        run_ok(["naive", *GRID_FLAGS, "--photons-file", str(photons), "--qreject", "12",
+                "--out-dir", str(tmp_path / "sweep")])
+    names = [span[0] for span in tracer.spans]
+    for name in ("run_search", "naive_search", "write_observed_csv", "evaluate"):
+        assert name in names
+    assert names.count("write_detections_csv") == names.count("write_layer_summary_csv") == 2
+    [rows] = [span[-1]["rows"] for span in tracer.spans if span[0] == "write_observed_csv"]
+    observed = (tmp_path / "search" / "observed.csv").read_text().splitlines()
+    assert rows == len(observed) - 1 > 0

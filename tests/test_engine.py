@@ -568,7 +568,7 @@ def test_observed_csv_rows_follow_layer_and_index(tmp_path, monkeypatch):
     for size in (1, 7, 4096):
         path = tmp_path / f"o{size}.csv"
         monkeypatch.setattr(engine, "_SEARCH_CHUNK", size)
-        write_observed_csv(path, run_search(strat, ev, 8.0, emit_observed=True), ev)
+        write_observed_csv(path, run_search(strat, ev, 8.0, emit_observed=True), ev.grid)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1] == texts[2]
     rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
@@ -576,7 +576,7 @@ def test_observed_csv_rows_follow_layer_and_index(tmp_path, monkeypatch):
     assert keys == sorted(set(keys))
     assert {layer for layer, _ in keys} == {1, 2, 3}
     for r, (layer, index) in zip(rows, keys):
-        om, od = ev.node_params(layer, np.array([index]))
+        om, od = ev.grid.node_params(layer, np.array([index]))
         assert (float(r[2]), float(r[3])) == (om[0], od[0])
 
 
@@ -599,7 +599,7 @@ def test_csv_writers(tmp_path):
     out = run_search(strat, ev, q_reject=12.0, emit_observed=True)
     assert out.detections.size
     det = tmp_path / "d.csv"
-    write_detections_csv(det, out, ev)
+    write_detections_csv(det, out, ev.grid)
     lines = det.read_text().splitlines()
     assert lines[0] == "omega_hz,omegadot_s2,statistic,leaf_index"
     cells = lines[1].split(",")
@@ -611,17 +611,17 @@ def test_csv_writers(tmp_path):
     assert rows[0] == "layer,observed_count,cost"
     assert len(rows) == 3
     obs = tmp_path / "o.csv"
-    write_observed_csv(obs, out, ev)
+    write_observed_csv(obs, out, ev.grid)
     assert len(obs.read_text().splitlines()) == 1 + int(out.per_layer_observed.sum())
     bare = run_search(strat, ev, q_reject=12.0)
     with pytest.raises(ValueError):
-        write_observed_csv(tmp_path / "x.csv", bare, ev)
+        write_observed_csv(tmp_path / "x.csv", bare, ev.grid)
 
 
 def per_row_csv(outcome, ev):
     """detections.csv and observed.csv bytes with one ``repr`` per cell (a reference)."""
     def params(layer, index):
-        om, od = ev.node_params(layer, np.array([index]))
+        om, od = ev.grid.node_params(layer, np.array([index]))
         return repr(float(om[0])), repr(float(od[0]))
 
     G = ev.tree.num_layers
@@ -637,11 +637,11 @@ def test_csv_writers_equal_the_per_row_repr(tmp_path):
     ev = kernel_case("eight_ary")
     out = run_search(threshold_strategy(ev.tree, cut=2.0), ev, 6.0, emit_observed=True)
     leaves = out.observed_log[out.observed_log["layer"] == ev.tree.num_layers]
-    om, od = ev.node_params(ev.tree.num_layers, leaves["index"])
+    om, od = ev.grid.node_params(ev.tree.num_layers, leaves["index"])
     assert out.detections.size > 1
     assert np.unique(om).size < om.size and np.unique(od).size < od.size  # values repeat
-    write_detections_csv(tmp_path / "d.csv", out, ev)
-    write_observed_csv(tmp_path / "o.csv", out, ev)
+    write_detections_csv(tmp_path / "d.csv", out, ev.grid)
+    write_observed_csv(tmp_path / "o.csv", out, ev.grid)
     det, obs = per_row_csv(out, ev)
     assert (tmp_path / "d.csv").read_bytes() == det
     assert (tmp_path / "o.csv").read_bytes() == obs

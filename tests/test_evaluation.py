@@ -366,6 +366,13 @@ class TestEstimateTradeoff:
         with pytest.raises(ValueError, match="lambdas must not be empty"):
             estimate_tradeoff([], [0.85], self.tiny_config(), n_sims=4, seed=0, workers=1)
 
+    def test_rejects_empty_thetas_before_sampling(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+        monkeypatch.setattr(evaluation, "sample_paths", unexpected)
+        with pytest.raises(ValueError, match="thetas must not be empty"):
+            estimate_tradeoff([0.01, 0.1], [], self.tiny_config(), n_sims=4, seed=0, workers=1)
+
     @pytest.mark.parametrize("value", ["1", "64", "not a number"])
     def test_threads_variable_is_ignored(self, monkeypatch, value):
         monkeypatch.setenv("BLINDSEARCH_THREADS", value)
@@ -426,9 +433,17 @@ class TestEstimateTradeoff:
                for point in points]
         assert nan == [q_reject == 1e6] * len(points)
 
-    def test_fit_command_writes_the_strategy_evaluate_measures(self, tmp_path):
+    def test_fit_command_writes_the_strategy_evaluate_measures(self, tmp_path, monkeypatch):
+        """fit trains through evaluate's training step, at the config its flags give."""
         cfg = self.tiny_config()
         spec = cfg.grid
+        calls = []
+
+        def spy(tc, grid, lambdas, seed):
+            result = evaluation._fit_strategies(tc, grid, lambdas, seed)
+            calls.append(((tc, grid, lambdas, seed), result))
+            return result
+        monkeypatch.setattr(cli, "_fit_strategies", spy)
         out = tmp_path / "strategy.json"
         assert cli.run(["fit", "--omega-min", repr(spec.omega_min),
                         "--omega-max", repr(spec.omega_max),
@@ -439,9 +454,11 @@ class TestEstimateTradeoff:
                         "--paths", str(cfg.num_paths),
                         "--qtrain-quantile", repr(cfg.qtrain_quantile),
                         "--lambda", "0.3", "--seed", "3", "--out", str(out)]) == 0
+        [((tc, grid, lambdas, seed), (_, [fitted], _, _, _))] = calls
+        assert tc == dataclasses.replace(cfg, q_reject=None)
+        assert grid.to_dict() == PulsarGrid(spec, cfg.span).to_dict()
+        assert (lambdas, seed) == ([0.3], 3)
         written = load_strategy(out)
-        grid = PulsarGrid(spec, cfg.span)
-        _, [fitted], _, _, _ = evaluation._fit_strategies(cfg, grid, [0.3], 3)
         assert ((written.lam, written.q_train, written.seed)
                 == (fitted.lam, fitted.q_train, fitted.seed))
         for layer in range(1, spec.num_layers):
